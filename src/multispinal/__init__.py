@@ -47,7 +47,6 @@ from .selfsim import GroupElement, MultispinalGroup, NucleusReport
 from .groupoid import (
     ONES,
     ZERO,
-    BisectionDescriptor,
     GermPoint,
     MembershipMismatch,
     RegionPattern,
@@ -60,7 +59,6 @@ from .groupoid import (
     is_idempotent,
     membership_matrix,
     point_in_bisection,
-    point_in_descriptor,
     region_pattern,
     region_sets,
     sample_bound_ratios,
@@ -101,7 +99,6 @@ __all__ = [
     "NucleusReport",
     "ONES",
     "ZERO",
-    "BisectionDescriptor",
     "GermPoint",
     "MembershipMismatch",
     "RegionPattern",
@@ -114,7 +111,6 @@ __all__ = [
     "is_idempotent",
     "membership_matrix",
     "point_in_bisection",
-    "point_in_descriptor",
     "region_pattern",
     "region_sets",
     "sample_bound_ratios",

@@ -189,7 +189,7 @@ def cmd_certify(args) -> int:
         docs.append(
             certify(
                 n,
-                poly=args.poly if not args.all else None,
+                poly=args.poly,
                 m_values=tuple(args.m_values),
                 seed=args.seed,
                 samples=args.samples,
@@ -272,6 +272,8 @@ def main(argv=None) -> int:
         parser.error("design needs --n or --search-q")
     if args.command == "certify" and not args.all and args.n is None:
         parser.error("certify needs --n or --all")
+    if args.command == "certify" and args.all and (args.n is not None or args.poly is not None):
+        parser.error("certify --all covers the stock polynomials of --n-min..--n-max; it takes neither --n nor --poly")
     try:
         return args.func(args)
     except (ValueError, RegionSearchError) as err:

@@ -304,17 +304,19 @@ class FieldContext:
 
     @cached_property
     def trace_table(self) -> tuple[int, ...]:
-        table = []
-        for x in range(self.size):
-            acc = x
-            t = x
+        # The trace is GF(2)-linear, so Tr(x) = parity(x & tau) with
+        # tau = sum of Tr(alpha^i) * 2^i over the n basis elements; only
+        # those n traces are computed by the defining sum of squares.
+        tau = 0
+        for i in range(self.n):
+            acc = t = 1 << i
             for _ in range(self.n - 1):
                 t = self.mul(t, t)
                 acc ^= t
             if acc not in (0, 1):
-                raise AssertionError(f"trace of {x} fell outside the prime field")
-            table.append(acc)
-        return tuple(table)
+                raise AssertionError(f"trace of alpha^{i} fell outside the prime field")
+            tau |= acc << i
+        return tuple((x & tau).bit_count() & 1 for x in range(self.size))
 
     @cached_property
     def trace_of_power(self) -> tuple[int, ...]:

@@ -91,6 +91,15 @@ class Tail:
     def starts_with_ones(self, m: int) -> bool:
         return all(self.letter(i) == "1" for i in range(m))
 
+    def ones_from(self, pos: int) -> int | None:
+        """Length of the run of 1s starting at pos; None if it never ends."""
+        i = self.fold(pos) - len(self.prefix)
+        # the rest of the prefix and one whole period, or one whole period
+        # starting at its offset i
+        ahead = self.prefix[i:] + self.period if i < 0 else self.period[i:] + self.period[:i]
+        run = len(ahead) - len(ahead.lstrip("1"))
+        return None if run == len(ahead) else run
+
 
 ONES = Tail("", "1")
 
@@ -104,22 +113,6 @@ class GermPoint:
         mu = self.triple.mu
         if any(self.tail.letter(i) != ch for i, ch in enumerate(mu)):
             raise ValueError("mu must be a prefix of the tail")
-
-
-@dataclass(frozen=True)
-class BisectionDescriptor:
-    """The compact open bisection of (gamma, g, mu) over the cylinder of
-    mu + eta.  The basic neighborhoods of the distinguished points are the
-    descriptors ("", g, "", 1^m)."""
-
-    gamma: str
-    g: GroupElement
-    mu: str
-    eta: str
-
-    @classmethod
-    def basic_neighborhood(cls, g: GroupElement, m: int) -> "BisectionDescriptor":
-        return cls("", g, "", "1" * m)
 
 
 @dataclass(frozen=True)
@@ -210,23 +203,46 @@ def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail
     agreed the whole way, by the prefix property of the action).  A
     revisited (restriction pair, tail position) state without success can
     never succeed later, so the walk terminates.
+
+    Runs of 1s are crossed in one move while both restrictions are
+    directed states (or e): these fix every letter, and b(x) restricts to
+    b(alpha^r x) along 1^r.  Multiplying by alpha^r is injective, so two
+    such restrictions that differ keep differing along the whole run, and
+    a run that never ends means the germs never meet.  The walk therefore
+    checks equality only where the run stops, at a position that is a
+    function of the state it jumped from; cycle detection still holds.
     """
-    r1, r2 = g1, g2
+    ctx = group.ctx
+    step = group._step
+    u, v = g1.factors, g2.factors
     pos = 0
     seen = set()
     while True:
-        if group.equal(r1, r2):
+        if group.equal(GroupElement(u), GroupElement(v)):
             return True
-        key = (r1.factors, r2.factors, tail.fold(pos))
+        key = (u, v, tail.fold(pos))
         if key in seen:
             return False
         seen.add(key)
         ch = tail.letter(pos)
-        if group.act_letter(r1, ch) != group.act_letter(r2, ch):
+        if ch == "1" and _is_directed(u) and _is_directed(v):
+            run = tail.ones_from(pos)
+            if run is None:
+                return False
+            u = tuple(("b", ctx.pow_alpha(ctx.log(s[1]) + run)) for s in u)
+            v = tuple(("b", ctx.pow_alpha(ctx.log(s[1]) + run)) for s in v)
+            pos += run
+            continue
+        u, cu = step(u, ch)
+        v, cv = step(v, ch)
+        if cu != cv:
             return False
-        r1 = group.restrict(r1, ch)
-        r2 = group.restrict(r2, ch)
         pos += 1
+
+
+def _is_directed(factors: tuple) -> bool:
+    """The word is e or a single directed state."""
+    return not factors or (len(factors) == 1 and factors[0][0] == "b" and factors[0][1] != 0)
 
 
 def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: GroupElement, m: int) -> bool:
@@ -241,59 +257,6 @@ def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: GroupElemen
     if not point.tail.starts_with_ones(m):
         return False
     return germ_equal(group, t.g, h, point.tail)
-
-
-def point_in_descriptor(group: MultispinalGroup, desc: BisectionDescriptor, point: GermPoint) -> bool:
-    """Whether a germ point lies in the bisection of a descriptor with
-    matching words (gamma = mu), the shape all isotropy-type neighborhoods
-    here share.
-
-    The point [(empty, h, empty), tail] belongs iff the tail extends
-    mu + eta and some prefix v = mu e of the tail satisfies
-    h.v = mu (g.e) with h|_v equal to g|_e.  Same cycle-detected walk as
-    plain germ equality, offset by |mu| letters on the descriptor side.
-    """
-    if desc.gamma != desc.mu:
-        raise ValueError("only descriptors with gamma = mu are supported")
-    t = point.triple
-    if t.eta or t.mu:
-        raise ValueError("only (empty, g, empty) germ points are supported")
-    tail = point.tail
-    required = desc.mu + desc.eta
-    if any(tail.letter(i) != ch for i, ch in enumerate(required)):
-        return False
-    rh = t.g
-    # the first |mu| output letters must reproduce mu literally
-    for i, ch in enumerate(desc.mu):
-        if group.act_letter(rh, ch) != ch:
-            return False
-        rh = group.restrict(rh, ch)
-    # fast-forward through eta, comparing outputs letterwise; success
-    # checks may wait (an earlier witness propagates to longer prefixes)
-    rg = desc.g
-    pos = len(desc.mu)
-    while pos < len(required):
-        ch = tail.letter(pos)
-        if group.act_letter(rh, ch) != group.act_letter(rg, ch):
-            return False
-        rh = group.restrict(rh, ch)
-        rg = group.restrict(rg, ch)
-        pos += 1
-    # then the usual cycle-detected germ walk
-    seen = set()
-    while True:
-        if group.equal(rh, rg):
-            return True
-        key = (rh.factors, rg.factors, tail.fold(pos))
-        if key in seen:
-            return False
-        seen.add(key)
-        ch = tail.letter(pos)
-        if group.act_letter(rh, ch) != group.act_letter(rg, ch):
-            return False
-        rh = group.restrict(rh, ch)
-        rg = group.restrict(rg, ch)
-        pos += 1
 
 
 def default_search_depth(ctx: FieldContext, m: int) -> int:

@@ -9,13 +9,27 @@ States of the nucleus automaton:
           a when Tr(x) = 1 and e otherwise
 
 b(0) is identified with e at construction.  Group elements are finite
-products of states (leftmost factor acts last); since every generator is
-an involution, the inverse is the reversed factor sequence.  Equality of
-elements is decided semantically by bisimulation: restriction maps a
-tuple of nucleus states to a tuple of nucleus states of the same or
-smaller length, so the reachable pair space is finite and the worklist
-search terminates.  Resolved comparisons are memoized in an insert-only
-cache, the only shared mutable state on the object.
+products of states (leftmost factor acts last).  Two identities hold in
+every such group, the same as for Grigorchuk's {b, c, d}:
+
+    b(x) b(y) = b(x + y)        a a = e
+
+(the directed states fix every letter and their restrictions add
+coordinate-wise, since alpha*(x + y) = alpha*x + alpha*y and the trace
+is additive).  Words are therefore kept in normal form: no e, no a a,
+no two neighbouring directed states, so a word alternates between a and
+b(x).  element, multiply and restriction return normal forms, and a
+hand-built word is reduced by the first restriction applied to it.
+Since every generator is an involution, the inverse is the reversed
+word, a normal form again.  The same two facts let a germ walk
+(groupoid.germ_equal) cross a run 1^r in one move while it holds only
+directed states: each fixes every letter and b(x)|_(1^r) = b(alpha^r x).
+
+The normal form is syntactic only.  Equality of elements is decided
+semantically by bisimulation: restriction maps a word to a word of the
+same or smaller length, so the reachable pair space is finite and the
+worklist search terminates.  Resolved comparisons are memoized in an
+insert-only cache, the only shared mutable state on the object.
 """
 
 from __future__ import annotations
@@ -34,6 +48,24 @@ _SWAP = {"0": "1", "1": "0"}
 def directed_state(x: int):
     """The state b(x); b(0) collapses to the identity."""
     return STATE_E if x == 0 else ("b", x)
+
+
+def _reduce(states) -> tuple:
+    """Normal form of a word: drop e, cancel a a, merge b(x) b(y) into
+    b(x + y).  One left-to-right pass with a stack suffices, because each
+    rewrite only ever exposes a new neighbour pair at the top."""
+    out = []
+    for s in states:
+        kind = s[0]
+        if kind == "e" or (kind == "b" and not s[1]):
+            continue
+        if out and out[-1][0] == kind:
+            top = out.pop()
+            if kind == "b" and top[1] != s[1]:
+                out.append(("b", top[1] ^ s[1]))
+        else:
+            out.append(s)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -75,9 +107,6 @@ class MultispinalGroup:
     def output_swaps(self, s) -> bool:
         return s == STATE_A
 
-    def act_letter_state(self, s, ch: str) -> str:
-        return _SWAP[ch] if s == STATE_A else ch
-
     def restrict_letter_state(self, s, ch: str):
         if s == STATE_E or s == STATE_A:
             return STATE_E
@@ -89,7 +118,7 @@ class MultispinalGroup:
     # -- elements ---------------------------------------------------------
 
     def element(self, *states) -> GroupElement:
-        return GroupElement(tuple(s for s in states if s != STATE_E))
+        return GroupElement(_reduce(states))
 
     def iota(self, x: int) -> GroupElement:
         """Embedding of the additive group: field element -> directed state."""
@@ -97,23 +126,34 @@ class MultispinalGroup:
         return self.element(directed_state(x))
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return GroupElement(g.factors + h.factors)
+        return GroupElement(_reduce(g.factors + h.factors))
 
     def inverse(self, g: GroupElement) -> GroupElement:
         # every nucleus state is an involution, so reversing suffices
         return GroupElement(tuple(reversed(g.factors)))
 
     def _step(self, factors: tuple, ch: str) -> tuple[tuple, str]:
-        """Restrict a factor tuple along one letter; also return the output
-        letter.  The rightmost factor touches the letter first."""
+        """Restrict a word along one letter; also return the output letter.
+
+        The rightmost factor touches the letter first.  Accepts any word,
+        reduced or not, and returns the restriction in normal form.
+        """
+        mul_alpha = self.ctx.mul_alpha
+        trace = self.ctx.trace_table
         restricted = []
         c = ch
         for s in reversed(factors):
-            restricted.append(self.restrict_letter_state(s, c))
-            if s == STATE_A:
+            kind = s[0]
+            if kind == "a":
                 c = _SWAP[c]
-        restricted.reverse()
-        return tuple(t for t in restricted if t != STATE_E), c
+            elif kind == "b":
+                if c == "1":
+                    restricted.append(("b", mul_alpha(s[1])))
+                elif trace[s[1]]:
+                    restricted.append(STATE_A)
+        # the restricted word is built right to left; the normal form of
+        # the reversed word is the reverse of the normal form
+        return _reduce(restricted)[::-1], c
 
     def act(self, g: GroupElement, word: str) -> str:
         """Image of a finite word; length-preserving."""
@@ -139,11 +179,14 @@ class MultispinalGroup:
     def equal(self, g: GroupElement, h: GroupElement) -> bool:
         """True iff g and h act identically on every finite word.
 
-        Coinductive check: breadth-first search over pairs of factor
-        tuples, failing on the first output mismatch.  Soundness rests on
-        the action being faithful; termination on restriction keeping
-        tuples inside a finite set.
+        Coinductive check: breadth-first search over pairs of words,
+        failing on the first output mismatch; identical words are equal
+        and need no search.  Soundness rests on the action being
+        faithful; termination on restriction keeping words inside a
+        finite set.
         """
+        if g.factors == h.factors:
+            return True
         root = (g.factors, h.factors) if g.factors <= h.factors else (h.factors, g.factors)
         memo = self._eq_memo
         cached = memo.get(root)
@@ -160,6 +203,8 @@ class MultispinalGroup:
                     memo[root] = False
                     memo.setdefault((u, v), False)  # (u, v) is normalized in the queue
                     return False
+                if u2 == v2:
+                    continue
                 pair = (u2, v2) if u2 <= v2 else (v2, u2)
                 known = memo.get(pair)
                 if known is False:
@@ -175,10 +220,14 @@ class MultispinalGroup:
     def in_nucleus(self, g: GroupElement):
         """The nucleus state g is equal to, or None.
 
-        Tries the likely candidate first: products of directed states sum
-        their field elements, so the XOR of directed parts (or a, when the
-        element swaps) is checked before the full scan.
+        A normal form of at most one factor is a nucleus state already.
+        Otherwise tries the likely candidate first: products of directed
+        states sum their field elements, so the XOR of directed parts (or
+        a, when the element swaps) is checked before the full scan.
         """
+        reduced = _reduce(g.factors)
+        if len(reduced) <= 1:
+            return reduced[0] if reduced else STATE_E
         swaps = self.act_letter(g, "0") != "0"
         if swaps:
             if self.equal(g, self.gen_a):

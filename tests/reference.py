@@ -3,8 +3,9 @@
 Deliberately different representations and algorithms from the library:
 field elements are coefficient tuples reduced by schoolbook long
 division, matrix ranks come from plain Fraction row reduction or GF(2)
-row-space enumeration, and the degree-2 automaton is a hardcoded
-transition table.
+row-space enumeration, the degree-2 automaton is a hardcoded
+transition table, and germ equality is the plain letter-by-letter walk
+on unreduced words.
 """
 
 from __future__ import annotations
@@ -145,3 +146,83 @@ def grig_act(state: str, word: str) -> str:
             out.append(ch)
             s = GRIG_REST[s][int(ch)]
     return "".join(out)
+
+
+class RefAutomaton:
+    """The nucleus automaton of a reference field, on unreduced words.
+
+    Words are tuples of states ("e",), ("a",) and ("b", x) with x an int
+    in the field's bit encoding; restriction under 1 multiplies by alpha
+    and restriction under 0 takes the trace, both through RefField.  A
+    restriction only drops identity factors: no b(x) b(y) merging and no
+    a a cancellation.
+    """
+
+    def __init__(self, field: RefField):
+        a = field.alpha()
+        size = 1 << field.n
+        self.shift = {x: field.to_int(field.mul(field.from_int(x), a)) for x in range(size)}
+        self.trace = {x: field.trace(field.from_int(x)) for x in range(size)}
+
+    def step(self, word, ch):
+        """(restriction along ch, output letter); the rightmost factor
+        reads the letter first."""
+        out = []
+        for s in reversed(word):
+            if s[0] == "a":
+                ch = "1" if ch == "0" else "0"
+            elif s[0] == "b" and s[1]:
+                if ch == "1":
+                    out.append(("b", self.shift[s[1]]))
+                elif self.trace[s[1]]:
+                    out.append(("a",))
+        out.reverse()
+        return tuple(out), ch
+
+    def act(self, word, letters: str) -> str:
+        out = []
+        for ch in letters:
+            word, c = self.step(word, ch)
+            out.append(c)
+        return "".join(out)
+
+    def equal(self, u, v) -> bool:
+        """Bisimulation over pairs of unreduced words, without memo."""
+        seen = {(u, v)}
+        todo = [(u, v)]
+        while todo:
+            u, v = todo.pop()
+            for ch in "01":
+                u2, cu = self.step(u, ch)
+                v2, cv = self.step(v, ch)
+                if cu != cv:
+                    return False
+                if (u2, v2) not in seen:
+                    seen.add((u2, v2))
+                    todo.append((u2, v2))
+        return True
+
+
+def ref_germ_equal(auto: RefAutomaton, u, v, prefix: str, period: str) -> bool:
+    """Whether [(empty, u, empty), prefix period period ...] and
+    [(empty, v, empty), same tail] are one germ: one letter per step, no
+    jump over runs of 1s, stopped by a revisited (u, v, position) state."""
+
+    def fold(i):
+        return i if i < len(prefix) else len(prefix) + (i - len(prefix)) % len(period)
+
+    pos = 0
+    seen = set()
+    while True:
+        if auto.equal(u, v):
+            return True
+        i = fold(pos)
+        if (u, v, i) in seen:
+            return False
+        seen.add((u, v, i))
+        ch = prefix[i] if i < len(prefix) else period[i - len(prefix)]
+        u, cu = auto.step(u, ch)
+        v, cv = auto.step(v, ch)
+        if cu != cv:
+            return False
+        pos += 1

@@ -108,6 +108,14 @@ def test_mismatched_poly_degree_exits_2():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("extra", [("--poly", "x^2+x+1"), ("--n", "3")])
+def test_certify_all_rejects_single_degree_options(extra):
+    res = run_cli("certify", "--all", "--n-min", "2", "--n-max", "2", *extra)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--all" in res.stderr
+
+
 def test_unknown_subcommand_exits_2():
     res = run_cli("frobnicate")
     assert res.returncode == 2

@@ -27,7 +27,9 @@ from multispinal.groupoid import (
     sg_star,
     singular_system_certificate,
 )
-from multispinal.selfsim import MultispinalGroup
+from multispinal.selfsim import STATE_A, GroupElement, MultispinalGroup
+
+from reference import RefAutomaton, RefField, ref_germ_equal
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +134,16 @@ def test_tail_letters_and_validation():
         Tail("1", "")
 
 
+def test_tail_ones_from():
+    t = Tail("1101", "110")
+    assert [t.ones_from(i) for i in range(9)] == [2, 1, 0, 3, 2, 1, 0, 2, 1]
+    assert Tail("111", "01").ones_from(0) == 3
+    assert [Tail("0", "011").ones_from(i) for i in (2, 3, 5)] == [2, 1, 2]  # runs wrap the period
+    assert Tail("0", "1").ones_from(1) is None
+    assert ONES.ones_from(7) is None
+    assert Tail("1" * 5, "11").ones_from(2) is None
+
+
 def test_germ_point_requires_mu_prefix(g2):
     with pytest.raises(ValueError):
         GermPoint(SemigroupTriple("", g2.identity, "0"), ONES)
@@ -171,6 +183,41 @@ def test_z_e_only_in_its_own_neighborhoods(n):
     group = MultispinalGroup(field_context(n))
     for x in group.ctx.nonzero_elements():
         assert not germ_equal(group, group.iota(x), group.identity, ONES)
+
+
+def random_tail(rng, k, kind):
+    """Tails for the oracle: a long 1^s prefix with s up to 3k, followed
+    by a period that holds a 0 (kind 0), is all 1s (kind 1), or is any
+    random period (kind 2)."""
+    prefix = random_word(rng, 3) + "1" * rng.randrange(0, 3 * k + 1) + random_word(rng, 2)
+    if kind == 1:
+        return Tail(prefix, "1" * rng.randrange(1, 4))
+    period = random_word(rng, 3) or "1"
+    if kind == 0:
+        i = rng.randrange(len(period))
+        period = period[:i] + "0" + period[i + 1:]
+    return Tail(prefix, period)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_germ_equal_matches_reference_walk(n):
+    # unreduced words of up to 4 factors, e included; every third pair is
+    # purely directed, so that both sides jump runs of 1s
+    ctx = field_context(n)
+    group = MultispinalGroup(ctx)
+    auto = RefAutomaton(RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(n + 1))))
+    states = group.nucleus_states
+    directed = [s for s in states if s != STATE_A]
+    rng = random.Random(100 + n)
+    verdicts = set()
+    for case in range(300):
+        pool = directed if case % 3 == 0 else states
+        u, v = (tuple(rng.choice(pool) for _ in range(rng.randrange(0, 5))) for _ in range(2))
+        tail = random_tail(rng, ctx.k, case % 3)
+        got = germ_equal(group, GroupElement(u), GroupElement(v), tail)
+        assert got == ref_germ_equal(auto, u, v, tail.prefix, tail.period), (u, v, tail)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # intersection witnesses ---------------------------------------------------------

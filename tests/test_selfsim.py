@@ -6,7 +6,7 @@ import pytest
 from multispinal.gf2n import field_context
 from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup
 
-from reference import GRIG_REST, GRIG_SWAPS, grig_act
+from reference import GRIG_REST, GRIG_SWAPS, RefAutomaton, RefField, grig_act
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +208,42 @@ def test_inverse_is_reversed_word(g2):
             g = g2.multiply(g, rng.choice(pool))
         assert g2.equal(g2.multiply(g, g2.inverse(g)), g2.identity)
         assert g2.equal(g2.multiply(g2.inverse(g), g), g2.identity)
+
+
+# normal form ---------------------------------------------------------------
+
+
+def is_normal(factors):
+    """No e, no b(0), no a a and no two neighbouring directed states."""
+    return all(s[0] in "ab" and s != ("b", 0) for s in factors) and all(
+        s[0] != t[0] for s, t in zip(factors, factors[1:])
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_normal_form_of_products_and_restrictions(n):
+    group = MultispinalGroup(field_context(n))
+    ctx = group.ctx
+    auto = RefAutomaton(RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(n + 1))))
+    states = group.nucleus_states
+    rng = random.Random(20 + n)
+    words = ["".join(w) for l in range(1, 6) for w in itertools.product("01", repeat=l)]
+    for _ in range(60):
+        raw_g, raw_h = (tuple(rng.choice(states) for _ in range(rng.randrange(0, 7))) for _ in range(2))
+        g, h = group.element(*raw_g), group.element(*raw_h)
+        prod = group.multiply(g, h)
+        for x in (g, h, prod):
+            assert is_normal(x.factors)
+        assert group.multiply(g, group.inverse(g)) == group.identity
+        assert group.multiply(group.inverse(prod), prod) == group.identity
+        raw = raw_g + raw_h
+        assert group.equal(prod, GroupElement(raw))
+        for w in rng.sample(words, 8):
+            # the reduced product acts as the raw word does in the
+            # reference automaton, which never reduces
+            assert group.act(prod, w) == auto.act(raw, w)
+            assert is_normal(group.restrict(prod, w).factors)
+            assert is_normal(group.restrict(GroupElement(raw), w).factors)
 
 
 # restriction period ---------------------------------------------------------
