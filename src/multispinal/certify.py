@@ -15,7 +15,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .exact_linalg import build_T, build_W, check_R_conditions, rank_mod_p, rank_over_Q, verify_right_inverse
+from .exact_linalg import InclusionMatrix, RationalMatrix, build_T, build_W, check_R_conditions
+from .exact_linalg import rank_mod_p, rank_over_Q, verify_right_inverse
 from .gf2n import FieldContext, PrimitivePolynomial, field_context
 from .groupoid import (
     MembershipMismatch,
@@ -83,9 +84,9 @@ def design_section(ctx: FieldContext) -> dict:
         }
 
 
-def matrix_section(ctx: FieldContext, rank_cap: int = RANK_ELIMINATION_CAP) -> dict:
-    W = build_W(ctx)
-    T = build_T(ctx.q, W)
+def matrix_section(
+    ctx: FieldContext, W: InclusionMatrix, T: RationalMatrix, rank_cap: int = RANK_ELIMINATION_CAP
+) -> dict:
     report = check_R_conditions(W)
     wt = verify_right_inverse(W, T)
     section = {
@@ -140,18 +141,26 @@ def groupoid_section(
     group: MultispinalGroup,
     m_values,
     seed: int,
+    linalg: tuple[InclusionMatrix, RationalMatrix, int | None],
     germ_full_cap: int = GERM_FULL_CAP,
-    rank_cap: int = RANK_ELIMINATION_CAP,
 ) -> dict:
+    """Region witnesses and membership rows for each m, then the singular
+    certificate on the matrix section's (W, T, rank over Q).
+
+    One memo of walked rows serves every m: for j >= max(m_values) the
+    witness of a region does not depend on m, so each distinct witness is
+    walked once.
+    """
     ctx = group.ctx
+    W = linalg[0]
+    rows = {}
     membership = {}
     ok = True
     germ_any = False
-    W = build_W(ctx)
     for m in m_values:
         if ctx.n <= germ_full_cap:
             try:
-                result = membership_matrix(group, m, W=W)
+                result = membership_matrix(group, m, W=W, rows=rows)
                 witnesses = {p.label: p.witness for p in result.patterns}
                 membership[str(m)] = {
                     "mode": "full",
@@ -169,7 +178,12 @@ def groupoid_section(
             good = True
             for kind in ("H", "Hc"):
                 for j in js:
-                    p = region_pattern(group, m, kind, j)
+                    try:
+                        p = region_pattern(group, m, kind, j, rows=rows)
+                    except MembershipMismatch as err:
+                        sampled[err.row_label] = {"matches_transpose": False, "error": str(err)}
+                        good = False
+                        continue
                     col = j if kind == "H" else j + ctx.k
                     match = all(
                         p.membership_row[i] == W.entry(i, col) for i in range(2 * ctx.q)
@@ -180,9 +194,7 @@ def groupoid_section(
             ok = ok and good
             germ_any = germ_any or good
     m0 = m_values[0]
-    cert = singular_system_certificate(
-        group, m0, use_germ=False, rank_elimination=ctx.n <= rank_cap
-    )
+    cert = singular_system_certificate(group, m0, use_germ=False, linalg=linalg)
     cert["germ_verified"] = germ_any and ctx.n <= germ_full_cap
     ok = ok and cert["pass"]
     return {"m_values": list(m_values), "membership": membership, "singular_certificate": cert, "pass": ok}
@@ -207,12 +219,17 @@ def certify(
     """Run the whole pipeline for one degree and assemble the document."""
     ctx = field_context(n, poly)
     group = MultispinalGroup(ctx)
+    # W, T and the Bareiss rank are computed once, by the matrix section,
+    # and reused by the groupoid section's singular certificate
+    W = build_W(ctx)
+    T = build_T(ctx.q, W)
+    matrix = matrix_section(ctx, W, T, rank_cap)
     sections = {
         "field": field_section(ctx),
         "design": design_section(ctx),
-        "matrix": matrix_section(ctx, rank_cap),
+        "matrix": matrix,
         "nucleus": nucleus_section(group, nucleus_depth),
-        "groupoid": groupoid_section(group, m_values, seed, germ_full_cap, rank_cap),
+        "groupoid": groupoid_section(group, m_values, seed, (W, T, matrix["rank_over_Q"]), germ_full_cap),
         "bound": bound_section(ctx, m_values[0], samples, seed),
     }
     verdict = all(s["pass"] for s in sections.values())

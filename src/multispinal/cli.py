@@ -161,22 +161,21 @@ def cmd_groupoid(args) -> int:
     ctx = field_context(args.n, args.poly)
     group = MultispinalGroup(ctx)
     doc = {"n": ctx.n, "m": args.m}
-    if args.verify or ctx.n <= GERM_FULL_CAP:
-        try:
+    try:
+        if args.verify or ctx.n <= GERM_FULL_CAP:
             result = membership_matrix(group, args.m, args.depth)
             doc["witnesses"] = {p.label: p.witness for p in result.patterns}
             doc["membership_matrix"] = [list(r) for r in result.rows]
             doc["matches_transpose"] = True
-            ok = True
-        except (MembershipMismatch, RegionSearchError) as err:
-            doc["matches_transpose"] = False
-            doc["error"] = str(err)
-            ok = False
-    else:
-        patterns = [region_pattern(group, args.m, "H", 0, args.depth)]
-        doc["witnesses"] = {p.label: p.witness for p in patterns}
-        doc["note"] = "field too large for the full region sweep; pass --verify to force"
+        else:
+            patterns = [region_pattern(group, args.m, "H", 0, args.depth)]
+            doc["witnesses"] = {p.label: p.witness for p in patterns}
+            doc["note"] = "field too large for the full region sweep; pass --verify to force"
         ok = True
+    except (MembershipMismatch, RegionSearchError) as err:
+        doc["matches_transpose"] = False
+        doc["error"] = str(err)
+        ok = False
     doc["pass"] = ok
     _emit_json(doc, args.out)
     return 0 if ok else 1

@@ -32,6 +32,7 @@ from math import lcm
 from .exact_linalg import (
     InclusionMatrix,
     RationalMatrix,
+    _row_labels,
     build_T,
     build_W,
     rank_over_Q,
@@ -140,8 +141,9 @@ class MembershipMismatch(AssertionError):
 
 
 class RegionSearchError(RuntimeError):
-    """No witness found within the search depth; this contradicts the
-    structure of the disjointified regions and must be surfaced loudly."""
+    """No witness within the search budget: a region's witness lies at or
+    beyond the given depth, or an intersection witness failed its germ
+    check."""
 
 
 # -- inverse semigroup --------------------------------------------------
@@ -272,6 +274,8 @@ def intersect_witness(group: MultispinalGroup, g1: GroupElement, g2: GroupElemen
     by an actual germ-equality run before being returned.
     """
     ctx = group.ctx
+    if m < 0:
+        raise ValueError(f"neighbourhood index m must be >= 0, got {m}")
     x1 = _directed_value(g1)
     x2 = _directed_value(g2)
     if x1 == x2:
@@ -320,53 +324,73 @@ def region_pattern(
     kind: str,
     j: int,
     search_depth: int | None = None,
+    *,
+    rows: dict | None = None,
 ) -> RegionPattern:
-    """Search for a germ point separating one admissible K from the rest.
+    """The germ point separating one admissible K from the rest.
 
-    Tries tails 1^s 0 1^infinity for s = m, m+1, ... and keeps the first
-    whose full membership row (one genuine germ check per nucleus column)
-    is exactly the indicator of K.  Sets other than the subgroup images
-    and their complements are not admissible and are rejected.
+    germ_equal(iota(x), iota(y), 1^s 0 1^infinity) holds exactly when
+    Tr(alpha^s (x + y)) = 0, that is when x + y lies in H_(s mod k).  So
+    the tail with s the least integer >= m congruent to j mod 2^n - 1
+    separates K = H_j (walked from iota(0)) and its complement (walked
+    from iota of the first non-member, a coset representative); the k
+    subgroups are distinct, so no other s below it does.  The formula
+    only chooses the tail: the membership row is one genuine germ walk
+    per nucleus column and must be exactly the indicator of K, otherwise
+    MembershipMismatch names the first differing column.  Sets other
+    than the subgroup images and their complements are not admissible
+    and are rejected.
+
+    rows, when given, memoises walked rows by (kind, j, s) across calls:
+    a row is a pure function of its starting element and its tail, so
+    sharing it changes no result.
     """
     ctx = group.ctx
+    k = ctx.k
     if kind not in ("H", "Hc"):
         raise ValueError(f"kind must be 'H' or 'Hc', got {kind!r}")
-    if not 0 <= j < ctx.k:
-        raise ValueError(f"subgroup index {j} outside 0..{ctx.k - 1}")
+    if not 0 <= j < k:
+        raise ValueError(f"subgroup index {j} outside 0..{k - 1}")
+    if m < 0:
+        raise ValueError(f"neighbourhood index m must be >= 0, got {m}")
     if search_depth is None:
         search_depth = default_search_depth(ctx, m)
     if search_depth < m + 2:
         raise ValueError("search depth too small to hold any witness")
 
-    planes = build_hyperplanes(ctx)
+    s = m + (j - m) % k
+    label = f"H{j}" + ("c" if kind == "Hc" else "")
+    if s >= search_depth:
+        raise RegionSearchError(
+            f"witness depth budget ran out for K={label} (m={m}): "
+            f"the witness 1^{s} 0 needs a depth above {s}, got {search_depth}"
+        )
+    tp = ctx.trace_of_power
+    log = ctx.discrete_log
     order = ctx.canonical_elements()
-    members = tuple(
-        x for x in order if (x in planes[j]) == (kind == "H")
+    in_k = kind == "H"
+    target = tuple(
+        1 if (x == 0 or tp[(log[x] + j) % k] == 0) == in_k else 0 for x in order
     )
-    target = tuple(1 if ((x in planes[j]) == (kind == "H")) else 0 for x in order)
-    g0 = group.iota(members[0])
+    members = tuple(x for x, t in zip(order, target) if t)
 
-    for s in range(m, search_depth):
+    key = (kind, j, s)
+    row = rows.get(key) if rows is not None else None
+    if row is None:
+        g0 = group.iota(members[0])
         tail = Tail("1" * s + "0", "1")
-        row = []
-        ok = True
-        for x, want in zip(order, target):
-            got = 1 if germ_equal(group, g0, group.iota(x), tail) else 0
-            row.append(got)
-            if got != want:
-                ok = False
-                break
-        if ok and len(row) == len(order):
-            return RegionPattern(
-                kind=kind,
-                j=j,
-                witness="1" * s + "0",
-                membership_row=tuple(row),
-                members=members,
-            )
-    raise RegionSearchError(
-        f"no witness for K={kind}{j} within depth {search_depth} (m={m}); "
-        "this contradicts the region structure"
+        row = tuple(1 if germ_equal(group, g0, group.iota(x), tail) else 0 for x in order)
+        if rows is not None:
+            rows[key] = row
+    if row != target:
+        i = next(i for i, (got, want) in enumerate(zip(row, target)) if got != want)
+        raise MembershipMismatch(label, _row_labels(ctx)[i])
+    return RegionPattern(
+        kind=kind,
+        j=j,
+        witness="1" * s + "0",
+        membership_row=row,
+        members=members,
     )
 
 
@@ -382,24 +406,27 @@ def membership_matrix(
     m: int,
     search_depth: int | None = None,
     W: InclusionMatrix | None = None,
+    *,
+    rows: dict | None = None,
 ) -> MembershipResult:
     """Stack all 2k region rows and assert equality with the inclusion
     transpose under the shared labeling.  Raises MembershipMismatch naming
-    the offending (row, column) on disagreement."""
+    the offending (row, column) on disagreement.  rows is the walked-row
+    memo of region_pattern."""
     ctx = group.ctx
     patterns = []
     for kind in ("H", "Hc"):
         for j in range(ctx.k):
-            patterns.append(region_pattern(group, m, kind, j, search_depth))
-    rows = tuple(p.membership_row for p in patterns)
+            patterns.append(region_pattern(group, m, kind, j, search_depth, rows=rows))
+    stacked = tuple(p.membership_row for p in patterns)
     if W is None:
         W = build_W(ctx)
     for r, pattern in enumerate(patterns):
         col = r  # region order matches the column order of W
         for i in range(2 * ctx.q):
-            if rows[r][i] != W.entry(i, col):
+            if stacked[r][i] != W.entry(i, col):
                 raise MembershipMismatch(pattern.label, W.row_labels[i])
-    return MembershipResult(rows=rows, patterns=patterns, matches_transpose=True)
+    return MembershipResult(rows=stacked, patterns=patterns, matches_transpose=True)
 
 
 # -- singular system and magnitude bound ---------------------------------
@@ -409,21 +436,26 @@ def singular_system_certificate(
     group: MultispinalGroup,
     m: int,
     use_germ: bool | None = None,
-    rank_elimination: bool = True,
+    linalg: tuple[InclusionMatrix, RationalMatrix, int | None] | None = None,
 ) -> dict:
     """Certify that sum_{g in K} c_g = 0 over all 2k admissible K forces
     c = 0, via full column rank 2q of the membership matrix.
 
     The right-inverse identity W T = I is a complete rank certificate;
-    Bareiss elimination is run as well when requested.  The matrix itself
-    comes from germ searches when use_germ is set (default: only for
-    small fields, n <= 4), otherwise from the inclusion matrix transpose.
+    Bareiss elimination adds its rank over Q.  linalg is (W, T, rank) as
+    the matrix section already computed them, rank None when elimination
+    was skipped there; without it W and T are built here and elimination
+    is run.  The matrix itself comes from germ searches when use_germ is
+    set (default: only for small fields, n <= 4), otherwise from the
+    inclusion matrix transpose.
     """
     ctx = group.ctx
     if use_germ is None:
         use_germ = ctx.n <= 4
-    W = build_W(ctx)
-    T = build_T(ctx.q, W)
+    if linalg is None:
+        W = build_W(ctx)
+        linalg = (W, build_T(ctx.q, W), rank_over_Q(W))
+    W, T, rank = linalg
     source = "inclusion-transpose"
     germ_verified = False
     if use_germ:
@@ -440,9 +472,7 @@ def singular_system_certificate(
         "germ_verified": germ_verified,
         "right_inverse_identity": wt_ok,
     }
-    rank = None
-    if rank_elimination:
-        rank = rank_over_Q(W)
+    if rank is not None:
         result["rank_over_Q"] = rank
     passed = wt_ok and (rank is None or rank == 2 * ctx.q)
     result["trivial_solution_only"] = passed
@@ -522,11 +552,12 @@ def sample_bound_ratios(ctx: FieldContext, m: int, samples: int, seed: int) -> d
     pass_2n = max_abs * (2 ** ctx.n) > ce_abs
     pass_sharp = max_abs * (2 * ctx.q - 1) >= ce_abs * ctx.q
 
-    # exact minimum of max_abs / ce_abs by cross-multiplication
-    best = 0
-    for i in range(1, samples):
-        if max_abs[i] * ce_abs[best] < max_abs[best] * ce_abs[i]:
-            best = i
+    # exact minimum of max_abs / ce_abs: start from the float minimum and
+    # move to a sample whose ratio is strictly smaller by cross-multiplication
+    # until none is; each move lowers the ratio, so this ends
+    best = int(np.argmin(max_abs / ce_abs))
+    while (lower := np.flatnonzero(max_abs * ce_abs[best] < max_abs[best] * ce_abs)).size:
+        best = int(lower[0])
     min_ratio = Fraction(int(max_abs[best]), int(ce_abs[best]))
     return {
         "m": m,

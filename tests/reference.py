@@ -4,12 +4,13 @@ Deliberately different representations and algorithms from the library:
 field elements are coefficient tuples reduced by schoolbook long
 division, matrix ranks come from plain Fraction row reduction or GF(2)
 row-space enumeration, the degree-2 automaton is a hardcoded
-transition table, and germ equality is the plain letter-by-letter walk
-on unreduced words.
+transition table, germ equality is the plain letter-by-letter walk
+on unreduced words, and region witnesses come from a scan over tails.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 
@@ -226,3 +227,34 @@ def ref_germ_equal(auto: RefAutomaton, u, v, prefix: str, period: str) -> bool:
         if cu != cv:
             return False
         pos += 1
+
+
+@functools.cache
+def _ref_meets(field: RefField, x0: int, x: int, s: int) -> bool:
+    """ref_germ_equal of b(x0) and b(x) along 1^s 0 1^infinity, cached:
+    the region scans of several m try the same tails."""
+    return ref_germ_equal(_ref_automaton(field), (("b", x0),), (("b", x),), "1" * s + "0", "1")
+
+
+@functools.cache
+def _ref_automaton(field: RefField) -> RefAutomaton:
+    return RefAutomaton(field)
+
+
+def ref_region_witness(field: RefField, m: int, kind: str, j: int, depth: int):
+    """(witness, membership row) of the region K = H_j or its complement,
+    by scanning tails 1^s 0 1^infinity for s = m, m+1, ... below depth and
+    keeping the first whose row of reference germ walks from the first
+    member of K is exactly the indicator of K; None if no tail does.
+    Columns run over [0, alpha, ..., alpha^(2^n - 1) = 1]."""
+    order = [0]
+    x = field.from_int(1)
+    for _ in range((1 << field.n) - 1):
+        x = field.mul(x, field.alpha())
+        order.append(field.to_int(x))
+    target = tuple(int(ref_hyperplane_membership(field, x, j) == (kind == "H")) for x in order)
+    x0 = order[target.index(1)]
+    for s in range(m, depth):
+        if all(_ref_meets(field, x0, x, s) == want for x, want in zip(order, target)):
+            return "1" * s + "0", target
+    return None

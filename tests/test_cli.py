@@ -154,6 +154,41 @@ def test_groupoid_verify():
     assert len(doc["membership_matrix"]) == 6
 
 
+@pytest.mark.parametrize(
+    "args", [("groupoid", "--n", "3", "--m", "-2"), ("certify", "--n", "3", "--m-values", "1", "-2")]
+)
+def test_negative_m_exits_2(args):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert "must be >= 0" in res.stderr
+
+
+def test_groupoid_depth_budget():
+    # H0 at m = 3 in degree 5 needs the witness 1^31 0
+    res = run_cli("groupoid", "--n", "5", "--m", "3", "--depth", "9")
+    assert res.returncode == 1
+    doc = json.loads(res.stdout)
+    assert doc["pass"] is False
+    assert "depth budget ran out" in doc["error"] and "1^31 0" in doc["error"]
+    res = run_cli("groupoid", "--n", "3", "--m", "1", "--depth", "9")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["witnesses"]["H0"] == "1" * 7 + "0"
+
+
+def test_certify_reports_wrong_germ_rows_as_fail(monkeypatch, tmp_path):
+    from multispinal import cli, groupoid
+
+    real = groupoid.germ_equal
+    monkeypatch.setattr(groupoid, "germ_equal", lambda group, g1, g2, tail: not real(group, g1, g2, tail))
+    out = tmp_path / "doc.json"
+    assert cli.main(["certify", "--n", "3", "--samples", "10", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "FAIL"
+    for entry in doc["sections"]["groupoid"]["membership"].values():
+        assert entry["matches_transpose"] is False
+        assert entry["error"].startswith("membership mismatch at row H0, column ")
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "doc.json"
     res = run_cli("design", "--n", "2", "--out", str(target))

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from multispinal.exact_linalg import build_W
+from multispinal import groupoid
+from multispinal.certify import groupoid_section
+from multispinal.exact_linalg import build_T, build_W
 from multispinal.gf2n import field_context
 from multispinal.groupoid import (
     ONES,
     ZERO,
     GermPoint,
+    MembershipMismatch,
+    RegionSearchError,
     SemigroupTriple,
     Tail,
     bound_check,
@@ -29,7 +33,7 @@ from multispinal.groupoid import (
 )
 from multispinal.selfsim import STATE_A, GroupElement, MultispinalGroup
 
-from reference import RefAutomaton, RefField, ref_germ_equal
+from reference import RefAutomaton, RefField, ref_germ_equal, ref_region_witness
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,10 @@ def g2():
 @pytest.fixture(scope="module")
 def g3():
     return MultispinalGroup(field_context(3))
+
+
+def ref_field(ctx):
+    return RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(ctx.n + 1)))
 
 
 def random_word(rng, max_len=6):
@@ -205,7 +213,7 @@ def test_germ_equal_matches_reference_walk(n):
     # purely directed, so that both sides jump runs of 1s
     ctx = field_context(n)
     group = MultispinalGroup(ctx)
-    auto = RefAutomaton(RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(n + 1))))
+    auto = RefAutomaton(ref_field(ctx))
     states = group.nucleus_states
     directed = [s for s in states if s != STATE_A]
     rng = random.Random(100 + n)
@@ -233,6 +241,22 @@ def test_witness_bd_at_m0(g2):
     w = intersect_witness(g2, g2.iota(2), g2.iota(1), 0)
     assert w == "10"
     assert germ_equal(g2, g2.iota(2), g2.iota(1), Tail(w, "1"))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_germ_equal_is_the_trace_identity(n):
+    # iota(x) and iota(y) meet along 1^s 0 1^infinity iff Tr(alpha^s (x + y)) = 0
+    ctx = field_context(n)
+    group = MultispinalGroup(ctx)
+    field = ref_field(ctx)
+    rng = random.Random(200 + n)
+    for s in range(2 * ctx.k + 2):
+        tail = Tail("1" * s + "0", "1")
+        for _ in range(12):
+            x, y = rng.sample(range(ctx.size), 2)
+            shifted = field.mul(field.pow(field.alpha(), s), field.from_int(x ^ y))
+            want = field.trace(shifted) == 0
+            assert germ_equal(group, group.iota(x), group.iota(y), tail) == want, (s, x, y)
 
 
 def test_witness_rejects_equal_elements(g2):
@@ -274,6 +298,70 @@ def test_region_pattern_rejects_inadmissible_sets(g2):
         region_pattern(g2, 1, "everything", 0)
     with pytest.raises(ValueError):
         region_pattern(g2, 1, "H", 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_region_pattern_matches_reference_scan(n):
+    ctx = field_context(n)
+    group = MultispinalGroup(ctx)
+    field = ref_field(ctx)
+    k = ctx.k
+    for m in sorted({0, 1, 2, 3, k, k + 1}):
+        depth = default_search_depth(ctx, m)
+        for kind in ("H", "Hc"):
+            for j in range(k):
+                p = region_pattern(group, m, kind, j)
+                assert (p.witness, p.membership_row) == ref_region_witness(field, m, kind, j, depth)
+
+
+def test_negative_m_is_rejected(g2):
+    with pytest.raises(ValueError):
+        region_pattern(g2, -1, "H", 0)
+    with pytest.raises(ValueError):
+        membership_matrix(g2, -2)
+    with pytest.raises(ValueError):
+        intersect_witness(g2, g2.iota(2), g2.iota(1), -1)
+
+
+def test_region_pattern_depth_budget(g3):
+    # H0 at m = 3 needs 1^7 0, so depth 7 is one short and depth 8 suffices
+    with pytest.raises(RegionSearchError, match="depth budget ran out.*1\\^7 0"):
+        region_pattern(g3, 3, "H", 0, search_depth=7)
+    assert region_pattern(g3, 3, "H", 0, search_depth=8).witness == "1" * 7 + "0"
+
+
+def test_region_pattern_names_first_wrong_column(g3, monkeypatch):
+    last = g3.iota(1)  # the last canonical column, alpha^7 = 1
+    real = groupoid.germ_equal
+
+    def faulty(group, g1, g2, tail):
+        return real(group, g1, g2, tail) != (g2 == last)
+
+    monkeypatch.setattr(groupoid, "germ_equal", faulty)
+    with pytest.raises(MembershipMismatch) as err:
+        region_pattern(g3, 1, "Hc", 4)
+    assert (err.value.row_label, err.value.col_label) == ("H4c", "a^7")
+
+
+def test_shared_rows_memo_gives_the_same_rows(g3):
+    rows = {}
+    for m in (1, 2, 3):
+        shared = membership_matrix(g3, m, rows=rows)
+        assert shared.rows == membership_matrix(g3, m).rows
+        assert [p.witness for p in shared.patterns] == [p.witness for p in membership_matrix(g3, m).patterns]
+    # for j >= 3 the witness does not depend on m: 2 (k + 2) distinct rows
+    assert len(rows) == 2 * (g3.ctx.k + 2)
+
+
+def test_sampled_groupoid_section_reports_wrong_rows(g3, monkeypatch):
+    W = build_W(g3.ctx)
+    linalg = (W, build_T(g3.ctx.q, W), 8)
+    real = groupoid.germ_equal
+    monkeypatch.setattr(groupoid, "germ_equal", lambda group, g1, g2, tail: not real(group, g1, g2, tail))
+    section = groupoid_section(g3, (1,), 0, linalg, germ_full_cap=2)
+    regions = section["membership"]["1"]["regions"]
+    assert section["pass"] is False and set(regions) == {"H0", "H2", "H0c", "H2c"}
+    assert all("membership mismatch" in r["error"] for r in regions.values())
 
 
 def test_region_sets_cover_and_partition(g2):
@@ -331,6 +419,21 @@ def test_singular_certificate_degree2(g2):
     assert cert["pass"]
     assert cert["rank_over_Q"] == 4
     assert cert["matrix_source"] == "germ-search"
+
+
+def test_singular_certificate_reuses_given_matrices(g3, monkeypatch):
+    W = build_W(g3.ctx)
+    linalg = (W, build_T(g3.ctx.q, W), 8)
+
+    def no_elimination(_):
+        raise AssertionError("elimination must not run again")
+
+    monkeypatch.setattr(groupoid, "rank_over_Q", no_elimination)
+    monkeypatch.setattr(groupoid, "build_W", no_elimination)
+    cert = singular_system_certificate(g3, 1, use_germ=False, linalg=linalg)
+    assert cert["pass"] and cert["rank_over_Q"] == 8
+    skipped = singular_system_certificate(g3, 1, use_germ=False, linalg=linalg[:2] + (None,))
+    assert skipped["pass"] and "rank_over_Q" not in skipped
 
 
 def test_singular_certificate_degree3(g3):
