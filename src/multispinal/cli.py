@@ -12,19 +12,11 @@ import argparse
 import json
 import sys
 
-from .certify import (
-    GERM_FULL_CAP,
-    RANK_ELIMINATION_CAP,
-    certify,
-    design_section,
-    field_section,
-    jsonable,
-    matrix_section,
-)
+from .certify import GERM_FULL_CAP, certify, design_section, field_section, jsonable
 from .exact_linalg import build_T, build_W, check_R_conditions, rank_mod_p, rank_over_Q, verify_right_inverse
 from .gf2n import field_context
 from .groupoid import MembershipMismatch, RegionSearchError, membership_matrix, region_pattern
-from .hyperplanes import build_hyperplanes, pair_count, search_base_blocks
+from .hyperplanes import build_hyperplanes, membership_profile, search_base_blocks
 from .selfsim import MultispinalGroup
 
 
@@ -65,11 +57,13 @@ def cmd_design(args) -> int:
     planes = build_hyperplanes(ctx)
     doc["block_members"] = {f"H{h.index}": sorted(h.elements()) for h in planes}
     lam = ctx.q // 2 - 1
+    # the number of j with alpha^l1 and alpha^l2 both in H_j, as pair_count
+    profiles = [membership_profile(ctx, ctx.pow_alpha(l)) for l in range(ctx.k)]
     counts = {}
     bad = None
     for l1 in range(ctx.k):
         for l2 in range(l1 + 1, ctx.k):
-            c = pair_count(ctx, l1, l2)
+            c = (profiles[l1] & profiles[l2]).bit_count()
             counts[c] = counts.get(c, 0) + 1
             if c != lam and bad is None:
                 bad = [l1, l2, c]
@@ -160,15 +154,16 @@ def cmd_nucleus(args) -> int:
 def cmd_groupoid(args) -> int:
     ctx = field_context(args.n, args.poly)
     group = MultispinalGroup(ctx)
+    W = build_W(ctx)
     doc = {"n": ctx.n, "m": args.m}
     try:
         if args.verify or ctx.n <= GERM_FULL_CAP:
-            result = membership_matrix(group, args.m, args.depth)
+            result = membership_matrix(group, W, args.m, args.depth)
             doc["witnesses"] = {p.label: p.witness for p in result.patterns}
             doc["membership_matrix"] = [list(r) for r in result.rows]
             doc["matches_transpose"] = True
         else:
-            patterns = [region_pattern(group, args.m, "H", 0, args.depth)]
+            patterns = [region_pattern(group, W, args.m, "H", 0, args.depth)]
             doc["witnesses"] = {p.label: p.witness for p in patterns}
             doc["note"] = "field too large for the full region sweep; pass --verify to force"
         ok = True
@@ -192,7 +187,6 @@ def cmd_certify(args) -> int:
                 m_values=tuple(args.m_values),
                 seed=args.seed,
                 samples=args.samples,
-                rank_cap=args.rank_cap,
             )
         )
     if args.all:
@@ -258,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--m-values", type=int, nargs="+", default=[1, 2, 3])
-    p.add_argument("--rank-cap", type=int, default=RANK_ELIMINATION_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
     return parser
@@ -273,6 +266,8 @@ def main(argv=None) -> int:
         parser.error("certify needs --n or --all")
     if args.command == "certify" and args.all and (args.n is not None or args.poly is not None):
         parser.error("certify --all covers the stock polynomials of --n-min..--n-max; it takes neither --n nor --poly")
+    if args.command == "certify" and args.all and args.n_min > args.n_max:
+        parser.error(f"certify --all needs --n-min <= --n-max, got {args.n_min} > {args.n_max}")
     try:
         return args.func(args)
     except (ValueError, RegionSearchError) as err:

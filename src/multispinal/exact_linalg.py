@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .gf2n import FieldContext
-from .hyperplanes import BaseBlock, block_satisfies_r5, build_hyperplanes
+from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,6 @@ class RationalMatrix:
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.rows == other.rows
 
@@ -97,14 +94,10 @@ def _col_labels(k: int) -> tuple[str, ...]:
 
 def build_W(ctx: FieldContext) -> InclusionMatrix:
     """Inclusion matrix of the field's hyperplanes and their complements."""
-    planes = build_hyperplanes(ctx)
     k = ctx.k
     rows = []
     for x in ctx.canonical_elements():
-        first = 0
-        for j, h in enumerate(planes):
-            if x in h:
-                first |= 1 << j
+        first = membership_profile(ctx, x)
         mirror = (~first) & ((1 << k) - 1)
         rows.append(first | (mirror << k))
     return InclusionMatrix(
@@ -452,26 +445,3 @@ def check_R_conditions(W: InclusionMatrix) -> RConditionReport:
         ),
     )
     return rep
-
-
-def t_first_column_abs_sum(T: RationalMatrix) -> Fraction:
-    """Sum of |T[j][0]| over all rows; equals (2q-1)/q for a valid T."""
-    return sum((abs(row[0]) for row in T.rows), start=Fraction(0))
-
-
-def identity_rational(n: int) -> RationalMatrix:
-    return RationalMatrix(
-        [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    )
-
-
-def multiply_rational(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
-    """Plain exact product; quadratic-cubic, fine for small shapes."""
-    an, am = A.shape
-    bn, bm = B.shape
-    if am != bn:
-        raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
-    bt = list(zip(*B.rows))
-    return RationalMatrix(
-        [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in A.rows]
-    )

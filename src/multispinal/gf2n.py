@@ -323,6 +323,11 @@ class FieldContext:
         """Tr(alpha^t) for t = 0 .. 2^n - 2."""
         return tuple(self.trace_table[v] for v in self.power_table)
 
+    @cached_property
+    def trace_zero_mask(self) -> int:
+        """Bitmask over t = 0 .. 2^n - 2 of the exponents with Tr(alpha^t) = 0."""
+        return sum(1 << t for t, v in enumerate(self.trace_of_power) if v == 0)
+
     # -- whole-field views --------------------------------------------
 
     def elements(self) -> range:

@@ -29,17 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact_linalg import (
-    InclusionMatrix,
-    RationalMatrix,
-    _row_labels,
-    build_T,
-    build_W,
-    rank_over_Q,
-    verify_right_inverse,
-)
+from .exact_linalg import InclusionMatrix, RationalMatrix, build_T, build_W, rank_over_Q, verify_right_inverse
 from .gf2n import FieldContext
-from .hyperplanes import build_hyperplanes
 from .selfsim import GroupElement, MultispinalGroup
 
 
@@ -305,21 +296,9 @@ def _directed_value(g: GroupElement) -> int:
     return acc
 
 
-def region_sets(ctx: FieldContext) -> list[tuple[str, int, tuple[int, ...]]]:
-    """The 2k admissible sets K in canonical region order
-    [H_0 .. H_(k-1), H_0^c .. H_(k-1)^c], members in canonical element order."""
-    planes = build_hyperplanes(ctx)
-    order = ctx.canonical_elements()
-    out = []
-    for h in planes:
-        out.append(("H", h.index, tuple(x for x in order if x in h)))
-    for h in planes:
-        out.append(("Hc", h.index, tuple(x for x in order if x not in h)))
-    return out
-
-
 def region_pattern(
     group: MultispinalGroup,
+    W: InclusionMatrix,
     m: int,
     kind: str,
     j: int,
@@ -329,17 +308,19 @@ def region_pattern(
 ) -> RegionPattern:
     """The germ point separating one admissible K from the rest.
 
-    germ_equal(iota(x), iota(y), 1^s 0 1^infinity) holds exactly when
-    Tr(alpha^s (x + y)) = 0, that is when x + y lies in H_(s mod k).  So
-    the tail with s the least integer >= m congruent to j mod 2^n - 1
+    K is read from the inclusion matrix W of the same field: column j
+    (H_j) or column j + k (its complement), members in canonical element
+    order.  germ_equal(iota(x), iota(y), 1^s 0 1^infinity) holds exactly
+    when Tr(alpha^s (x + y)) = 0, that is when x + y lies in H_(s mod k).
+    So the tail with s the least integer >= m congruent to j mod 2^n - 1
     separates K = H_j (walked from iota(0)) and its complement (walked
     from iota of the first non-member, a coset representative); the k
     subgroups are distinct, so no other s below it does.  The formula
     only chooses the tail: the membership row is one genuine germ walk
-    per nucleus column and must be exactly the indicator of K, otherwise
-    MembershipMismatch names the first differing column.  Sets other
-    than the subgroup images and their complements are not admissible
-    and are rejected.
+    per nucleus column and must equal the column of W, otherwise
+    MembershipMismatch names the region and the first differing row of
+    W.  Sets other than the subgroup images and their complements are
+    not admissible and are rejected.
 
     rows, when given, memoises walked rows by (kind, j, s) across calls:
     a row is a pure function of its starting element and its tail, so
@@ -351,6 +332,8 @@ def region_pattern(
         raise ValueError(f"kind must be 'H' or 'Hc', got {kind!r}")
     if not 0 <= j < k:
         raise ValueError(f"subgroup index {j} outside 0..{k - 1}")
+    if W.q != ctx.q:
+        raise ValueError(f"W has q={W.q}, the field has q={ctx.q}")
     if m < 0:
         raise ValueError(f"neighbourhood index m must be >= 0, got {m}")
     if search_depth is None:
@@ -365,13 +348,9 @@ def region_pattern(
             f"witness depth budget ran out for K={label} (m={m}): "
             f"the witness 1^{s} 0 needs a depth above {s}, got {search_depth}"
         )
-    tp = ctx.trace_of_power
-    log = ctx.discrete_log
     order = ctx.canonical_elements()
-    in_k = kind == "H"
-    target = tuple(
-        1 if (x == 0 or tp[(log[x] + j) % k] == 0) == in_k else 0 for x in order
-    )
+    col = j if kind == "H" else j + k
+    target = tuple(W.entry(i, col) for i in range(len(order)))
     members = tuple(x for x, t in zip(order, target) if t)
 
     key = (kind, j, s)
@@ -384,7 +363,7 @@ def region_pattern(
             rows[key] = row
     if row != target:
         i = next(i for i, (got, want) in enumerate(zip(row, target)) if got != want)
-        raise MembershipMismatch(label, _row_labels(ctx)[i])
+        raise MembershipMismatch(label, W.row_labels[i])
     return RegionPattern(
         kind=kind,
         j=j,
@@ -403,29 +382,22 @@ class MembershipResult:
 
 def membership_matrix(
     group: MultispinalGroup,
+    W: InclusionMatrix,
     m: int,
     search_depth: int | None = None,
-    W: InclusionMatrix | None = None,
     *,
     rows: dict | None = None,
 ) -> MembershipResult:
-    """Stack all 2k region rows and assert equality with the inclusion
-    transpose under the shared labeling.  Raises MembershipMismatch naming
-    the offending (row, column) on disagreement.  rows is the walked-row
-    memo of region_pattern."""
-    ctx = group.ctx
-    patterns = []
-    for kind in ("H", "Hc"):
-        for j in range(ctx.k):
-            patterns.append(region_pattern(group, m, kind, j, search_depth, rows=rows))
+    """Stack all 2k region rows, in the column order of W; region_pattern
+    checks each against its column of W, so the stack is W's transpose.
+    Raises MembershipMismatch naming the offending (row, column) on
+    disagreement.  rows is the walked-row memo of region_pattern."""
+    patterns = [
+        region_pattern(group, W, m, kind, j, search_depth, rows=rows)
+        for kind in ("H", "Hc")
+        for j in range(group.ctx.k)
+    ]
     stacked = tuple(p.membership_row for p in patterns)
-    if W is None:
-        W = build_W(ctx)
-    for r, pattern in enumerate(patterns):
-        col = r  # region order matches the column order of W
-        for i in range(2 * ctx.q):
-            if stacked[r][i] != W.entry(i, col):
-                raise MembershipMismatch(pattern.label, W.row_labels[i])
     return MembershipResult(rows=stacked, patterns=patterns, matches_transpose=True)
 
 
@@ -459,7 +431,7 @@ def singular_system_certificate(
     source = "inclusion-transpose"
     germ_verified = False
     if use_germ:
-        membership_matrix(group, m, W=W)  # raises on mismatch
+        membership_matrix(group, W, m)  # raises on mismatch
         source = "germ-search"
         germ_verified = True
     wt_ok = verify_right_inverse(W, T)
@@ -480,30 +452,31 @@ def singular_system_certificate(
     return result
 
 
-def bound_check(ctx: FieldContext, m: int, coeffs) -> dict:
+def bound_check(W: InclusionMatrix, m: int, coeffs) -> dict:
     """Exact region sums for one coefficient vector and the two bounds.
 
-    coeffs is indexed by the canonical element order [0, alpha, ...,
-    alpha^(2^n-1) = 1]; entry 0 is the coefficient of the identity and
-    must be nonzero.  Verifies max_K |kappa_K| > |c_e| / 2^n and the
-    sharper max_K |kappa_K| >= |c_e| * q / (2q - 1) coming from the exact
-    column sums of the right-inverse.
+    coeffs is indexed by the rows of W, the canonical element order [0,
+    alpha, ..., alpha^(2^n-1) = 1]; entry 0 is the coefficient of the
+    identity and must be nonzero.  The region sums kappa_K are the
+    entries of W^t c, keyed by the column labels of W.  Verifies
+    max_K |kappa_K| > |c_e| / 2^n (2^n = 2q) and the sharper
+    max_K |kappa_K| >= |c_e| * q / (2q - 1) coming from the exact column
+    sums of the right-inverse.
     """
+    q = W.q
     coeffs = [Fraction(c) for c in coeffs]
-    if len(coeffs) != 2 * ctx.q:
-        raise ValueError(f"need {2 * ctx.q} coefficients, got {len(coeffs)}")
+    if len(coeffs) != 2 * q:
+        raise ValueError(f"need {2 * q} coefficients, got {len(coeffs)}")
     c_e = coeffs[0]
     if c_e == 0:
         raise ValueError("coefficient of the identity must be nonzero")
-    order = ctx.canonical_elements()
-    index = {x: i for i, x in enumerate(order)}
-    kappa = {}
-    for kind, j, members in region_sets(ctx):
-        label = f"H{j}" + ("c" if kind == "Hc" else "")
-        kappa[label] = sum((coeffs[index[x]] for x in members), start=Fraction(0))
+    kappa = {
+        label: sum((c for i, c in enumerate(coeffs) if W.entry(i, col)), start=Fraction(0))
+        for col, label in enumerate(W.col_labels)
+    }
     max_abs = max(abs(v) for v in kappa.values())
-    threshold = abs(c_e) / (2 ** ctx.n)
-    sharp = abs(c_e) * Fraction(ctx.q, 2 * ctx.q - 1)
+    threshold = abs(c_e) / (2 * q)
+    sharp = abs(c_e) * Fraction(q, 2 * q - 1)
     return {
         "m": m,
         "kappa": kappa,
@@ -515,27 +488,23 @@ def bound_check(ctx: FieldContext, m: int, coeffs) -> dict:
     }
 
 
-def sample_bound_ratios(ctx: FieldContext, m: int, samples: int, seed: int) -> dict:
+def sample_bound_ratios(W: InclusionMatrix, m: int, samples: int, seed: int) -> dict:
     """Seeded random rational vectors, all checked exactly in bulk.
 
     Numerators are drawn from [-9, 9] (identity coefficient from
     +-[1, 9]), denominators from [1, 9]; scaling by the common
     denominator turns both bound comparisons into int64 comparisons, so
-    the whole batch is exact.  Reports the minimum observed ratio
+    the whole batch is exact.  The region sums of every sample are one
+    product with the transpose of W.  Reports the minimum observed ratio
     max_K |kappa| / |c_e| as an exact fraction.
     """
     import numpy as np
 
     if samples < 1:
         raise ValueError("need at least one sample")
-    regions = region_sets(ctx)
-    order = ctx.canonical_elements()
-    index = {x: i for i, x in enumerate(order)}
-    ncols = 2 * ctx.q
-    M = np.zeros((len(regions), ncols), dtype=np.int64)
-    for r, (_, _, members) in enumerate(regions):
-        for x in members:
-            M[r, index[x]] = 1
+    q = W.q
+    ncols = 2 * q
+    M = np.array(W.to_lists(), dtype=np.int64).T  # (regions, elements)
 
     L = lcm(*range(1, 10))  # 2520
     rng = np.random.default_rng(seed)
@@ -549,8 +518,8 @@ def sample_bound_ratios(ctx: FieldContext, m: int, samples: int, seed: int) -> d
     kappas = M @ scaled.T        # (regions, samples); sums stay far below 2^63
     max_abs = np.abs(kappas).max(axis=0)
     ce_abs = np.abs(scaled[:, 0])
-    pass_2n = max_abs * (2 ** ctx.n) > ce_abs
-    pass_sharp = max_abs * (2 * ctx.q - 1) >= ce_abs * ctx.q
+    pass_2n = max_abs * (2 * q) > ce_abs
+    pass_sharp = max_abs * (2 * q - 1) >= ce_abs * q
 
     # exact minimum of max_abs / ce_abs: start from the float minimum and
     # move to a sample whose ratio is strictly smaller by cross-multiplication
@@ -566,6 +535,6 @@ def sample_bound_ratios(ctx: FieldContext, m: int, samples: int, seed: int) -> d
         "all_pass_2n_bound": bool(pass_2n.all()),
         "all_pass_sharp_bound": bool(pass_sharp.all()),
         "min_ratio": min_ratio,
-        "threshold_2n": Fraction(1, 2 ** ctx.n),
-        "sharp_threshold": Fraction(ctx.q, 2 * ctx.q - 1),
+        "threshold_2n": Fraction(1, 2 * q),
+        "sharp_threshold": Fraction(q, 2 * q - 1),
     }

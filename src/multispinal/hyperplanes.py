@@ -102,15 +102,13 @@ def build_hyperplanes(ctx: FieldContext) -> list[Hyperplane]:
 
 def membership_profile(ctx: FieldContext, x: int) -> int:
     """Bitmask over j of the subgroups containing x (bit j <=> x in H_j)."""
+    full = (1 << ctx.k) - 1
     if x == 0:
-        return (1 << ctx.k) - 1
-    tp = ctx.trace_of_power
+        return full
+    # bit j is bit (log x + j) mod k of the zero-trace mask: rotate it down
     lx = ctx.discrete_log[x]
-    mask = 0
-    for j in range(ctx.k):
-        if tp[(lx + j) % ctx.k] == 0:
-            mask |= 1 << j
-    return mask
+    z = ctx.trace_zero_mask
+    return ((z >> lx) | (z << (ctx.k - lx))) & full
 
 
 def pair_count(ctx: FieldContext, l1: int, l2: int) -> int:

@@ -105,6 +105,30 @@ def ref_rank_fractions(rows) -> int:
     return rank
 
 
+def transpose_rational(rows) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(v) for v in col) for col in zip(*rows))
+
+
+def identity_rational(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+
+
+def multiply_rational(A, B) -> tuple[tuple[Fraction, ...], ...]:
+    """Plain exact product of two row lists; quadratic-cubic, fine for small shapes."""
+    if len(A[0]) != len(B):
+        raise ValueError(f"shape mismatch {len(A)}x{len(A[0])} x {len(B)}x{len(B[0])}")
+    cols = list(zip(*B))
+    return tuple(
+        tuple(sum((Fraction(x) * y for x, y in zip(row, col)), start=Fraction(0)) for col in cols)
+        for row in A
+    )
+
+
+def t_first_column_abs_sum(rows) -> Fraction:
+    """Sum of |T[j][0]| over all rows; equals (2q-1)/q for a valid T."""
+    return sum((abs(row[0]) for row in rows), start=Fraction(0))
+
+
 def ref_rank_f2_rowspace(rows) -> int:
     """GF(2) rank via row-space enumeration; only for small matrices."""
     masks = []

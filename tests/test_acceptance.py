@@ -167,7 +167,7 @@ def test_c7_membership_matrices():
     for n in (2, 3):
         W = build_W(ctx(n))
         for m in range(1, 6):
-            result = membership_matrix(group(n), m, W=W)
+            result = membership_matrix(group(n), W, m)
             assert result.matches_transpose
             for pattern in result.patterns:
                 # the full row is one genuine germ check per nucleus
@@ -194,7 +194,7 @@ def test_c8_singular_system():
 @criterion("C9 magnitude bound")
 def test_c9_bound_samples():
     for n in (2, 3, 4):
-        report = sample_bound_ratios(ctx(n), 1, samples=10000, seed=0)
+        report = sample_bound_ratios(build_W(ctx(n)), 1, samples=10000, seed=0)
         assert report["all_pass_2n_bound"]
         assert report["all_pass_sharp_bound"]
 

@@ -10,17 +10,21 @@ from multispinal.exact_linalg import (
     build_W,
     build_W_general,
     check_R_conditions,
-    identity_rational,
-    multiply_rational,
     rank_mod_p,
     rank_over_Q,
-    t_first_column_abs_sum,
     verify_right_inverse,
 )
 from multispinal.gf2n import field_context
 from multispinal.hyperplanes import BaseBlock, extract_base_block
 
-from reference import ref_rank_f2_rowspace, ref_rank_fractions
+from reference import (
+    identity_rational,
+    multiply_rational,
+    ref_rank_f2_rowspace,
+    ref_rank_fractions,
+    t_first_column_abs_sum,
+    transpose_rational,
+)
 
 # the worked 4x6 inclusion matrix and its two-valued right inverse
 W2_GRID = [
@@ -87,7 +91,7 @@ def test_right_inverse(f4, f8):
 
 def test_right_inverse_identity_case():
     I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert verify_right_inverse(I3, identity_rational(3))
+    assert verify_right_inverse(I3, RationalMatrix(identity_rational(3)))
 
 
 def test_right_inverse_detects_failure(f4):
@@ -100,7 +104,7 @@ def test_right_inverse_detects_failure(f4):
 def test_right_inverse_shape_mismatch(f4):
     W = build_W(f4)
     with pytest.raises(ValueError):
-        verify_right_inverse(W, identity_rational(4))
+        verify_right_inverse(W, RationalMatrix(identity_rational(4)))
 
 
 def test_transpose_product_is_identity_small(f4, f8):
@@ -108,8 +112,7 @@ def test_transpose_product_is_identity_small(f4, f8):
     for ctx in (f4, f8):
         W = build_W(ctx)
         T = build_T(ctx.q, W)
-        Wr = RationalMatrix(W.to_lists())
-        prod = multiply_rational(T.transpose(), Wr.transpose())
+        prod = multiply_rational(transpose_rational(T.rows), transpose_rational(W.to_lists()))
         assert prod == identity_rational(2 * ctx.q)
 
 
@@ -246,7 +249,7 @@ def test_column_sums_are_q(n):
 def test_T_first_column_abs_sum(n):
     ctx = field_context(n)
     T = build_T(ctx.q, build_W(ctx))
-    assert t_first_column_abs_sum(T) == Fraction(2 * ctx.q - 1, ctx.q)
+    assert t_first_column_abs_sum(T.rows) == Fraction(2 * ctx.q - 1, ctx.q)
 
 
 def test_other_primitive_polynomial_same_certificates():

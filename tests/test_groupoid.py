@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from multispinal import groupoid
+from multispinal import certify, groupoid
 from multispinal.certify import groupoid_section
-from multispinal.exact_linalg import build_T, build_W
+from multispinal.exact_linalg import InclusionMatrix, build_T, build_W
 from multispinal.gf2n import field_context
 from multispinal.groupoid import (
     ONES,
@@ -24,7 +24,6 @@ from multispinal.groupoid import (
     membership_matrix,
     point_in_bisection,
     region_pattern,
-    region_sets,
     sample_bound_ratios,
     sg_equal,
     sg_multiply,
@@ -33,7 +32,13 @@ from multispinal.groupoid import (
 )
 from multispinal.selfsim import STATE_A, GroupElement, MultispinalGroup
 
-from reference import RefAutomaton, RefField, ref_germ_equal, ref_region_witness
+from reference import (
+    RefAutomaton,
+    RefField,
+    ref_germ_equal,
+    ref_hyperplane_membership,
+    ref_region_witness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +49,16 @@ def g2():
 @pytest.fixture(scope="module")
 def g3():
     return MultispinalGroup(field_context(3))
+
+
+@pytest.fixture(scope="module")
+def w2(g2):
+    return build_W(g2.ctx)
+
+
+@pytest.fixture(scope="module")
+def w3(g3):
+    return build_W(g3.ctx)
 
 
 def ref_field(ctx):
@@ -279,25 +294,27 @@ def test_witness_exists_for_all_pairs_and_m(n):
 # regions -------------------------------------------------------------------------
 
 
-def test_region_pattern_subgroup_zero(g2):
-    p = region_pattern(g2, 1, "H", 0)
+def test_region_pattern_subgroup_zero(g2, w2):
+    p = region_pattern(g2, w2, 1, "H", 0)
     assert p.witness == "1110"  # prefix 1^(3t) 0 with 3t >= m
     assert p.membership_row == (1, 0, 0, 1)  # exactly {e, d}
     assert p.members == (0, 1)
 
 
-def test_region_pattern_complement(g3):
-    p = region_pattern(g3, 2, "Hc", 5)
+def test_region_pattern_complement(g3, w3):
+    p = region_pattern(g3, w3, 2, "Hc", 5)
     W = build_W(g3.ctx)
     col = 5 + g3.ctx.k
     assert p.membership_row == tuple(W.entry(i, col) for i in range(2 * g3.ctx.q))
 
 
-def test_region_pattern_rejects_inadmissible_sets(g2):
+def test_region_pattern_rejects_inadmissible_sets(g2, w2):
     with pytest.raises(ValueError):
-        region_pattern(g2, 1, "everything", 0)
+        region_pattern(g2, w2, 1, "everything", 0)
     with pytest.raises(ValueError):
-        region_pattern(g2, 1, "H", 3)
+        region_pattern(g2, w2, 1, "H", 3)
+    with pytest.raises(ValueError):
+        region_pattern(g2, build_W(field_context(3)), 1, "H", 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -305,32 +322,33 @@ def test_region_pattern_matches_reference_scan(n):
     ctx = field_context(n)
     group = MultispinalGroup(ctx)
     field = ref_field(ctx)
+    W = build_W(ctx)
     k = ctx.k
     for m in sorted({0, 1, 2, 3, k, k + 1}):
         depth = default_search_depth(ctx, m)
         for kind in ("H", "Hc"):
             for j in range(k):
-                p = region_pattern(group, m, kind, j)
+                p = region_pattern(group, W, m, kind, j)
                 assert (p.witness, p.membership_row) == ref_region_witness(field, m, kind, j, depth)
 
 
-def test_negative_m_is_rejected(g2):
+def test_negative_m_is_rejected(g2, w2):
     with pytest.raises(ValueError):
-        region_pattern(g2, -1, "H", 0)
+        region_pattern(g2, w2, -1, "H", 0)
     with pytest.raises(ValueError):
-        membership_matrix(g2, -2)
+        membership_matrix(g2, w2, -2)
     with pytest.raises(ValueError):
         intersect_witness(g2, g2.iota(2), g2.iota(1), -1)
 
 
-def test_region_pattern_depth_budget(g3):
+def test_region_pattern_depth_budget(g3, w3):
     # H0 at m = 3 needs 1^7 0, so depth 7 is one short and depth 8 suffices
     with pytest.raises(RegionSearchError, match="depth budget ran out.*1\\^7 0"):
-        region_pattern(g3, 3, "H", 0, search_depth=7)
-    assert region_pattern(g3, 3, "H", 0, search_depth=8).witness == "1" * 7 + "0"
+        region_pattern(g3, w3, 3, "H", 0, search_depth=7)
+    assert region_pattern(g3, w3, 3, "H", 0, search_depth=8).witness == "1" * 7 + "0"
 
 
-def test_region_pattern_names_first_wrong_column(g3, monkeypatch):
+def test_region_pattern_names_first_wrong_column(g3, w3, monkeypatch):
     last = g3.iota(1)  # the last canonical column, alpha^7 = 1
     real = groupoid.germ_equal
 
@@ -339,16 +357,35 @@ def test_region_pattern_names_first_wrong_column(g3, monkeypatch):
 
     monkeypatch.setattr(groupoid, "germ_equal", faulty)
     with pytest.raises(MembershipMismatch) as err:
-        region_pattern(g3, 1, "Hc", 4)
+        region_pattern(g3, w3, 1, "Hc", 4)
     assert (err.value.row_label, err.value.col_label) == ("H4c", "a^7")
 
 
-def test_shared_rows_memo_gives_the_same_rows(g3):
+def _flip(W, i, col):
+    rows = tuple(r ^ (1 << col) if r_i == i else r for r_i, r in enumerate(W.rows))
+    return InclusionMatrix(q=W.q, rows=rows, row_labels=W.row_labels, col_labels=W.col_labels)
+
+
+@pytest.mark.parametrize("i, kind, j", [(0, "H", 2), (3, "H", 5), (7, "Hc", 4), (7, "H", 0)])
+def test_flipped_W_entry_is_named(g3, w3, i, kind, j):
+    # the germ rows are right and W is wrong in one entry: the single
+    # comparison in region_pattern must name that region and that row
+    col = j if kind == "H" else j + g3.ctx.k
+    bad = _flip(w3, i, col)
+    label = f"H{j}" + ("c" if kind == "Hc" else "")
+    for call in (lambda: region_pattern(g3, bad, 1, kind, j), lambda: membership_matrix(g3, bad, 1)):
+        with pytest.raises(MembershipMismatch) as err:
+            call()
+        assert (err.value.row_label, err.value.col_label) == (label, w3.row_labels[i])
+
+
+def test_shared_rows_memo_gives_the_same_rows(g3, w3):
     rows = {}
     for m in (1, 2, 3):
-        shared = membership_matrix(g3, m, rows=rows)
-        assert shared.rows == membership_matrix(g3, m).rows
-        assert [p.witness for p in shared.patterns] == [p.witness for p in membership_matrix(g3, m).patterns]
+        shared = membership_matrix(g3, w3, m, rows=rows)
+        fresh = membership_matrix(g3, w3, m)
+        assert shared.rows == fresh.rows
+        assert [p.witness for p in shared.patterns] == [p.witness for p in fresh.patterns]
     # for j >= 3 the witness does not depend on m: 2 (k + 2) distinct rows
     assert len(rows) == 2 * (g3.ctx.k + 2)
 
@@ -358,22 +395,16 @@ def test_sampled_groupoid_section_reports_wrong_rows(g3, monkeypatch):
     linalg = (W, build_T(g3.ctx.q, W), 8)
     real = groupoid.germ_equal
     monkeypatch.setattr(groupoid, "germ_equal", lambda group, g1, g2, tail: not real(group, g1, g2, tail))
-    section = groupoid_section(g3, (1,), 0, linalg, germ_full_cap=2)
+    monkeypatch.setattr(certify, "GERM_FULL_CAP", 2)
+    section = groupoid_section(g3, (1,), 0, linalg)
     regions = section["membership"]["1"]["regions"]
     assert section["pass"] is False and set(regions) == {"H0", "H2", "H0c", "H2c"}
     assert all("membership mismatch" in r["error"] for r in regions.values())
 
 
-def test_region_sets_cover_and_partition(g2):
-    sets = region_sets(g2.ctx)
-    assert len(sets) == 2 * g2.ctx.k
-    for kind, j, members in sets:
-        assert len(members) == g2.ctx.q
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_membership_matrix_equals_transpose_degree2(g2, m):
-    result = membership_matrix(g2, m)
+def test_membership_matrix_equals_transpose_degree2(g2, w2, m):
+    result = membership_matrix(g2, w2, m)
     assert result.matches_transpose
     assert len(result.rows) == 6
     W = build_W(g2.ctx)
@@ -382,13 +413,13 @@ def test_membership_matrix_equals_transpose_degree2(g2, m):
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
-def test_membership_matrix_equals_transpose_degree3(g3, m):
-    assert membership_matrix(g3, m).matches_transpose
+def test_membership_matrix_equals_transpose_degree3(g3, w3, m):
+    assert membership_matrix(g3, w3, m).matches_transpose
 
 
-def test_membership_matrix_independent_of_m(g2):
-    rows1 = membership_matrix(g2, 1).rows
-    rows4 = membership_matrix(g2, 4).rows
+def test_membership_matrix_independent_of_m(g2, w2):
+    rows1 = membership_matrix(g2, w2, 1).rows
+    rows4 = membership_matrix(g2, w2, 4).rows
     assert rows1 == rows4
 
 
@@ -442,9 +473,9 @@ def test_singular_certificate_degree3(g3):
     assert cert["rank_over_Q"] == 8
 
 
-def test_bound_check_identity_indicator(g2):
+def test_bound_check_identity_indicator(w2):
     c = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    report = bound_check(g2.ctx, 1, c)
+    report = bound_check(w2, 1, c)
     for j in range(3):
         assert report["kappa"][f"H{j}"] == 1
         assert report["kappa"][f"H{j}c"] == 0
@@ -452,57 +483,56 @@ def test_bound_check_identity_indicator(g2):
     assert report["passes_2n_bound"] and report["passes_sharp_bound"]
 
 
-def test_bound_check_all_ones(g2):
-    report = bound_check(g2.ctx, 1, [Fraction(1)] * 4)
+def test_bound_check_all_ones(w2):
+    report = bound_check(w2, 1, [Fraction(1)] * 4)
     assert report["max_abs_kappa"] == 2
     assert report["passes_2n_bound"] and report["passes_sharp_bound"]
 
 
-def test_bound_check_rejects_zero_identity_coefficient(g2):
+def test_bound_check_rejects_zero_identity_coefficient(w2):
     with pytest.raises(ValueError):
-        bound_check(g2.ctx, 1, [Fraction(0), Fraction(1), Fraction(1), Fraction(1)])
+        bound_check(w2, 1, [Fraction(0), Fraction(1), Fraction(1), Fraction(1)])
 
 
-def test_bound_check_kappa_matches_transpose_product(g3):
-    # kappa vector must equal W^t c computed by plain exact arithmetic
+def test_bound_check_kappa_matches_transpose_product(g3, w3):
+    # each region sum is the plain exact sum over the members of H_j (or
+    # its complement), with membership decided by the reference field
     rng = random.Random(13)
-    W = build_W(g3.ctx)
+    field = ref_field(g3.ctx)
     order = g3.ctx.canonical_elements()
+    planes = [[ref_hyperplane_membership(field, x, j) for x in order] for j in range(7)]
     for _ in range(25):
         c = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in order]
         if c[0] == 0:
             c[0] = Fraction(1)
-        report = bound_check(g3.ctx, 1, c)
-        labels = [f"H{j}" for j in range(7)] + [f"H{j}c" for j in range(7)]
-        for col, label in enumerate(labels):
-            want = sum(
-                (c[i] for i in range(len(order)) if W.entry(i, col)), start=Fraction(0)
-            )
-            assert report["kappa"][label] == want
+        report = bound_check(w3, 1, c)
+        assert len(report["kappa"]) == 14
+        for j, inside in enumerate(planes):
+            assert report["kappa"][f"H{j}"] == sum((ci for ci, t in zip(c, inside) if t), start=Fraction(0))
+            assert report["kappa"][f"H{j}c"] == sum((ci for ci, t in zip(c, inside) if not t), start=Fraction(0))
 
 
-def test_sharp_bound_implies_stated_bound(g2):
+def test_sharp_bound_implies_stated_bound(w2):
     # q/(2q-1) > 1/2^n, so the sharp inequality forces the strict one
     rng = random.Random(17)
     for _ in range(200):
         c = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in range(4)]
         if c[0] == 0:
             c[0] = Fraction(-2, 3)
-        report = bound_check(g2.ctx, 1, c)
+        report = bound_check(w2, 1, c)
         assert report["passes_sharp_bound"]
         assert report["passes_2n_bound"]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sampler_matches_bound_check(n):
-    ctx = field_context(n)
-    report = sample_bound_ratios(ctx, 1, 500, seed=42)
+    report = sample_bound_ratios(build_W(field_context(n)), 1, 500, seed=42)
     assert report["all_pass_2n_bound"]
     assert report["all_pass_sharp_bound"]
     assert report["min_ratio"] >= report["sharp_threshold"]
 
 
-def test_sampler_deterministic(g2):
-    r1 = sample_bound_ratios(g2.ctx, 1, 300, seed=7)
-    r2 = sample_bound_ratios(g2.ctx, 1, 300, seed=7)
+def test_sampler_deterministic(w2):
+    r1 = sample_bound_ratios(w2, 1, 300, seed=7)
+    r2 = sample_bound_ratios(w2, 1, 300, seed=7)
     assert r1 == r2

@@ -15,7 +15,7 @@ from multispinal.hyperplanes import (
     verify_design,
 )
 
-from reference import REF_F8, ref_hyperplane_membership
+from reference import REF_F8, RefField, ref_hyperplane_membership
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,25 @@ def test_every_nonzero_point_in_q_minus_one_subgroups(n):
     ctx = field_context(n)
     for x in ctx.nonzero_elements():
         assert membership_profile(ctx, x).bit_count() == ctx.q - 1
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_membership_profile_matches_reference(n):
+    ctx = field_context(n)
+    field = RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(n + 1)))
+    for x in ctx.elements():
+        want = sum(1 << j for j in range(ctx.k) if ref_hyperplane_membership(field, x, j))
+        assert membership_profile(ctx, x) == want
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_profile_intersections_are_pair_counts(n):
+    # the design command counts pairs by intersecting profiles
+    ctx = field_context(n)
+    profiles = [membership_profile(ctx, ctx.pow_alpha(l)) for l in range(ctx.k)]
+    for l1 in range(ctx.k):
+        for l2 in range(l1 + 1, ctx.k):
+            assert (profiles[l1] & profiles[l2]).bit_count() == pair_count(ctx, l1, l2)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
