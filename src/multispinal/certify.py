@@ -4,8 +4,8 @@ and a conjunction at the top.
 
 Documents are reproducible byte for byte for fixed (n, polynomial,
 seed): the timestamp honors the SOURCE_DATE_EPOCH convention when that
-environment variable is set, and every randomized section is driven by
-the explicit seed.
+environment variable is set, and the explicit seed picks the regions the
+groupoid section samples past GERM_FULL_CAP.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .groupoid import (
     MembershipMismatch,
     membership_matrix,
     region_pattern,
-    sample_bound_ratios,
     singular_system_certificate,
 )
 from .hyperplanes import DesignError, build_hyperplanes, verify_design
@@ -62,8 +61,11 @@ def field_section(ctx: FieldContext) -> dict:
     }
 
 
-def design_section(ctx: FieldContext) -> dict:
-    planes = build_hyperplanes(ctx)
+def design_section(ctx: FieldContext, planes=None) -> dict:
+    """The design of the field's hyperplanes; planes are built here unless
+    the caller already holds them."""
+    if planes is None:
+        planes = build_hyperplanes(ctx)
     expected = (ctx.k, ctx.q - 1, ctx.q // 2 - 1)
     try:
         params = verify_design(planes)
@@ -193,10 +195,45 @@ def groupoid_section(
     return {"m_values": list(m_values), "membership": membership, "singular_certificate": cert, "pass": ok}
 
 
-def bound_section(W: InclusionMatrix, m: int, samples: int, seed: int) -> dict:
-    result = sample_bound_ratios(W, m, samples, seed)
-    result["pass"] = result["all_pass_2n_bound"] and result["all_pass_sharp_bound"]
-    return result
+def bound_section(W: InclusionMatrix, T: RationalMatrix, matrix: dict) -> dict:
+    """The sharp magnitude bound as an exact optimum: over every c with
+    c_e != 0, the least value of max_K |kappa_K| / |c_e| is q/(2q-1).
+
+    Lower bound: W T = I (the matrix section's right_inverse_identity)
+    gives c_e = sum_K T[K][0] kappa_K, so |c_e| <= max|kappa| times the
+    sum of |T[K][0]|, which column 0 of T must give as (2q-1)/q.
+    Attained: c* = (1, -1/k, ..., -1/k) has kappa_K = W[0][K] - (q -
+    W[0][K])/k by the q ones of each column (R9), that is q/k on every
+    subgroup and -q/k on every complement by row 0 (R1), so its ratio is
+    q/k = q/(2q-1).  The 2^n bound 1/(2q) lies below the optimum.  Both
+    certificates are O(k) in exact arithmetic and read the W, T and R
+    conditions the matrix section certified.
+    """
+    q, k = W.q, W.k
+    optimum = Fraction(q, 2 * q - 1)
+    t_sum = sum((abs(row[0]) for row in T.rows), start=Fraction(0))
+    lower = matrix["right_inverse_identity"] and t_sum == 1 / optimum
+    r_conditions = {name: matrix["R_conditions"][name]["pass"] for name in ("R1", "R9")}
+    other = Fraction(-1, k)
+    max_abs_kappa = max(abs(W.entry(0, col) + other * (q - W.entry(0, col))) for col in range(2 * k))
+    attained = all(r_conditions.values()) and max_abs_kappa == optimum
+    threshold = Fraction(1, 2 * q)
+    return {
+        "optimum": optimum,
+        "threshold_2n": threshold,
+        "lower_bound": {
+            "t_column_0_abs_sum": t_sum,
+            "right_inverse_identity": matrix["right_inverse_identity"],
+            "pass": lower,
+        },
+        "attained": {
+            "c_star": {"identity": Fraction(1), "other": other},
+            "max_abs_kappa": max_abs_kappa,
+            "R_conditions": r_conditions,
+            "pass": attained,
+        },
+        "pass": lower and attained and optimum > threshold,
+    }
 
 
 def certify(
@@ -204,7 +241,6 @@ def certify(
     poly: PrimitivePolynomial | int | str | None = None,
     m_values=(1, 2, 3),
     seed: int = 0,
-    samples: int = 10000,
     nucleus_depth: int = 8,
 ) -> dict:
     """Run the whole pipeline for one degree and assemble the document."""
@@ -212,7 +248,8 @@ def certify(
     group = MultispinalGroup(ctx)
     # W and T are built once; the matrix section certifies them and its
     # Bareiss rank, the groupoid section checks every germ row against
-    # W and reuses the rank, and the bound section sums regions through W
+    # W and reuses the rank, and the bound section reads its two
+    # certificates from W, T and the matrix section's verdicts
     W = build_W(ctx)
     T = build_T(ctx.q, W)
     matrix = matrix_section(ctx, W, T)
@@ -222,7 +259,7 @@ def certify(
         "matrix": matrix,
         "nucleus": nucleus_section(group, nucleus_depth),
         "groupoid": groupoid_section(group, m_values, seed, (W, T, matrix["rank_over_Q"])),
-        "bound": bound_section(W, m_values[0], samples, seed),
+        "bound": bound_section(W, T, matrix),
     }
     verdict = all(s["pass"] for s in sections.values())
     doc = {
@@ -231,7 +268,6 @@ def certify(
         "polynomial": {"text": ctx.poly.text, "hex": hex(ctx.poly.mask)},
         "timestamp": _timestamp(),
         "seed": seed,
-        "samples": samples,
         "sections": sections,
         "verdict": "PASS" if verdict else "FAIL",
     }

@@ -53,8 +53,8 @@ def cmd_design(args) -> int:
         _emit_json(doc, args.out)
         return 0
     ctx = field_context(args.n, args.poly)
-    doc = design_section(ctx)
     planes = build_hyperplanes(ctx)
+    doc = design_section(ctx, planes)
     doc["block_members"] = {f"H{h.index}": sorted(h.elements()) for h in planes}
     lam = ctx.q // 2 - 1
     # the number of j with alpha^l1 and alpha^l2 both in H_j, as pair_count
@@ -178,17 +178,7 @@ def cmd_groupoid(args) -> int:
 
 def cmd_certify(args) -> int:
     ns = list(range(args.n_min, args.n_max + 1)) if args.all else [args.n]
-    docs = []
-    for n in ns:
-        docs.append(
-            certify(
-                n,
-                poly=args.poly,
-                m_values=tuple(args.m_values),
-                seed=args.seed,
-                samples=args.samples,
-            )
-        )
+    docs = [certify(n, poly=args.poly, m_values=tuple(args.m_values), seed=args.seed) for n in ns]
     if args.all:
         verdict = all(d["verdict"] == "PASS" for d in docs)
         doc = {"range": [args.n_min, args.n_max], "certificates": docs,
@@ -250,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--poly")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--m-values", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)

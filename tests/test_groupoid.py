@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from multispinal import certify, groupoid
-from multispinal.certify import groupoid_section
-from multispinal.exact_linalg import InclusionMatrix, build_T, build_W
+from multispinal.certify import bound_section, groupoid_section, matrix_section
+from multispinal.exact_linalg import InclusionMatrix, build_T, build_W, check_R_conditions, verify_right_inverse
 from multispinal.gf2n import field_context
 from multispinal.groupoid import (
     ONES,
@@ -38,6 +38,7 @@ from reference import (
     ref_germ_equal,
     ref_hyperplane_membership,
     ref_region_witness,
+    t_first_column_abs_sum,
 )
 
 
@@ -536,3 +537,48 @@ def test_sampler_deterministic(w2):
     r1 = sample_bound_ratios(w2, 1, 300, seed=7)
     r2 = sample_bound_ratios(w2, 1, 300, seed=7)
     assert r1 == r2
+
+
+# the bound section's closed form against the generic path ---------------------------
+
+
+def _c_star(q):
+    return [Fraction(1)] + [Fraction(-1, 2 * q - 1)] * (2 * q - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_bound_optimum_matches_generic_path(n):
+    ctx = field_context(n)
+    W = build_W(ctx)
+    T = build_T(ctx.q, W)
+    optimum = Fraction(ctx.q, 2 * ctx.q - 1)
+    attained = bound_check(W, 1, _c_star(ctx.q))["max_abs_kappa"]
+    assert attained == optimum
+    assert t_first_column_abs_sum(T.rows) == 1 / optimum
+    matrix = {"R_conditions": check_R_conditions(W).as_dict(), "right_inverse_identity": verify_right_inverse(W, T)}
+    section = bound_section(W, T, matrix)
+    assert section["pass"] is True
+    assert section["optimum"] == optimum
+    assert section["lower_bound"]["t_column_0_abs_sum"] == t_first_column_abs_sum(T.rows)
+    assert section["attained"]["max_abs_kappa"] == attained
+    assert section["attained"]["c_star"] == {"identity": 1, "other": Fraction(-1, ctx.k)}
+    if n <= 4:
+        assert sample_bound_ratios(W, 1, 10000, 0)["min_ratio"] >= optimum
+
+
+@pytest.mark.parametrize("i, col", [(0, 2), (0, 9), (5, 3), (7, 12)])
+def test_flipped_W_entry_fails_the_bound_section(g3, w3, i, col):
+    bad = _flip(w3, i, col)
+    T = build_T(bad.q, bad)
+    section = bound_section(bad, T, matrix_section(g3.ctx, bad, T))
+    assert section["pass"] is False
+    assert section["lower_bound"]["pass"] is False or section["attained"]["pass"] is False
+
+
+def test_bound_section_needs_the_right_inverse(w3):
+    # the lower bound rests on W T = I: the T column sum alone is not enough
+    T = build_T(w3.q, w3)
+    matrix = {"R_conditions": check_R_conditions(w3).as_dict(), "right_inverse_identity": False}
+    section = bound_section(w3, T, matrix)
+    assert section["lower_bound"]["pass"] is False and section["attained"]["pass"] is True
+    assert section["pass"] is False
