@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exact_linalg import InclusionMatrix, RationalMatrix, build_T, build_W, check_R_conditions
-from .exact_linalg import rank_mod_p, rank_over_Q, verify_right_inverse
+from .exact_linalg import rank_mod_p, verify_right_inverse
 from .gf2n import FieldContext, PrimitivePolynomial, field_context
 from .groupoid import (
     MembershipMismatch,
@@ -27,8 +27,6 @@ from .groupoid import (
 from .hyperplanes import DesignError, build_hyperplanes, verify_design
 from .selfsim import MultispinalGroup
 
-RANK_ELIMINATION_CAP = 8   # Bareiss on W beyond this degree costs minutes
-ODD_PRIME_RANK_CAP = 7     # dense mod-p elimination cap
 GERM_FULL_CAP = 6          # full 2k-region germ search cap
 CANDIDATE_PRIMES = (5, 7, 11, 13)
 
@@ -87,6 +85,13 @@ def design_section(ctx: FieldContext, planes=None) -> dict:
 
 
 def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RationalMatrix) -> dict:
+    """R1-R9, the right-inverse identity and the ranks it decides.
+
+    T's entries 1/k and -(q-1)/(kq) have denominators dividing kq, so
+    W T = I gives rank 2q over Q and over GF(p) for every prime p not
+    dividing kq; the primes that divide kq are reported as skipped.  The
+    GF(2) rank, which W T = I leaves open, comes from elimination.
+    """
     report = check_R_conditions(W)
     wt = verify_right_inverse(W, T)
     section = {
@@ -98,29 +103,15 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RationalMatrix) -> 
     if ctx.n <= 4:  # small enough to inline the full matrices
         section["W"] = W.to_lists()
         section["T"] = T.to_strings()
-    ok = report.all_pass and wt
-    if ctx.n <= RANK_ELIMINATION_CAP:
-        r = rank_over_Q(W)
-        section["rank_over_Q"] = r
-        ok = ok and r == 2 * ctx.q
-    else:
-        section["rank_over_Q"] = None
-        section["rank_note"] = "elimination skipped; W*T = I is a complete certificate"
+    full = 2 * ctx.q if wt else None
+    section["rank_over_Q"] = full
     r2 = rank_mod_p(W, 2)
     section["rank_mod_2"] = r2
     section["rank_mod_2_deficient"] = r2 < 2 * ctx.q
-    ok = ok and r2 < 2 * ctx.q
-    mod_ranks = {}
-    if ctx.n <= ODD_PRIME_RANK_CAP:
-        for p in CANDIDATE_PRIMES:
-            if (ctx.k * ctx.q) % p == 0:
-                mod_ranks[str(p)] = "skipped (divides k*q)"
-                continue
-            rp = rank_mod_p(W, p)
-            mod_ranks[str(p)] = rp
-            ok = ok and rp == 2 * ctx.q
-    section["rank_mod_p"] = mod_ranks
-    section["pass"] = ok
+    section["rank_mod_p"] = {
+        str(p): "skipped (divides k*q)" if (ctx.k * ctx.q) % p == 0 else full for p in CANDIDATE_PRIMES
+    }
+    section["pass"] = report.all_pass and wt and r2 < 2 * ctx.q
     return section
 
 
@@ -141,18 +132,18 @@ def groupoid_section(
     group: MultispinalGroup,
     m_values,
     seed: int,
-    linalg: tuple[InclusionMatrix, RationalMatrix, int | None],
+    W: InclusionMatrix,
+    matrix: dict,
 ) -> dict:
     """Region witnesses and membership rows for each m, then the singular
-    certificate on the matrix section's (W, T, rank over Q).  Every region
-    row is checked against its column of that W by region_pattern.
+    certificate on the matrix section of W.  Every region row is checked
+    against its column of that W by region_pattern.
 
     One memo of walked rows serves every m: for j >= max(m_values) the
     witness of a region does not depend on m, so each distinct witness is
     walked once.
     """
     ctx = group.ctx
-    W = linalg[0]
     rows = {}
     membership = {}
     ok = True
@@ -188,8 +179,7 @@ def groupoid_section(
             membership[str(m)] = {"mode": "sampled", "regions": sampled, "matches_transpose": good}
             ok = ok and good
             germ_any = germ_any or good
-    m0 = m_values[0]
-    cert = singular_system_certificate(group, m0, use_germ=False, linalg=linalg)
+    cert = singular_system_certificate(group, m_values[0], matrix)
     cert["germ_verified"] = germ_any and ctx.n <= GERM_FULL_CAP
     ok = ok and cert["pass"]
     return {"m_values": list(m_values), "membership": membership, "singular_certificate": cert, "pass": ok}
@@ -246,10 +236,11 @@ def certify(
     """Run the whole pipeline for one degree and assemble the document."""
     ctx = field_context(n, poly)
     group = MultispinalGroup(ctx)
-    # W and T are built once; the matrix section certifies them and its
-    # Bareiss rank, the groupoid section checks every germ row against
-    # W and reuses the rank, and the bound section reads its two
-    # certificates from W, T and the matrix section's verdicts
+    # W and T are built once; the matrix section certifies W T = I and
+    # the ranks it implies, the groupoid section checks every germ row
+    # against W and reads its rank certificate from the matrix section,
+    # and the bound section reads its two certificates from W, T and the
+    # matrix section's verdicts
     W = build_W(ctx)
     T = build_T(ctx.q, W)
     matrix = matrix_section(ctx, W, T)
@@ -258,7 +249,7 @@ def certify(
         "design": design_section(ctx),
         "matrix": matrix,
         "nucleus": nucleus_section(group, nucleus_depth),
-        "groupoid": groupoid_section(group, m_values, seed, (W, T, matrix["rank_over_Q"])),
+        "groupoid": groupoid_section(group, m_values, seed, W, matrix),
         "bound": bound_section(W, T, matrix),
     }
     verdict = all(s["pass"] for s in sections.values())

@@ -18,9 +18,13 @@ conditions:
 
 Any matrix built from a base block by R1-R4 has the exact right-inverse
 T with entries a = 1/k where W is 1 and b = -(q-1)/(k(k-q+1)) where W is
-0, so W T = I certifies full rank 2q.  Rank over the rationals is also
-available by fraction-free (Bareiss) elimination, and over GF(p) by
-ordinary elimination; all arithmetic on any pass/fail path is exact.
+0.  Since k - q + 1 = q, every denominator of T divides kq, so W T = I
+certifies full rank 2q over the rationals and over GF(p) for every prime
+p not dividing kq.  The one rank it leaves open is the GF(2) rank, found
+by elimination on the bitmask rows.  Rank over the rationals by
+fraction-free (Bareiss) elimination and over an odd GF(p) by ordinary
+elimination stay available as independent checks; all arithmetic on any
+pass/fail path is exact.
 """
 
 from __future__ import annotations
@@ -261,14 +265,32 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _rank_f2(masks) -> int:
+    """Rank over GF(2) of rows given as bitmasks: each row is reduced by
+    the basis rows that hold its leading bit until it is zero or opens a
+    new leading bit."""
+    basis: dict[int, int] = {}
+    for row in masks:
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
 def rank_mod_p(M, p: int) -> int:
     """Rank of M reduced mod a prime p, by Gaussian elimination over GF(p).
 
     Non-integer rational entries are scaled row-wise; a row whose
     denominator vanishes mod p is rejected (the reduction is undefined).
+    An InclusionMatrix is reduced mod 2 on its bitmask rows as stored.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p == 2 and isinstance(M, InclusionMatrix):
+        return _rank_f2(M.rows)
     rows = _as_fraction_rows(M)
     if not rows:
         return 0
@@ -279,35 +301,10 @@ def rank_mod_p(M, p: int) -> int:
             raise ValueError(f"entry denominator divisible by {p}; reduction undefined")
         dinv = pow(d % p, -1, p)
         mat.append([int(x * d) * dinv % p for x in r])
+    if p == 2:
+        return _rank_f2(sum(1 << j for j, v in enumerate(r) if v) for r in mat)
+
     nrows, ncols = len(mat), len(mat[0])
-
-    if p == 2:  # bitmask fast path
-        masks = []
-        for r in mat:
-            m = 0
-            for j, v in enumerate(r):
-                if v & 1:
-                    m |= 1 << j
-            masks.append(m)
-        rank = 0
-        for col in range(ncols):
-            bit = 1 << col
-            piv = None
-            for i in range(rank, nrows):
-                if masks[i] & bit:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            masks[rank], masks[piv] = masks[piv], masks[rank]
-            for i in range(rank + 1, nrows):
-                if masks[i] & bit:
-                    masks[i] ^= masks[rank]
-            rank += 1
-            if rank == nrows:
-                break
-        return rank
-
     rank = 0
     for col in range(ncols):
         piv = None

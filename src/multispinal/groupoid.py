@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact_linalg import InclusionMatrix, RationalMatrix, build_T, build_W, rank_over_Q, verify_right_inverse
+from .exact_linalg import InclusionMatrix
 from .gf2n import FieldContext
 from .selfsim import GroupElement, MultispinalGroup
 
@@ -404,52 +404,32 @@ def membership_matrix(
 # -- singular system and magnitude bound ---------------------------------
 
 
-def singular_system_certificate(
-    group: MultispinalGroup,
-    m: int,
-    use_germ: bool | None = None,
-    linalg: tuple[InclusionMatrix, RationalMatrix, int | None] | None = None,
-) -> dict:
+def singular_system_certificate(group: MultispinalGroup, m: int, matrix: dict) -> dict:
     """Certify that sum_{g in K} c_g = 0 over all 2k admissible K forces
     c = 0, via full column rank 2q of the membership matrix.
 
-    The right-inverse identity W T = I is a complete rank certificate;
-    Bareiss elimination adds its rank over Q.  linalg is (W, T, rank) as
-    the matrix section already computed them, rank None when elimination
-    was skipped there; without it W and T are built here and elimination
-    is run.  The matrix itself comes from germ searches when use_germ is
-    set (default: only for small fields, n <= 4), otherwise from the
-    inclusion matrix transpose.
+    The membership matrix is the transpose of W, whose germ rows the
+    groupoid section checks; matrix is the matrix section of that W.  Its
+    right-inverse identity W T = I is a complete rank certificate, and its
+    rank_over_Q is the rank 2q that identity implies (None without it).
+    germ_verified is left False here for the groupoid section to set.
     """
     ctx = group.ctx
-    if use_germ is None:
-        use_germ = ctx.n <= 4
-    if linalg is None:
-        W = build_W(ctx)
-        linalg = (W, build_T(ctx.q, W), rank_over_Q(W))
-    W, T, rank = linalg
-    source = "inclusion-transpose"
-    germ_verified = False
-    if use_germ:
-        membership_matrix(group, W, m)  # raises on mismatch
-        source = "germ-search"
-        germ_verified = True
-    wt_ok = verify_right_inverse(W, T)
-    result = {
+    wt_ok = matrix["right_inverse_identity"]
+    rank = matrix["rank_over_Q"]
+    passed = wt_ok and rank == 2 * ctx.q
+    return {
         "n": ctx.n,
         "m": m,
         "unknowns": 2 * ctx.q,
         "equations": 2 * ctx.k,
-        "matrix_source": source,
-        "germ_verified": germ_verified,
+        "matrix_source": "inclusion-transpose",
+        "germ_verified": False,
         "right_inverse_identity": wt_ok,
+        "rank_over_Q": rank,
+        "trivial_solution_only": passed,
+        "pass": passed,
     }
-    if rank is not None:
-        result["rank_over_Q"] = rank
-    passed = wt_ok and (rank is None or rank == 2 * ctx.q)
-    result["trivial_solution_only"] = passed
-    result["pass"] = passed
-    return result
 
 
 def bound_check(W: InclusionMatrix, m: int, coeffs) -> dict:

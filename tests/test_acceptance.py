@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from multispinal.certify import matrix_section
 from multispinal.exact_linalg import build_T, build_W, rank_mod_p, rank_over_Q, verify_right_inverse
 from multispinal.gf2n import field_context
 from multispinal.groupoid import (
@@ -130,11 +131,12 @@ def test_c4_design_parameters():
 @criterion("C5 characteristic probe")
 def test_c5_rank_mod_p():
     recorded = {}
+    for n in range(2, 11):
+        recorded[n] = rank_mod_p(build_W(ctx(n)), 2)
+        assert recorded[n] == n + 1  # the row space mod 2 is RM(1, n)
     for n in range(2, 8):
         W = build_W(ctx(n))
-        r2 = rank_mod_p(W, 2)
-        recorded[n] = r2
-        assert r2 < 2 ** n
+        assert rank_mod_p(W.to_lists(), 2) == n + 1
         for p in (5, 7, 11, 13):
             if (ctx(n).k * ctx(n).q) % p == 0:
                 continue  # reduction can differ when p divides k(k-q+1)
@@ -185,10 +187,12 @@ def test_c7_membership_matrices():
 @criterion("C8 singular-function certificate")
 def test_c8_singular_system():
     for n in range(2, 8):
-        cert = singular_system_certificate(group(n), 1, use_germ=n <= 3)
+        W = build_W(ctx(n))
+        matrix = matrix_section(ctx(n), W, build_T(ctx(n).q, W))
+        cert = singular_system_certificate(group(n), 1, matrix)
         assert cert["pass"], cert
         assert cert["right_inverse_identity"]
-        assert cert["rank_over_Q"] == 2 ** n  # ties to criterion 2
+        assert cert["rank_over_Q"] == 2 ** n == rank_over_Q(W)  # ties to criterion 2
 
 
 @criterion("C9 magnitude bound")

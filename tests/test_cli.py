@@ -39,6 +39,19 @@ def test_certify_n2_passes_and_reproduces_matrices():
     assert doc["sections"]["design"]["params"] == [3, 1, 0]
 
 
+def test_certify_n8_derives_every_rank_from_the_right_inverse():
+    res = run_cli("certify", "--n", "8")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["verdict"] == "PASS"
+    matrix = doc["sections"]["matrix"]
+    assert matrix["rank_over_Q"] == 256
+    assert matrix["rank_mod_2"] == 9
+    assert matrix["rank_mod_p"] == {"5": "skipped (divides k*q)", "7": 256, "11": 256, "13": 256}
+    assert "rank_note" not in matrix
+    assert doc["sections"]["groupoid"]["singular_certificate"]["rank_over_Q"] == 256
+
+
 def test_certify_deterministic_bytes():
     a = run_cli("certify", "--n", "2", "--seed", "0")
     b = run_cli("certify", "--n", "2", "--seed", "0")

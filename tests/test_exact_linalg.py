@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from multispinal.certify import matrix_section
 from multispinal.exact_linalg import (
     InclusionMatrix,
     RationalMatrix,
@@ -200,13 +201,46 @@ def test_rank_mod_p_agrees_with_rowspace_oracle():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_rational_rank_equals_mod_p_rank_for_coprime_primes(n):
+    # the matrix section derives these ranks from W T = I; elimination
+    # must find the same numbers
     ctx = field_context(n)
     W = build_W(ctx)
     rq = rank_over_Q(W)
+    section = matrix_section(ctx, W, build_T(ctx.q, W))
+    assert section["rank_over_Q"] == rq == 2 * ctx.q
+    assert section["rank_mod_2"] == rank_mod_p(W, 2)
     for p in (5, 7, 11, 13):
+        derived = section["rank_mod_p"][str(p)]
         if (ctx.k * ctx.q) % p == 0:
+            assert derived == "skipped (divides k*q)"
             continue
-        assert rank_mod_p(W, p) == rq
+        assert derived == rank_mod_p(W, p) == rq
+
+
+def test_certify_runs_no_rational_or_odd_prime_elimination(monkeypatch):
+    import sys
+
+    from multispinal import exact_linalg
+    from multispinal.certify import certify
+
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(M, *args):
+            calls.append((name, *args))
+            return fn(M, *args)
+
+        return wrapper
+
+    for name in ("rank_over_Q", "rank_mod_p"):
+        original = getattr(exact_linalg, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("multispinal") and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, recording(name, original))
+    doc = certify(5)
+    assert doc["verdict"] == "PASS"
+    assert calls == [("rank_mod_p", 2)]
+    assert doc["sections"]["matrix"]["rank_mod_p"] == {"5": 32, "7": 32, "11": 32, "13": 32}
 
 
 # R-condition report --------------------------------------------------------

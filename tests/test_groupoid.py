@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from multispinal import certify, groupoid
+from multispinal import certify, exact_linalg, groupoid
 from multispinal.certify import bound_section, groupoid_section, matrix_section
-from multispinal.exact_linalg import InclusionMatrix, build_T, build_W, check_R_conditions, verify_right_inverse
+from multispinal.exact_linalg import (
+    InclusionMatrix,
+    build_T,
+    build_W,
+    check_R_conditions,
+    rank_over_Q,
+    verify_right_inverse,
+)
 from multispinal.gf2n import field_context
 from multispinal.groupoid import (
     ONES,
@@ -393,11 +400,11 @@ def test_shared_rows_memo_gives_the_same_rows(g3, w3):
 
 def test_sampled_groupoid_section_reports_wrong_rows(g3, monkeypatch):
     W = build_W(g3.ctx)
-    linalg = (W, build_T(g3.ctx.q, W), 8)
+    matrix = matrix_section(g3.ctx, W, build_T(g3.ctx.q, W))
     real = groupoid.germ_equal
     monkeypatch.setattr(groupoid, "germ_equal", lambda group, g1, g2, tail: not real(group, g1, g2, tail))
     monkeypatch.setattr(certify, "GERM_FULL_CAP", 2)
-    section = groupoid_section(g3, (1,), 0, linalg)
+    section = groupoid_section(g3, (1,), 0, W, matrix)
     regions = section["membership"]["1"]["regions"]
     assert section["pass"] is False and set(regions) == {"H0", "H2", "H0c", "H2c"}
     assert all("membership mismatch" in r["error"] for r in regions.values())
@@ -446,32 +453,38 @@ def test_default_search_depth_formula(g2):
 # singular system and bound --------------------------------------------------------
 
 
+def _singular_certificate(group, m=1):
+    W = build_W(group.ctx)
+    matrix = matrix_section(group.ctx, W, build_T(group.ctx.q, W))
+    return singular_system_certificate(group, m, matrix), W
+
+
 def test_singular_certificate_degree2(g2):
-    cert = singular_system_certificate(g2, 1)
+    cert, W = _singular_certificate(g2)
     assert cert["pass"]
-    assert cert["rank_over_Q"] == 4
-    assert cert["matrix_source"] == "germ-search"
+    assert cert["rank_over_Q"] == 4 == rank_over_Q(W)
+    assert cert["matrix_source"] == "inclusion-transpose"
 
 
 def test_singular_certificate_reuses_given_matrices(g3, monkeypatch):
     W = build_W(g3.ctx)
-    linalg = (W, build_T(g3.ctx.q, W), 8)
+    matrix = matrix_section(g3.ctx, W, build_T(g3.ctx.q, W))
 
-    def no_elimination(_):
-        raise AssertionError("elimination must not run again")
+    def no_recheck(*_):
+        raise AssertionError("the matrix section's certificates must not be rechecked")
 
-    monkeypatch.setattr(groupoid, "rank_over_Q", no_elimination)
-    monkeypatch.setattr(groupoid, "build_W", no_elimination)
-    cert = singular_system_certificate(g3, 1, use_germ=False, linalg=linalg)
+    for name in ("rank_over_Q", "verify_right_inverse", "build_W", "build_T"):
+        monkeypatch.setattr(exact_linalg, name, no_recheck)
+    cert = singular_system_certificate(g3, 1, matrix)
     assert cert["pass"] and cert["rank_over_Q"] == 8
-    skipped = singular_system_certificate(g3, 1, use_germ=False, linalg=linalg[:2] + (None,))
-    assert skipped["pass"] and "rank_over_Q" not in skipped
+    failed = singular_system_certificate(g3, 1, {**matrix, "right_inverse_identity": False, "rank_over_Q": None})
+    assert failed["pass"] is False and failed["rank_over_Q"] is None
 
 
 def test_singular_certificate_degree3(g3):
-    cert = singular_system_certificate(g3, 1)
+    cert, W = _singular_certificate(g3)
     assert cert["pass"]
-    assert cert["rank_over_Q"] == 8
+    assert cert["rank_over_Q"] == 8 == rank_over_Q(W)
 
 
 def test_bound_check_identity_indicator(w2):
@@ -568,11 +581,19 @@ def test_bound_optimum_matches_generic_path(n):
 
 @pytest.mark.parametrize("i, col", [(0, 2), (0, 9), (5, 3), (7, 12)])
 def test_flipped_W_entry_fails_the_bound_section(g3, w3, i, col):
+    # one wrong entry breaks W T = I: no rank is claimed, and the matrix
+    # and singular sections fail with the bound section
     bad = _flip(w3, i, col)
     T = build_T(bad.q, bad)
-    section = bound_section(bad, T, matrix_section(g3.ctx, bad, T))
+    matrix = matrix_section(g3.ctx, bad, T)
+    section = bound_section(bad, T, matrix)
     assert section["pass"] is False
     assert section["lower_bound"]["pass"] is False or section["attained"]["pass"] is False
+    assert matrix["right_inverse_identity"] is False and matrix["pass"] is False
+    assert matrix["rank_over_Q"] is None
+    assert all(r is None or r == "skipped (divides k*q)" for r in matrix["rank_mod_p"].values())
+    cert = singular_system_certificate(g3, 1, matrix)
+    assert cert["pass"] is False and cert["trivial_solution_only"] is False
 
 
 def test_bound_section_needs_the_right_inverse(w3):
