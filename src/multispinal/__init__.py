@@ -34,7 +34,7 @@ from .hyperplanes import (
 )
 from .exact_linalg import (
     InclusionMatrix,
-    RationalMatrix,
+    RightInverse,
     build_T,
     build_W,
     build_W_general,
@@ -85,7 +85,7 @@ __all__ = [
     "search_base_blocks",
     "verify_design",
     "InclusionMatrix",
-    "RationalMatrix",
+    "RightInverse",
     "build_T",
     "build_W",
     "build_W_general",

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .exact_linalg import InclusionMatrix, RationalMatrix, build_T, build_W, check_R_conditions
+from .exact_linalg import InclusionMatrix, RightInverse, build_T, build_W, check_R_conditions
 from .exact_linalg import rank_mod_p, verify_right_inverse
 from .gf2n import FieldContext, PrimitivePolynomial, field_context
 from .groupoid import (
@@ -84,7 +84,7 @@ def design_section(ctx: FieldContext, planes=None) -> dict:
         }
 
 
-def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RationalMatrix) -> dict:
+def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> dict:
     """R1-R9, the right-inverse identity and the ranks it decides.
 
     T's entries 1/k and -(q-1)/(kq) have denominators dividing kq, so
@@ -185,7 +185,7 @@ def groupoid_section(
     return {"m_values": list(m_values), "membership": membership, "singular_certificate": cert, "pass": ok}
 
 
-def bound_section(W: InclusionMatrix, T: RationalMatrix, matrix: dict) -> dict:
+def bound_section(W: InclusionMatrix, T: RightInverse, matrix: dict) -> dict:
     """The sharp magnitude bound as an exact optimum: over every c with
     c_e != 0, the least value of max_K |kappa_K| / |c_e| is q/(2q-1).
 
@@ -201,7 +201,7 @@ def bound_section(W: InclusionMatrix, T: RationalMatrix, matrix: dict) -> dict:
     """
     q, k = W.q, W.k
     optimum = Fraction(q, 2 * q - 1)
-    t_sum = sum((abs(row[0]) for row in T.rows), start=Fraction(0))
+    t_sum = sum((abs(T.entry(K, 0)) for K in range(2 * k)), start=Fraction(0))
     lower = matrix["right_inverse_identity"] and t_sum == 1 / optimum
     r_conditions = {name: matrix["R_conditions"][name]["pass"] for name in ("R1", "R9")}
     other = Fraction(-1, k)
@@ -236,11 +236,12 @@ def certify(
     """Run the whole pipeline for one degree and assemble the document."""
     ctx = field_context(n, poly)
     group = MultispinalGroup(ctx)
-    # W and T are built once; the matrix section certifies W T = I and
-    # the ranks it implies, the groupoid section checks every germ row
+    # W and T are built once, W as bitmask rows and T as its two values
+    # over W; the matrix section certifies W T = I and the ranks it
+    # implies in popcounts, the groupoid section checks every germ row
     # against W and reads its rank certificate from the matrix section,
-    # and the bound section reads its two certificates from W, T and the
-    # matrix section's verdicts
+    # and the bound section reads its two certificates from W, column 0
+    # of T and the matrix section's verdicts
     W = build_W(ctx)
     T = build_T(ctx.q, W)
     matrix = matrix_section(ctx, W, T)

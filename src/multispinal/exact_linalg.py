@@ -18,13 +18,15 @@ conditions:
 
 Any matrix built from a base block by R1-R4 has the exact right-inverse
 T with entries a = 1/k where W is 1 and b = -(q-1)/(k(k-q+1)) where W is
-0.  Since k - q + 1 = q, every denominator of T divides kq, so W T = I
-certifies full rank 2q over the rationals and over GF(p) for every prime
-p not dividing kq.  The one rank it leaves open is the GF(2) rank, found
-by elimination on the bitmask rows.  Rank over the rationals by
-fraction-free (Bareiss) elimination and over an odd GF(p) by ordinary
-elimination stay available as independent checks; all arithmetic on any
-pass/fail path is exact.
+0.  T is held as those two values over W, and W as its bitmask rows, so
+R1-R9 are read from the rows by rotations and popcounts and W T = I is
+an integer Gram identity in popcounts; no Fraction is made per entry.  Since k - q + 1 =
+q, every denominator of T divides kq, so W T = I certifies full rank 2q
+over the rationals and over GF(p) for every prime p not dividing kq.
+The one rank it leaves open is the GF(2) rank, found by elimination on
+the bitmask rows.  Rank over the rationals by fraction-free (Bareiss)
+elimination and over an odd GF(p) by ordinary elimination stay available
+as independent checks; all arithmetic on any pass/fail path is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 
 from .gf2n import FieldContext
-from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
+from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile, set_bits
 
 
 @dataclass(frozen=True)
@@ -60,32 +62,6 @@ class InclusionMatrix:
     def to_lists(self) -> list[list[int]]:
         ncols = len(self.col_labels)
         return [[(r >> j) & 1 for j in range(ncols)] for r in self.rows]
-
-
-class RationalMatrix:
-    """Dense matrix of Fractions (arbitrary precision, always canonical)."""
-
-    def __init__(self, rows):
-        self.rows: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in rows
-        )
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-    def to_strings(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.rows]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
 
 
 def _row_labels(ctx: FieldContext) -> tuple[str, ...]:
@@ -121,91 +97,83 @@ def build_W_general(block: BaseBlock) -> InclusionMatrix:
         raise ValueError("base block violates the shift-intersection condition (R5)")
     all_first = (1 << k) - 1
     rows = [all_first]  # R1: zero row is in every subgroup, no complement
-    seed = 0
-    for p in block.positions:
-        seed |= 1 << p
-    for i in range(1, 2 * q):
-        shift = i - 1
-        first = 0
-        for j in range(k):
-            if (seed >> ((j + shift) % k)) & 1:  # R3: cyclic shift of row 2
-                first |= 1 << j
+    seed = sum(1 << p for p in block.positions)
+    for shift in range(2 * q - 1):
+        first = ((seed >> shift) | (seed << (k - shift))) & all_first  # R3: row 2 rotated
         mirror = (~first) & all_first  # R4
         rows.append(first | (mirror << k))
     row_labels = ("0",) + tuple(f"r{i}" for i in range(1, 2 * q))
     return InclusionMatrix(q=q, rows=tuple(rows), row_labels=row_labels, col_labels=_col_labels(k))
 
 
-def build_T(q: int, W: InclusionMatrix) -> RationalMatrix:
-    """Explicit right-inverse candidate: transpose-shaped two-valued matrix.
+@dataclass(frozen=True)
+class RightInverse:
+    """The two-valued right-inverse of W, held as its two values over W.
 
-    T[j][i] = 1/k where W[i][j] = 1, else -(q-1)/(k(k-q+1)); shape 2k x 2q.
+    Entry (j, i) is a where W[i][j] = 1 and b elsewhere; shape 2k x 2q,
+    the transpose of W's.
     """
+
+    W: InclusionMatrix
+    a: Fraction
+    b: Fraction
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        nrows, ncols = self.W.shape
+        return (ncols, nrows)
+
+    def entry(self, j: int, i: int) -> Fraction:
+        return self.a if self.W.entry(i, j) else self.b
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense Fraction view, built on each read."""
+        a, b = self.a, self.b
+        return tuple(tuple(a if (r >> j) & 1 else b for r in self.W.rows) for j in range(self.shape[0]))
+
+    def to_strings(self) -> list[list[str]]:
+        return [[str(x) for x in row] for row in self.rows]
+
+
+def build_T(q: int, W: InclusionMatrix) -> RightInverse:
+    """Explicit right-inverse candidate: a = 1/k where W is 1, else
+    b = -(q-1)/(k(k-q+1)); shape 2k x 2q."""
     k = 2 * q - 1
-    a = Fraction(1, k)
-    b = Fraction(-(q - 1), k * (k - q + 1))
     nrows, ncols = W.shape
     if nrows != 2 * q or ncols != 2 * k:
         raise ValueError(f"W has shape {W.shape}, expected {(2 * q, 2 * k)}")
-    rows = []
-    for j in range(2 * k):
-        rows.append(tuple(a if W.entry(i, j) else b for i in range(2 * q)))
-    return RationalMatrix(rows)
+    return RightInverse(W, Fraction(1, k), Fraction(-(q - 1), k * (k - q + 1)))
 
 
 def _as_fraction_rows(M) -> list[list[Fraction]]:
     if isinstance(M, InclusionMatrix):
         return [[Fraction(v) for v in row] for row in M.to_lists()]
-    if isinstance(M, RationalMatrix):
-        return [list(row) for row in M.rows]
     return [[Fraction(v) for v in row] for row in M]
 
 
-def verify_right_inverse(W, T: RationalMatrix) -> bool:
-    """Exact check that W * T is the identity.
+def verify_right_inverse(W: InclusionMatrix, T: RightInverse) -> bool:
+    """Exact check that W * T is the identity, as an integer Gram identity.
 
-    W must be a 0/1 matrix (InclusionMatrix or nested lists); T any
-    rational matrix with matching inner dimension.  Entries of the
-    product are accumulated as integers over the least common
-    denominator of T, grouping T's rows by value per column, so the check
-    stays exact while running in popcount time.
+    Over the common denominator d of T's two values,
+    (W T)[i][l] * d = a d |W_i & T.W_l| + b d (|W_i| - |W_i & T.W_l|),
+    so the check is popcounts of bitmask rows.  Nothing about W is
+    assumed beyond its shape.
     """
-    if isinstance(W, InclusionMatrix):
-        wrows = list(W.rows)
-        inner = 2 * W.k
-    else:
-        lists = [list(r) for r in W]
-        inner = len(lists[0]) if lists else 0
-        wrows = []
-        for r in lists:
-            if any(v not in (0, 1) for v in r):
-                raise ValueError("W must be a 0/1 matrix")
-            mask = 0
-            for j, v in enumerate(r):
-                if v:
-                    mask |= 1 << j
-            wrows.append(mask)
-    tn, tm = T.shape
-    if tn != inner or tm != len(wrows):
-        raise ValueError(f"shape mismatch: W is {len(wrows)}x{inner}, T is {tn}x{tm}")
-
-    denom = lcm(*(x.denominator for row in T.rows for x in row)) if T.rows else 1
-    # per column of T: bitmask of rows holding each distinct scaled value
-    col_masks: list[dict[int, int]] = []
-    for l in range(tm):
-        masks: dict[int, int] = {}
-        for j in range(tn):
-            v = T.rows[j][l]
-            scaled = v.numerator * (denom // v.denominator)
-            masks[scaled] = masks.get(scaled, 0) | (1 << j)
-        col_masks.append(masks)
-    for i, wmask in enumerate(wrows):
-        for l in range(tm):
-            acc = 0
-            for value, mask in col_masks[l].items():
-                if value:
-                    acc += value * (wmask & mask).bit_count()
-            if acc != (denom if i == l else 0):
+    inner = W.shape[1]
+    if T.shape != (inner, W.shape[0]):
+        raise ValueError(f"shape mismatch: W is {W.shape[0]}x{inner}, T is {T.shape[0]}x{T.shape[1]}")
+    denom = lcm(T.a.denominator, T.b.denominator)
+    a = T.a.numerator * (denom // T.a.denominator)
+    b = T.b.numerator * (denom // T.b.denominator)
+    full = (1 << inner) - 1
+    tcols = [r & full for r in T.W.rows]
+    for i, w in enumerate(W.rows):
+        w &= full
+        ones = w.bit_count()
+        for l, t in enumerate(tcols):
+            both = (w & t).bit_count()
+            if a * both + b * (ones - both) != (denom if i == l else 0):
                 return False
     return True
 
@@ -357,10 +325,16 @@ class RConditionReport:
         }
 
 
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def check_R_conditions(W: InclusionMatrix) -> RConditionReport:
     """Itemized pass/fail for R1-R9 with first-counterexample coordinates.
 
-    Coordinates in counterexamples are 0-based (row, column).
+    Coordinates in counterexamples are 0-based (row, column), the first
+    in row-major order.  Every condition is read from the bitmask rows:
+    a row's first k columns are its low k bits and the last k its next k.
     """
     q = W.q
     k = W.k
@@ -377,37 +351,29 @@ def check_R_conditions(W: InclusionMatrix) -> RConditionReport:
         rep.results["shape"] = ConditionResult(False, (nrows, ncols), f"expected {2*q}x{2*k}")
         return rep
 
-    first_fail(
-        "R1",
-        (
-            (0, j)
-            for j in range(2 * k)
-            if W.entry(0, j) != (1 if j < k else 0)
-        ),
-    )
-    row2 = sum(W.entry(1, j) for j in range(k))
+    low_k = (1 << k) - 1
+    first = [r & low_k for r in W.rows]
+    second = [(r >> k) & low_k for r in W.rows]
+    r1 = (first[0] ^ low_k) | (second[0] << k)
+    rep.results["R1"] = ConditionResult(not r1, (0, _low_bit(r1)) if r1 else None)
+    row2 = first[1].bit_count()
     rep.results["R2"] = ConditionResult(
         row2 == q - 1, None if row2 == q - 1 else (1, row2), f"row 2 supports {row2} ones"
     )
+    # R3: row i+1 is row i rotated down one place, bit j <- bit (j+1) mod k
     first_fail(
         "R3",
         (
-            (i + 1, j)
+            (i + 1, _low_bit(d))
             for i in range(1, 2 * q - 1)
-            for j in range(k)
-            if W.entry(i + 1, j) != W.entry(i, (j + 1) % k)
+            if (d := first[i + 1] ^ ((first[i] >> 1) | ((first[i] & 1) << (k - 1))))
         ),
     )
     first_fail(
         "R4",
-        (
-            (i, j + k)
-            for i in range(1, 2 * q)
-            for j in range(k)
-            if W.entry(i, j + k) != 1 - W.entry(i, j)
-        ),
+        ((i, _low_bit(d) + k) for i in range(1, 2 * q) if (d := second[i] ^ first[i] ^ low_k)),
     )
-    positions = [j for j in range(k) if W.entry(1, j)]
+    positions = list(set_bits(first[1]))
     lam = q // 2 - 1
     r5_ok = len(positions) == q - 1 and block_satisfies_r5(positions, k, lam)
     rep.results["R5"] = ConditionResult(
@@ -415,30 +381,20 @@ def check_R_conditions(W: InclusionMatrix) -> RConditionReport:
     )
     first_fail(
         "R6",
-        (
-            (i,)
-            for i in range(2 * q)
-            if sum(W.entry(i, j) for j in range(k)) != (k if i == 0 else q - 1)
-        ),
+        ((i,) for i in range(2 * q) if first[i].bit_count() != (k if i == 0 else q - 1)),
     )
     first_fail(
         "R7",
-        (
-            (i,)
-            for i in range(2 * q)
-            if sum(W.entry(i, j) for j in range(k, 2 * k)) != (0 if i == 0 else q)
-        ),
+        ((i,) for i in range(2 * q) if second[i].bit_count() != (0 if i == 0 else q)),
     )
     first_fail(
         "R8",
         ((i,) for i in range(2 * q) if W.rows[i].bit_count() != k),
     )
-    first_fail(
-        "R9",
-        (
-            (j,)
-            for j in range(2 * k)
-            if sum(W.entry(i, j) for i in range(2 * q)) != q
-        ),
-    )
+    # R9: one pass over the set bits counts every column
+    column_sums = [0] * (2 * k)
+    for r in W.rows:
+        for j in set_bits(r & ((1 << 2 * k) - 1)):
+            column_sums[j] += 1
+    first_fail("R9", ((j,) for j, c in enumerate(column_sums) if c != q))
     return rep

@@ -70,6 +70,14 @@ class DesignError(ValueError):
         self.offender = offender
 
 
+def set_bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def block_satisfies_r5(positions, k: int, lam: int) -> bool:
     """Check |B ∩ (B - d)| = lam for every shift d != 0 mod k.
 
@@ -150,15 +158,14 @@ def verify_design(hyperplanes: list[Hyperplane]) -> DesignParams:
     if len({h.members for h in hyperplanes}) != k:
         raise DesignError("hyperplanes are not pairwise distinct")
 
-    profiles = {}
+    # one pass over each plane's member bits builds every point's profile
+    profiles = [0] * size
+    points = (1 << size) - 2  # the nonzero field elements
+    for j, h in enumerate(hyperplanes):
+        for x in set_bits(h.members & points):
+            profiles[x] |= 1 << j
     for x in range(1, size):
-        prof = 0
-        for j, h in enumerate(hyperplanes):
-            if x in h:
-                prof |= 1 << j
-        profiles[x] = prof
-    for x, prof in profiles.items():
-        c = prof.bit_count()
+        c = profiles[x].bit_count()
         if c != q - 1:
             raise DesignError(f"point {x} lies in {c} blocks, expected {q - 1}", x)
     for x, y in combinations(range(1, size), 2):

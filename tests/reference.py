@@ -3,15 +3,21 @@
 Deliberately different representations and algorithms from the library:
 field elements are coefficient tuples reduced by schoolbook long
 division, matrix ranks come from plain Fraction row reduction or GF(2)
-row-space enumeration, the degree-2 automaton is a hardcoded
-transition table, germ equality is the plain letter-by-letter walk
-on unreduced words, and region witnesses come from a scan over tails.
+row-space enumeration, R1-R9 are read one matrix entry at a time, the
+right-inverse is a dense Fraction matrix multiplied out entry by entry, the
+degree-2 automaton is a hardcoded transition table, germ equality is
+the plain letter-by-letter walk on unreduced words, and region witnesses
+come from a scan over tails.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
+
+from multispinal.exact_linalg import ConditionResult, RConditionReport
+from multispinal.hyperplanes import block_satisfies_r5
 
 
 class RefField:
@@ -145,6 +151,118 @@ def ref_rank_f2_rowspace(rows) -> int:
     rank = size.bit_length() - 1
     assert 1 << rank == size
     return rank
+
+
+def ref_right_inverse(W) -> tuple[tuple[Fraction, ...], ...]:
+    """Dense Fraction rows of the two-valued right-inverse of a 0/1 matrix
+    W: entry (j, i) is 1/k where W[i][j] = 1, else -(q-1)/(kq)."""
+    q, k = W.q, W.k
+    a, b = Fraction(1, k), Fraction(-(q - 1), k * q)
+    rows = W.to_lists()
+    return tuple(tuple(a if row[j] else b for row in rows) for j in range(len(rows[0])))
+
+
+def ref_is_right_inverse(W, T_rows) -> bool:
+    """W T == I by the dense product, every entry summed in full over the
+    least common denominator of all of T's entries."""
+    rows = W.to_lists()
+    if len(T_rows) != len(rows[0]) or len(T_rows[0]) != len(rows):
+        raise ValueError("shape mismatch")
+    d = math.lcm(*(x.denominator for row in T_rows for x in row))
+    cols = [[x.numerator * (d // x.denominator) for x in col] for col in zip(*T_rows)]
+    return all(
+        sum(w * t for w, t in zip(row, col)) == (d if i == l else 0)
+        for i, row in enumerate(rows)
+        for l, col in enumerate(cols)
+    )
+
+
+def ref_check_R_conditions(W) -> RConditionReport:
+    """Itemized pass/fail for R1-R9 with first-counterexample coordinates,
+    reading W one entry at a time.
+
+    Coordinates in counterexamples are 0-based (row, column).
+    """
+    q = W.q
+    k = W.k
+    nrows, ncols = W.shape
+    rep = RConditionReport()
+
+    def first_fail(name, gen, note=""):
+        for coords in gen:
+            rep.results[name] = ConditionResult(False, coords, note)
+            return
+        rep.results[name] = ConditionResult(True, None, note)
+
+    if nrows != 2 * q or ncols != 2 * k:
+        rep.results["shape"] = ConditionResult(False, (nrows, ncols), f"expected {2*q}x{2*k}")
+        return rep
+
+    first_fail(
+        "R1",
+        (
+            (0, j)
+            for j in range(2 * k)
+            if W.entry(0, j) != (1 if j < k else 0)
+        ),
+    )
+    row2 = sum(W.entry(1, j) for j in range(k))
+    rep.results["R2"] = ConditionResult(
+        row2 == q - 1, None if row2 == q - 1 else (1, row2), f"row 2 supports {row2} ones"
+    )
+    first_fail(
+        "R3",
+        (
+            (i + 1, j)
+            for i in range(1, 2 * q - 1)
+            for j in range(k)
+            if W.entry(i + 1, j) != W.entry(i, (j + 1) % k)
+        ),
+    )
+    first_fail(
+        "R4",
+        (
+            (i, j + k)
+            for i in range(1, 2 * q)
+            for j in range(k)
+            if W.entry(i, j + k) != 1 - W.entry(i, j)
+        ),
+    )
+    positions = [j for j in range(k) if W.entry(1, j)]
+    lam = q // 2 - 1
+    r5_ok = len(positions) == q - 1 and block_satisfies_r5(positions, k, lam)
+    rep.results["R5"] = ConditionResult(
+        r5_ok, None, "all nonzero shifts checked (strong reading)"
+    )
+    first_fail(
+        "R6",
+        (
+            (i,)
+            for i in range(2 * q)
+            if sum(W.entry(i, j) for j in range(k)) != (k if i == 0 else q - 1)
+        ),
+    )
+    first_fail(
+        "R7",
+        (
+            (i,)
+            for i in range(2 * q)
+            if sum(W.entry(i, j) for j in range(k, 2 * k)) != (0 if i == 0 else q)
+        ),
+    )
+    first_fail(
+        "R8",
+        ((i,) for i in range(2 * q) if W.rows[i].bit_count() != k),
+    )
+    first_fail(
+        "R9",
+        (
+            (j,)
+            for j in range(2 * k)
+            if sum(W.entry(i, j) for i in range(2 * q)) != q
+        ),
+    )
+    return rep
 
 
 # Classical degree-2 automaton: output permutation and restrictions per state.

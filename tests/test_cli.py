@@ -162,6 +162,8 @@ PINNED_DOCUMENTS = {
         "33a8b8a61816da7b25574166593ddf9f73b28353d0a3db084ef73813a28efd15",
     ("matrix", "--n", "3"):
         "320551aa30ba70251de30f98b5a3d3e417319acc11288599133a8fb163cd053f",
+    ("certify", "--n", "8"):
+        "a40c33158dce435c25ee878cbe4a2ae01e475ae361c300c098757b3d4408dbef",
 }
 
 

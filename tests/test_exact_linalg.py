@@ -6,7 +6,7 @@ import pytest
 from multispinal.certify import matrix_section
 from multispinal.exact_linalg import (
     InclusionMatrix,
-    RationalMatrix,
+    RightInverse,
     build_T,
     build_W,
     build_W_general,
@@ -21,8 +21,11 @@ from multispinal.hyperplanes import BaseBlock, extract_base_block
 from reference import (
     identity_rational,
     multiply_rational,
+    ref_check_R_conditions,
+    ref_is_right_inverse,
     ref_rank_f2_rowspace,
     ref_rank_fractions,
+    ref_right_inverse,
     t_first_column_abs_sum,
     transpose_rational,
 )
@@ -90,22 +93,15 @@ def test_right_inverse(f4, f8):
         assert verify_right_inverse(W, build_T(ctx.q, W))
 
 
-def test_right_inverse_identity_case():
-    I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert verify_right_inverse(I3, RationalMatrix(identity_rational(3)))
-
-
 def test_right_inverse_detects_failure(f4):
     W = build_W(f4)
     T = build_T(2, W)
-    broken = RationalMatrix([list(r) for r in T.rows[:-1]] + [[Fraction(0)] * 4])
-    assert not verify_right_inverse(W, broken)
+    assert not verify_right_inverse(W, RightInverse(W, T.a, Fraction(-1, 3)))
 
 
-def test_right_inverse_shape_mismatch(f4):
-    W = build_W(f4)
+def test_right_inverse_shape_mismatch(f4, f8):
     with pytest.raises(ValueError):
-        verify_right_inverse(W, RationalMatrix(identity_rational(4)))
+        verify_right_inverse(build_W(f4), build_T(4, build_W(f8)))
 
 
 def test_transpose_product_is_identity_small(f4, f8):
@@ -115,6 +111,59 @@ def test_transpose_product_is_identity_small(f4, f8):
         T = build_T(ctx.q, W)
         prod = multiply_rational(transpose_rational(T.rows), transpose_rational(W.to_lists()))
         assert prod == identity_rational(2 * ctx.q)
+
+
+def _corrupt(W, rng):
+    """W with seeded damage: one flip, several flips, two rows swapped or
+    one row replaced by random bits."""
+    rows = list(W.rows)
+    width = 2 * W.k
+    kind = rng.randrange(4)
+    if kind == 0:
+        rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(width)
+    elif kind == 1:
+        for _ in range(rng.randrange(2, 6)):
+            rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(width)
+    elif kind == 2:
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        rows[rng.randrange(len(rows))] = rng.getrandbits(width)
+    return InclusionMatrix(q=W.q, rows=tuple(rows), row_labels=W.row_labels, col_labels=W.col_labels)
+
+
+def test_bitmask_checks_match_the_entry_oracles_on_corrupted_W():
+    # R1-R9 from row masks and W T = I in popcounts must judge every damaged
+    # W exactly as the entry loops and the dense product of ref_right_inverse do
+    rng = random.Random(13)
+    verdicts = set()
+    failing = set()
+    for n, cases in ((2, 300), (3, 300), (4, 200), (5, 120), (6, 80)):
+        W = build_W(field_context(n))
+        for _ in range(cases):
+            bad = _corrupt(W, rng)
+            report = check_R_conditions(bad)
+            assert report.as_dict() == ref_check_R_conditions(bad).as_dict()
+            T = build_T(bad.q, bad)
+            dense = ref_right_inverse(bad)
+            assert T.rows == dense
+            verdict = verify_right_inverse(bad, T)
+            assert verdict == ref_is_right_inverse(bad, dense)
+            verdicts.add(verdict)
+            failing.update(report.failing())
+    assert verdicts == {True, False}
+    assert failing >= {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"}
+
+
+def test_certify_builds_no_dense_T(monkeypatch):
+    # past n = 4 nothing reads T entry by entry in bulk
+    from multispinal.certify import certify
+
+    def no_dense(_):
+        raise AssertionError("dense T built")
+
+    monkeypatch.setattr(RightInverse, "rows", property(no_dense))
+    assert certify(7)["verdict"] == "PASS"
 
 
 # general construction ----------------------------------------------------

@@ -155,8 +155,9 @@ def test_verify_design_names_offending_block(f8):
     # corrupt one block: drop a member, add another
     bad = planes[3].members ^ (1 << 5) ^ (1 << 6)
     corrupted = planes[:3] + [Hyperplane(3, bad, 3)] + planes[4:]
-    with pytest.raises(DesignError):
+    with pytest.raises(DesignError) as err:
         verify_design(corrupted)
+    assert err.value.offender == 5  # the point that lost a block
 
 
 def test_verify_design_names_offending_pair(f8):
@@ -166,7 +167,7 @@ def test_verify_design_names_offending_pair(f8):
     corrupted[0] = Hyperplane(0, fake, 3)
     with pytest.raises(DesignError) as err:
         verify_design(corrupted)
-    assert err.value.offender is not None
+    assert err.value.offender == 1  # the first point the fake block over-counts
 
 
 # base blocks -------------------------------------------------------------
