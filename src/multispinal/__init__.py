@@ -9,111 +9,50 @@ Submodules:
     groupoid      inverse semigroup, germs, region searches, bounds
     certify       full pipeline emitting one certificate document
     cli           command-line frontend
+
+The exports below load on first use (PEP 562): `import multispinal`
+imports no submodule, and `multispinal.X` imports only the module that
+defines X.  `multispinal.certify` is the submodule; the pipeline is
+`multispinal.certify.certify`.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .gf2n import (
-    DEFAULT_POLYS,
-    FieldContext,
-    PrimitivePolynomial,
-    default_poly,
-    field_context,
-    is_primitive,
-)
-from .hyperplanes import (
-    BaseBlock,
-    DesignError,
-    DesignParams,
-    Hyperplane,
-    build_hyperplanes,
-    extract_base_block,
-    pair_count,
-    search_base_blocks,
-    verify_design,
-)
-from .exact_linalg import (
-    InclusionMatrix,
-    RightInverse,
-    build_T,
-    build_W,
-    build_W_general,
-    check_R_conditions,
-    rank_mod_p,
-    rank_over_Q,
-    verify_right_inverse,
-)
-from .selfsim import GroupElement, MultispinalGroup, NucleusReport
-from .groupoid import (
-    ONES,
-    ZERO,
-    GermPoint,
-    MembershipMismatch,
-    RegionPattern,
-    RegionSearchError,
-    SemigroupTriple,
-    Tail,
-    bound_check,
-    germ_equal,
-    intersect_witness,
-    is_idempotent,
-    membership_matrix,
-    point_in_bisection,
-    region_pattern,
-    sample_bound_ratios,
-    sg_equal,
-    sg_multiply,
-    sg_star,
-    singular_system_certificate,
-)
-from . import certify  # the submodule; the pipeline is certify.certify
+_EXPORTS = {
+    "gf2n": (
+        "DEFAULT_POLYS", "FieldContext", "PrimitivePolynomial", "default_poly", "field_context",
+        "is_primitive",
+    ),
+    "hyperplanes": (
+        "BaseBlock", "DesignError", "DesignParams", "Hyperplane", "build_hyperplanes",
+        "extract_base_block", "pair_count", "search_base_blocks", "verify_design",
+    ),
+    "exact_linalg": (
+        "InclusionMatrix", "RightInverse", "build_T", "build_W", "build_W_general",
+        "check_R_conditions", "rank_mod_p", "rank_over_Q", "verify_right_inverse",
+    ),
+    "selfsim": ("GroupElement", "MultispinalGroup", "NucleusReport"),
+    "groupoid": (
+        "ONES", "ZERO", "GermPoint", "MembershipMismatch", "RegionPattern", "RegionSearchError",
+        "SemigroupTriple", "Tail", "bound_check", "germ_equal", "intersect_witness",
+        "is_idempotent", "membership_matrix", "point_in_bisection", "region_pattern",
+        "sample_bound_ratios", "sg_equal", "sg_multiply", "sg_star", "singular_system_certificate",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "DEFAULT_POLYS",
-    "FieldContext",
-    "PrimitivePolynomial",
-    "default_poly",
-    "field_context",
-    "is_primitive",
-    "BaseBlock",
-    "DesignError",
-    "DesignParams",
-    "Hyperplane",
-    "build_hyperplanes",
-    "extract_base_block",
-    "pair_count",
-    "search_base_blocks",
-    "verify_design",
-    "InclusionMatrix",
-    "RightInverse",
-    "build_T",
-    "build_W",
-    "build_W_general",
-    "check_R_conditions",
-    "rank_mod_p",
-    "rank_over_Q",
-    "verify_right_inverse",
-    "GroupElement",
-    "MultispinalGroup",
-    "NucleusReport",
-    "ONES",
-    "ZERO",
-    "GermPoint",
-    "MembershipMismatch",
-    "RegionPattern",
-    "RegionSearchError",
-    "SemigroupTriple",
-    "Tail",
-    "bound_check",
-    "germ_equal",
-    "intersect_witness",
-    "is_idempotent",
-    "membership_matrix",
-    "point_in_bisection",
-    "region_pattern",
-    "sample_bound_ratios",
-    "sg_equal",
-    "sg_multiply",
-    "sg_star",
-    "singular_system_certificate",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name == "certify":
+        return import_module(".certify", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, "certify"})

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .exact_linalg import InclusionMatrix, RightInverse, build_T, build_W, check_R_conditions
 from .exact_linalg import rank_mod_p, verify_right_inverse
-from .gf2n import FieldContext, PrimitivePolynomial, field_context
+from .gf2n import FieldContext, PrimitivePolynomial, field_context, field_section
 from .groupoid import (
     MembershipMismatch,
     membership_matrix,
@@ -46,17 +46,6 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     return value
-
-
-def field_section(ctx: FieldContext) -> dict:
-    ok = ctx.joint_kernel_is_trivial()
-    return {
-        "n": ctx.n,
-        "polynomial": {"text": ctx.poly.text, "hex": hex(ctx.poly.mask)},
-        "primitive": True,  # FieldContext construction enforces this
-        "joint_kernel_trivial": ok,
-        "pass": ok,
-    }
 
 
 def design_section(ctx: FieldContext, planes=None) -> dict:

@@ -12,12 +12,9 @@ import argparse
 import json
 import sys
 
-from .certify import GERM_FULL_CAP, certify, design_section, field_section, jsonable
-from .exact_linalg import build_T, build_W, check_R_conditions, rank_mod_p, rank_over_Q, verify_right_inverse
-from .gf2n import field_context
-from .groupoid import MembershipMismatch, RegionSearchError, membership_matrix, region_pattern
-from .hyperplanes import build_hyperplanes, membership_profile, search_base_blocks
-from .selfsim import MultispinalGroup
+# each subcommand imports the modules it uses, so a process loads only
+# its own subcommand's share of the package
+from .gf2n import field_context, field_section
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -29,7 +26,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(doc, out: str | None) -> None:
-    _emit(json.dumps(jsonable(doc), indent=2) + "\n", out)
+    _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
 def cmd_field(args) -> int:
@@ -42,6 +39,9 @@ def cmd_field(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from .certify import design_section
+    from .hyperplanes import build_hyperplanes, membership_profile, search_base_blocks
+
     if args.search_q is not None:
         blocks = search_base_blocks(args.search_q)
         doc = {
@@ -79,6 +79,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from .exact_linalg import build_T, build_W, check_R_conditions, rank_mod_p, rank_over_Q, verify_right_inverse
+
     ctx = field_context(args.n, args.poly)
     W = build_W(ctx)
     if args.emit == "csv":
@@ -122,6 +124,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_nucleus(args) -> int:
+    from .selfsim import MultispinalGroup
+
     ctx = field_context(args.n, args.poly)
     group = MultispinalGroup(ctx)
     report = group.verify_nucleus(args.depth)
@@ -152,6 +156,11 @@ def cmd_nucleus(args) -> int:
 
 
 def cmd_groupoid(args) -> int:
+    from .certify import GERM_FULL_CAP
+    from .exact_linalg import build_W
+    from .groupoid import MembershipMismatch, RegionSearchError, membership_matrix, region_pattern
+    from .selfsim import MultispinalGroup
+
     ctx = field_context(args.n, args.poly)
     group = MultispinalGroup(ctx)
     W = build_W(ctx)
@@ -177,6 +186,8 @@ def cmd_groupoid(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .certify import certify
+
     ns = list(range(args.n_min, args.n_max + 1)) if args.all else [args.n]
     docs = [certify(n, poly=args.poly, m_values=tuple(args.m_values), seed=args.seed) for n in ns]
     if args.all:
@@ -246,6 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """ValueError, plus groupoid's RegionSearchError once a subcommand has
+    loaded that module: no other module raises it.  An except clause
+    evaluates this only when an exception reaches it."""
+    groupoid = sys.modules.get(f"{__package__}.groupoid")
+    return (ValueError,) if groupoid is None else (ValueError, groupoid.RegionSearchError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -259,7 +278,7 @@ def main(argv=None) -> int:
         parser.error(f"certify --all needs --n-min <= --n-max, got {args.n_min} > {args.n_max}")
     try:
         return args.func(args)
-    except (ValueError, RegionSearchError) as err:
+    except _usage_errors() as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

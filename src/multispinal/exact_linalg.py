@@ -391,10 +391,19 @@ def check_R_conditions(W: InclusionMatrix) -> RConditionReport:
         "R8",
         ((i,) for i in range(2 * q) if W.rows[i].bit_count() != k),
     )
-    # R9: one pass over the set bits counts every column
-    column_sums = [0] * (2 * k)
-    for r in W.rows:
-        for j in set_bits(r & ((1 << 2 * k) - 1)):
-            column_sums[j] += 1
-    first_fail("R9", ((j,) for j, c in enumerate(column_sums) if c != q))
+    # R9, bit-sliced: plane p holds bit p of every column's count, so a
+    # row is added by one ripple-carry pass over the planes; the columns
+    # whose count is off are those where some plane disagrees with q
+    full = (1 << 2 * k) - 1
+    planes = [0] * (2 * q).bit_length()
+    for carry in W.rows:
+        carry &= full
+        for p, plane in enumerate(planes):
+            planes[p], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+    off = 0
+    for p, plane in enumerate(planes):
+        off |= plane ^ (full if (q >> p) & 1 else 0)
+    rep.results["R9"] = ConditionResult(not off, (_low_bit(off),) if off else None)
     return rep

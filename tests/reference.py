@@ -2,7 +2,8 @@
 
 Deliberately different representations and algorithms from the library:
 field elements are coefficient tuples reduced by schoolbook long
-division, matrix ranks come from plain Fraction row reduction or GF(2)
+division, the joint kernel is confirmed by a loop over every nonzero
+element, matrix ranks come from plain Fraction row reduction or GF(2)
 row-space enumeration, R1-R9 are read one matrix entry at a time, the
 right-inverse is a dense Fraction matrix multiplied out entry by entry, the
 degree-2 automaton is a hardcoded transition table, germ equality is
@@ -76,6 +77,23 @@ class RefField:
 REF_F4 = RefField((1, 1, 1))        # x^2 + x + 1
 REF_F8 = RefField((1, 1, 0, 1))     # x^3 + x + 1
 REF_F16 = RefField((1, 1, 0, 0, 1))  # x^4 + x + 1
+
+
+def ref_joint_kernel_is_trivial(ctx) -> bool:
+    """Exhaustively confirm that only 0 lies in every ker(Tr o phi^j): each
+    nonzero x must have Tr(alpha^j x) = 1 for some j, read from the
+    context's trace of powers by discrete log."""
+    tp = ctx.trace_of_power
+    for x in ctx.nonzero_elements():
+        lx = ctx.discrete_log[x]
+        if not any(tp[(lx + j) % ctx.k] for j in range(ctx.k)):
+            return False
+    return True
+
+
+def ref_trace_zero_mask(ctx) -> int:
+    """Bitmask of the exponents t with Tr(alpha^t) = 0, one bit at a time."""
+    return sum(1 << t for t, v in enumerate(ctx.trace_of_power) if v == 0)
 
 
 def ref_hyperplane_membership(field: RefField, x_int: int, j: int) -> bool:

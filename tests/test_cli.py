@@ -147,6 +147,94 @@ def test_certify_submodule_is_reachable():
     assert callable(certify_module.certify)
 
 
+def run_python(script):
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
+LOADED = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'multispinal')))"
+
+
+def test_import_multispinal_loads_no_submodule():
+    assert run_python("import sys, multispinal\n" + LOADED) == "multispinal"
+
+
+def test_field_subcommand_loads_only_gf2n():
+    script = """
+import contextlib, io, sys
+from multispinal import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["field", "--n", "4"]) == 0
+"""
+    assert run_python(script + LOADED) == "multispinal multispinal.cli multispinal.gf2n"
+
+
+def test_python_m_field_imports_only_cli_and_gf2n():
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", *BASE[1:], "field", "--n", "4"], capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0
+    names = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines() if line.startswith("import time:")}
+    assert {m for m in names if m.split(".")[0] == "multispinal"} == {"multispinal", "multispinal.cli", "multispinal.gf2n"}
+
+
+def test_lazy_exports_resolve():
+    script = """
+import inspect, multispinal
+names = multispinal.__all__
+assert len(names) == len(set(names)) == 47, names
+assert all(hasattr(multispinal, name) for name in names)
+star = {}
+exec("from multispinal import *", star)
+assert set(star) - {"__builtins__"} == set(names)
+assert set(names) <= set(dir(multispinal)) and "certify" in dir(multispinal)
+assert inspect.ismodule(multispinal.certify) and callable(multispinal.certify.certify)
+try:
+    multispinal.no_such_export
+except AttributeError as err:
+    assert "no_such_export" in str(err)
+else:
+    raise AssertionError("unknown attribute resolved")
+print("ok")
+"""
+    assert run_python(script) == "ok"
+
+
+def test_region_search_error_exits_2(monkeypatch, capsys):
+    # main names no RegionSearchError at import, yet must still map one to 2;
+    # any other unexpected exception propagates
+    import multispinal.certify as certify_module
+    from multispinal import cli
+    from multispinal.groupoid import RegionSearchError
+
+    def raising(error):
+        def certify(*args, **kwargs):
+            raise error
+
+        return certify
+
+    monkeypatch.setattr(certify_module, "certify", raising(RegionSearchError("no witness at m=1")))
+    assert cli.main(["certify", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no witness at m=1\n"
+    monkeypatch.setattr(certify_module, "certify", raising(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        cli.main(["certify", "--n", "3"])
+
+
+def test_emit_json_rejects_values_json_cannot_hold(tmp_path):
+    from fractions import Fraction
+
+    from multispinal import cli
+
+    target = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        cli._emit_json({"bound": Fraction(1, 2)}, str(target))
+    assert not target.exists()
+
+
 # sha256 of each document with SOURCE_DATE_EPOCH=1700000000, recorded
 # before W became the only membership table of the groupoid and bound
 # code, and for certify again when the bound section became the certified

@@ -321,6 +321,27 @@ def test_R3_fails_on_shuffled_rows(f4):
     assert not check_R_conditions(broken).results["R3"].passed
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_R9_names_the_first_off_column(n):
+    # the bit-sliced column counts must name the column the entry oracle
+    # names: a flipped entry (with a second flip further right), a column
+    # of 2q ones (a carry into the top plane) and a column of zeros
+    W = build_W(field_context(n))
+    width = 2 * W.k
+    rng = random.Random(n)
+    for col in range(width):
+        bit = 1 << col
+        flipped = list(W.rows)
+        flipped[rng.randrange(len(flipped))] ^= bit
+        if col + 1 < width:
+            flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(col + 1, width)
+        for rows in (flipped, [r | bit for r in W.rows], [r & ~bit for r in W.rows]):
+            bad = InclusionMatrix(q=W.q, rows=tuple(rows), row_labels=W.row_labels, col_labels=W.col_labels)
+            report = check_R_conditions(bad)
+            assert report.results["R9"].counterexample == (col,)
+            assert report.as_dict() == ref_check_R_conditions(bad).as_dict()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_column_sums_are_q(n):
     W = build_W(field_context(n))

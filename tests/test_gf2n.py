@@ -11,7 +11,13 @@ from multispinal.gf2n import (
     is_primitive,
 )
 
-from reference import REF_F4, REF_F8, RefField
+from reference import REF_F4, REF_F8, RefField, ref_joint_kernel_is_trivial, ref_trace_zero_mask
+
+# the stock polynomials of degree 2..10 and every primitive polynomial of
+# degree <= 6 (masks 0b100 .. 0b1111111)
+JOINT_KERNEL_POLYS = sorted(
+    {DEFAULT_POLYS[n] for n in range(2, 11)} | {m for m in range(4, 128) if is_primitive(PrimitivePolynomial(m))}
+)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +215,52 @@ def test_power_table_and_discrete_log(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_joint_kernel_trivial(n):
     assert field_context(n).joint_kernel_is_trivial()
+
+
+@pytest.mark.parametrize("mask", JOINT_KERNEL_POLYS, ids=hex)
+def test_joint_kernel_identity_matches_the_exhaustive_loop(mask):
+    ctx = FieldContext(mask)
+    assert ctx.joint_kernel_is_trivial() is True
+    assert ref_joint_kernel_is_trivial(ctx) is True
+
+
+def test_every_primitive_polynomial_of_degree_at_most_6_is_cross_checked():
+    # phi(2^n - 1) / n primitive polynomials of degree n: 1, 2, 2, 6, 6
+    assert len([m for m in JOINT_KERNEL_POLYS if m < 128]) == 17
+
+
+@pytest.mark.parametrize("one", [None, *range(1, 16)])
+def test_joint_kernel_identity_and_loop_agree_on_damaged_trace_tables(one):
+    # a table that vanishes on GF(16)^* leaves every x in the joint kernel;
+    # a single 1 at any nonzero y already makes the kernel trivial
+    ctx = field_context(4)
+    ctx.__dict__["trace_table"] = tuple(int(x == one) for x in range(16))
+    assert ctx.joint_kernel_is_trivial() is (one is not None)
+    assert ref_joint_kernel_is_trivial(ctx) is (one is not None)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_trace_zero_mask_matches_the_bit_sum(n):
+    ctx = field_context(n)
+    assert ctx.trace_zero_mask == ref_trace_zero_mask(ctx)
+    assert ctx.trace_zero_mask.bit_count() == ctx.q - 1
+
+
+def test_polynomial_is_an_immutable_value():
+    import copy
+    import pickle
+
+    p = PrimitivePolynomial(0xB)
+    assert p == PrimitivePolynomial.parse("x^3+x+1") and p != PrimitivePolynomial(0xD)
+    assert p != 0xB and p != (0xB,)
+    assert len({p, PrimitivePolynomial(0xB)}) == 1
+    assert repr(p) == "PrimitivePolynomial(mask=11)"
+    assert pickle.loads(pickle.dumps(p)) == copy.deepcopy(p) == p
+    with pytest.raises(AttributeError):
+        p.mask = 0xD
+    with pytest.raises(AttributeError):
+        del p.mask
+    assert p.mask == 0xB
 
 
 def test_joint_kernel_reference_cross_check(f8):
