@@ -26,8 +26,8 @@ _EXPORTS = {
         "is_primitive",
     ),
     "hyperplanes": (
-        "BaseBlock", "DesignError", "DesignParams", "Hyperplane", "build_hyperplanes",
-        "extract_base_block", "pair_count", "search_base_blocks", "verify_design",
+        "BaseBlock", "DesignError", "DesignParams", "build_hyperplanes", "extract_base_block",
+        "search_base_blocks", "verify_design",
     ),
     "exact_linalg": (
         "InclusionMatrix", "RightInverse", "build_T", "build_W", "build_W_general",

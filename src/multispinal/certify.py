@@ -24,7 +24,7 @@ from .groupoid import (
     region_pattern,
     singular_system_certificate,
 )
-from .hyperplanes import DesignError, build_hyperplanes, verify_design
+from .hyperplanes import DesignError, verify_design
 from .selfsim import MultispinalGroup
 
 GERM_FULL_CAP = 6          # full 2k-region germ search cap
@@ -48,19 +48,17 @@ def jsonable(value):
     return value
 
 
-def design_section(ctx: FieldContext, planes=None) -> dict:
-    """The design of the field's hyperplanes; planes are built here unless
-    the caller already holds them."""
-    if planes is None:
-        planes = build_hyperplanes(ctx)
+def design_section(ctx: FieldContext) -> dict:
+    """The design of the field's hyperplanes, certified from the k - 1
+    shift counts of the zero-trace mask."""
     expected = (ctx.k, ctx.q - 1, ctx.q // 2 - 1)
     try:
-        params = verify_design(planes)
+        params = verify_design(ctx.trace_zero_mask, ctx.q)
         return {
             "params": list(params.as_tuple()),
             "expected": list(expected),
-            "blocks": len(planes),
-            "pair_counts_verified": True,  # verify_design checks every pair
+            "blocks": ctx.k,  # the k rotations of the mask, distinct once verified
+            "pair_counts_verified": True,  # each pair count is one of the shift counts
             "pass": params.as_tuple() == expected,
         }
     except DesignError as err:

@@ -40,7 +40,7 @@ def cmd_field(args) -> int:
 
 def cmd_design(args) -> int:
     from .certify import design_section
-    from .hyperplanes import build_hyperplanes, membership_profile, search_base_blocks
+    from .hyperplanes import build_hyperplanes, search_base_blocks, shift_intersections
 
     if args.search_q is not None:
         blocks = search_base_blocks(args.search_q)
@@ -53,20 +53,21 @@ def cmd_design(args) -> int:
         _emit_json(doc, args.out)
         return 0
     ctx = field_context(args.n, args.poly)
-    planes = build_hyperplanes(ctx)
-    doc = design_section(ctx, planes)
-    doc["block_members"] = {f"H{h.index}": sorted(h.elements()) for h in planes}
+    doc = design_section(ctx)
+    doc["block_members"] = {
+        f"H{j}": [x for x, bit in enumerate(bin(members)[:1:-1]) if bit == "1"]
+        for j, members in enumerate(build_hyperplanes(ctx))
+    }
     lam = ctx.q // 2 - 1
-    # the number of j with alpha^l1 and alpha^l2 both in H_j, as pair_count
-    profiles = [membership_profile(ctx, ctx.pow_alpha(l)) for l in range(ctx.k)]
+    # the pair (alpha^l1, alpha^l2) lies in |Z ∩ (Z - d)| blocks with
+    # d = l2 - l1, Z the zero-trace mask; k - d pairs have that d, and the
+    # first of them in lexicographic order is (0, d)
     counts = {}
     bad = None
-    for l1 in range(ctx.k):
-        for l2 in range(l1 + 1, ctx.k):
-            c = (profiles[l1] & profiles[l2]).bit_count()
-            counts[c] = counts.get(c, 0) + 1
-            if c != lam and bad is None:
-                bad = [l1, l2, c]
+    for d, c in enumerate(shift_intersections(ctx.trace_zero_mask, ctx.k), 1):
+        counts[c] = counts.get(c, 0) + ctx.k - d
+        if c != lam and bad is None:
+            bad = [0, d, c]
     doc["pair_count_table"] = {
         "expected": lam,
         "observed_counts": {str(k): v for k, v in sorted(counts.items())},

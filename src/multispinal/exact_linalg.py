@@ -10,7 +10,8 @@ conditions:
     R2  second row restricted to the first k columns supports q-1 ones
     R3  each later row is the previous one cyclically shifted (circulant)
     R4  complement columns mirror subgroup columns (rows >= 2)
-    R5  the row-2 support has constant shift-intersection q/2 - 1
+    R5  the row-2 support has constant shift-intersection q/2 - 1: its
+        k - 1 rotations each meet it in q/2 - 1 bits
     R6  rows >= 2 have q-1 ones among the first k columns
     R7  rows >= 2 have q ones among the last k columns
     R8  every row sums to k
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 
 from .gf2n import FieldContext
-from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile, set_bits
+from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,11 @@ def build_W_general(block: BaseBlock) -> InclusionMatrix:
     """Matrix built purely from a base block by the rules R1-R4."""
     q = block.q
     k = block.k
-    lam = q // 2 - 1
-    if len(block.positions) != q - 1 or not block_satisfies_r5(block.positions, k, lam):
+    seed = sum(1 << p for p in block.positions)
+    if not block_satisfies_r5(seed, q):
         raise ValueError("base block violates the shift-intersection condition (R5)")
     all_first = (1 << k) - 1
     rows = [all_first]  # R1: zero row is in every subgroup, no complement
-    seed = sum(1 << p for p in block.positions)
     for shift in range(2 * q - 1):
         first = ((seed >> shift) | (seed << (k - shift))) & all_first  # R3: row 2 rotated
         mirror = (~first) & all_first  # R4
@@ -373,11 +373,8 @@ def check_R_conditions(W: InclusionMatrix) -> RConditionReport:
         "R4",
         ((i, _low_bit(d) + k) for i in range(1, 2 * q) if (d := second[i] ^ first[i] ^ low_k)),
     )
-    positions = list(set_bits(first[1]))
-    lam = q // 2 - 1
-    r5_ok = len(positions) == q - 1 and block_satisfies_r5(positions, k, lam)
     rep.results["R5"] = ConditionResult(
-        r5_ok, None, "all nonzero shifts checked (strong reading)"
+        block_satisfies_r5(first[1], q), None, "all nonzero shifts checked (strong reading)"
     )
     first_fail(
         "R6",

@@ -1,11 +1,16 @@
 """Index-2 subgroups of GF(2^n) and the 2-design they carry.
 
-H_j = ker(Tr o phi^j) for j = 0 .. 2^n - 2 are the 2^n - 1 distinct
-additive subgroups of order 2^(n-1).  Dropping the zero element, their
+H_j = ker(Tr o phi^j) for j = 0 .. k - 1, k = 2^n - 1, are the k distinct
+additive subgroups of order q = 2^(n-1).  Dropping the zero element, their
 incidence structure on the nonzero field elements is a
-2-(2q-1, q-1, q/2-1) design with q = 2^(n-1).  The same combinatorics is
-available abstractly through base blocks: (q-1)-subsets of Z_(2q-1)
-whose cyclic shift-intersections all have size q/2 - 1.
+2-(2q-1, q-1, q/2-1) design, and all of it is one cyclic difference set:
+alpha^l lies in H_j iff bit (l + j) mod k of the zero-trace mask Z is
+set, so every point's blocks and every block's points are a rotation of
+Z, and the pair (alpha^l1, alpha^l2) lies in |Z ∩ (Z - d)| blocks,
+d = l2 - l1.  The k - 1 shift counts of one mask (shift_intersections)
+therefore certify the design, and the same counts decide the shift
+condition R5 on an abstract base block: a (q-1)-subset of Z_(2q-1) whose
+cyclic shift-intersections all have size q/2 - 1.
 """
 
 from __future__ import annotations
@@ -14,27 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .gf2n import FieldContext
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """One subgroup H_j, members stored as a bitmask over field elements."""
-
-    index: int
-    members: int
-    n: int
-
-    def __contains__(self, x: int) -> bool:
-        return bool((self.members >> x) & 1)
-
-    def elements(self):
-        for x in range(1 << self.n):
-            if (self.members >> x) & 1:
-                yield x
-
-    @property
-    def size(self) -> int:
-        return self.members.bit_count()
 
 
 @dataclass(frozen=True)
@@ -70,41 +54,50 @@ class DesignError(ValueError):
         self.offender = offender
 
 
-def set_bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def shift_intersections(mask: int, k: int):
+    """Yield |B ∩ (B - d)| for d = 1 .. k - 1, B the set bits of mask in Z_k.
+
+    Each count is one rotation and one popcount.  The counts come lazily,
+    so a caller that stops at the first bad one reads no further shift.
+    """
+    for d in range(1, k):
+        yield (mask & ((mask >> d) | (mask << (k - d)))).bit_count()
 
 
-def block_satisfies_r5(positions, k: int, lam: int) -> bool:
-    """Check |B ∩ (B - d)| = lam for every shift d != 0 mod k.
+def block_satisfies_r5(mask: int, q: int) -> bool:
+    """Whether mask is a base block: q - 1 of the bits 0 .. k - 1, k = 2q - 1,
+    with |B ∩ (B - d)| = q/2 - 1 for every shift d != 0 mod k.
 
     Checking every nonzero d is the strong reading of the shift condition;
     it is equivalent to the range d = 1..q-1 because the intersection
     counts for d and k-d coincide (x -> x - d is a bijection between the
     two index sets).
     """
-    pos = set(positions)
-    for d in range(1, k):
-        hits = sum(1 for p in pos if (p + d) % k in pos)
-        if hits != lam:
-            return False
-    return True
+    k = 2 * q - 1
+    lam = q // 2 - 1
+    return mask >> k == 0 and mask.bit_count() == q - 1 and all(
+        c == lam for c in shift_intersections(mask, k)
+    )
 
 
-def build_hyperplanes(ctx: FieldContext) -> list[Hyperplane]:
-    """All 2^n - 1 subgroups ker(Tr o phi^j), indexed by j."""
+def build_hyperplanes(ctx: FieldContext) -> list[int]:
+    """Member bitmask over the field elements of each H_j, indexed by j.
+
+    Tr(alpha^j x) is GF(2)-linear in x: it is the parity of x & c_j, where
+    bit i of c_j is Tr(alpha^(i + j)).  So H_j is the complement of the
+    XOR, over the set bits i of c_j, of the mask of the x with bit i set.
+    """
+    size = 1 << ctx.n
+    odd = [sum(1 << x for x in range(size) if x >> i & 1) for i in range(ctx.n)]
     tp = ctx.trace_of_power
-    k = ctx.k
+    full = (1 << size) - 1
     planes = []
-    for j in range(k):
-        mask = 1  # 0 lies in every kernel
-        for x in ctx.nonzero_elements():
-            if tp[(ctx.discrete_log[x] + j) % k] == 0:
-                mask |= 1 << x
-        planes.append(Hyperplane(index=j, members=mask, n=ctx.n))
+    for j in range(ctx.k):
+        members = full
+        for i in range(ctx.n):
+            if tp[(i + j) % ctx.k]:
+                members ^= odd[i]
+        planes.append(members)
     return planes
 
 
@@ -119,73 +112,44 @@ def membership_profile(ctx: FieldContext, x: int) -> int:
     return ((z >> lx) | (z << (ctx.k - lx))) & full
 
 
-def pair_count(ctx: FieldContext, l1: int, l2: int) -> int:
-    """Number of j with both alpha^l1 and alpha^l2 in H_j.
+def verify_design(z: int, q: int) -> DesignParams:
+    """Certify the design of a zero-trace mask z and return its parameters.
 
-    Always 2^(n-2) - 1 for distinct exponents; callers assert that.
+    The points are the exponents l of alpha^l and the blocks the H_j,
+    l, j in Z_k with k = 2q - 1, and alpha^l lies in H_j iff bit
+    (l + j) mod k of z is set.  Every point's blocks and every block's
+    points are thus a rotation of z, so |z| = q - 1 gives both the
+    replication and the block size, and the pair (alpha^l1, alpha^l2)
+    lies in |Z ∩ (Z - d)| blocks, d = l2 - l1: the k - 1 shift counts
+    are every pair count.  They also make the k blocks distinct, since
+    H_i = H_j with i != j would give |Z ∩ (Z - (j - i))| = |z| = q - 1,
+    more than lambda = q/2 - 1.
+
+    The shift counts are read first, so a DesignError names the first
+    bad exponent pair (0, d).  They sum to |z|(|z| - 1), so when all are
+    lambda the size is already q - 1 except for the empty mask at q = 2,
+    which the size check then rejects.
     """
-    if l1 == l2:
-        raise ValueError("pair_count requires distinct exponents")
-    for l in (l1, l2):
-        if not 0 <= l <= ctx.k - 1:
-            raise ValueError(f"exponent {l} outside 0..{ctx.k - 1}")
-    tp = ctx.trace_of_power
-    k = ctx.k
-    return sum(1 for j in range(k) if tp[(l1 + j) % k] == 0 and tp[(l2 + j) % k] == 0)
-
-
-def verify_design(hyperplanes: list[Hyperplane]) -> DesignParams:
-    """Certify the 2-design on the nonzero points and return its parameters.
-
-    Blocks are the subgroups with zero removed.  Raises DesignError naming
-    the first offending point or pair if any replication or pair count is
-    off.
-    """
-    if not hyperplanes:
-        raise DesignError("empty hyperplane list")
-    n = hyperplanes[0].n
-    size = 1 << n
-    k = size - 1
-    q = size // 2
+    k = 2 * q - 1
     lam = q // 2 - 1
-    if len(hyperplanes) != k:
-        raise DesignError(f"expected {k} blocks, got {len(hyperplanes)}")
-    for h in hyperplanes:
-        if h.size != q:
-            raise DesignError(f"H_{h.index} has {h.size} members, expected {q}", h.index)
-        if 0 not in h:
-            raise DesignError(f"H_{h.index} does not contain 0", h.index)
-    if len({h.members for h in hyperplanes}) != k:
-        raise DesignError("hyperplanes are not pairwise distinct")
-
-    # one pass over each plane's member bits builds every point's profile
-    profiles = [0] * size
-    points = (1 << size) - 2  # the nonzero field elements
-    for j, h in enumerate(hyperplanes):
-        for x in set_bits(h.members & points):
-            profiles[x] |= 1 << j
-    for x in range(1, size):
-        c = profiles[x].bit_count()
-        if c != q - 1:
-            raise DesignError(f"point {x} lies in {c} blocks, expected {q - 1}", x)
-    for x, y in combinations(range(1, size), 2):
-        c = (profiles[x] & profiles[y]).bit_count()
+    if z >> k:
+        raise DesignError(f"mask has bits outside Z_{k}")
+    for d, c in enumerate(shift_intersections(z, k), 1):
         if c != lam:
             raise DesignError(
-                f"pair ({x}, {y}) lies in {c} blocks, expected {lam}", (x, y)
+                f"pair (alpha^0, alpha^{d}) lies in {c} blocks, expected {lam}", (0, d)
             )
+    if z.bit_count() != q - 1:
+        raise DesignError(f"every point lies in {z.bit_count()} blocks, expected {q - 1}", 0)
     return DesignParams(v=k, block_size=q - 1, lam=lam)
 
 
 def extract_base_block(ctx: FieldContext) -> BaseBlock:
     """The block {j : alpha in H_j} as a subset of Z_k (0-based indices)."""
     prof = membership_profile(ctx, ctx.pow_alpha(1))
-    positions = frozenset(j for j in range(ctx.k) if (prof >> j) & 1)
-    block = BaseBlock(q=ctx.q, positions=positions)
-    lam = ctx.q // 2 - 1
-    if len(positions) != ctx.q - 1 or not block_satisfies_r5(positions, ctx.k, lam):
+    if not block_satisfies_r5(prof, ctx.q):
         raise AssertionError("field-derived block violates the shift condition")
-    return block
+    return BaseBlock(q=ctx.q, positions=frozenset(j for j in range(ctx.k) if (prof >> j) & 1))
 
 
 def search_base_blocks(q: int, max_q: int = 10) -> list[BaseBlock]:
@@ -201,13 +165,13 @@ def search_base_blocks(q: int, max_q: int = 10) -> list[BaseBlock]:
         raise ValueError(f"q must be even: q={q} makes lambda = q/2 - 1 not integral")
     if q > max_q:
         raise ValueError(f"q={q} exceeds search cap {max_q}")
-    k = 2 * q - 1
-    lam = q // 2 - 1
-    found = []
-    for subset in combinations(range(k), q - 1):
-        if block_satisfies_r5(subset, k, lam):
-            found.append(BaseBlock(q=q, positions=frozenset(subset)))
-    return found
+    # subsets of the bits 1 << p come in the order of subsets of the p
+    bits = [1 << p for p in range(2 * q - 1)]
+    return [
+        BaseBlock(q=q, positions=frozenset(b.bit_length() - 1 for b in subset))
+        for subset in combinations(bits, q - 1)
+        if block_satisfies_r5(sum(subset), q)
+    ]
 
 
 def shift_block(block: BaseBlock, r: int) -> BaseBlock:

@@ -3,8 +3,10 @@
 Deliberately different representations and algorithms from the library:
 field elements are coefficient tuples reduced by schoolbook long
 division, the joint kernel is confirmed by a loop over every nonzero
-element, matrix ranks come from plain Fraction row reduction or GF(2)
-row-space enumeration, R1-R9 are read one matrix entry at a time, the
+element, the design is checked point by point and pair by pair over
+explicit subgroup masks, the shift condition R5 by set membership, matrix
+ranks come from plain Fraction row reduction or GF(2) row-space
+enumeration, R1-R9 are read one matrix entry at a time, the
 right-inverse is a dense Fraction matrix multiplied out entry by entry, the
 degree-2 automaton is a hardcoded transition table, germ equality is
 the plain letter-by-letter walk on unreduced words, and region witnesses
@@ -18,7 +20,7 @@ import math
 from fractions import Fraction
 
 from multispinal.exact_linalg import ConditionResult, RConditionReport
-from multispinal.hyperplanes import block_satisfies_r5
+from multispinal.hyperplanes import DesignError
 
 
 class RefField:
@@ -103,6 +105,72 @@ def ref_hyperplane_membership(field: RefField, x_int: int, j: int) -> bool:
     for _ in range(j):
         x = field.mul(x, a)
     return field.trace(x) == 0
+
+
+def ref_pair_count(ctx, l1: int, l2: int) -> int:
+    """Number of j with both alpha^l1 and alpha^l2 in H_j, one j at a time.
+
+    Always 2^(n-2) - 1 for distinct exponents; callers assert that.
+    """
+    if l1 == l2:
+        raise ValueError("pair_count requires distinct exponents")
+    for l in (l1, l2):
+        if not 0 <= l <= ctx.k - 1:
+            raise ValueError(f"exponent {l} outside 0..{ctx.k - 1}")
+    tp = ctx.trace_of_power
+    k = ctx.k
+    return sum(1 for j in range(k) if tp[(l1 + j) % k] == 0 and tp[(l2 + j) % k] == 0)
+
+
+def ref_shift_counts(positions, k: int) -> list[int]:
+    """|B ∩ (B - d)| for d = 1 .. k - 1, by set membership."""
+    pos = set(positions)
+    return [sum(1 for p in pos if (p + d) % k in pos) for d in range(1, k)]
+
+
+def ref_block_satisfies_r5(positions, k: int, lam: int) -> bool:
+    """Check |B ∩ (B - d)| = lam for every shift d != 0 mod k, position by
+    position; the size of B is the caller's to check."""
+    return all(c == lam for c in ref_shift_counts(positions, k))
+
+
+def ref_profiles(planes, n: int) -> list[int]:
+    """Bitmask over j of the planes containing x, for every field element x,
+    read one membership bit at a time."""
+    return [
+        sum(1 << j for j, members in enumerate(planes) if (members >> x) & 1)
+        for x in range(1 << n)
+    ]
+
+
+def ref_verify_design(planes, n: int) -> tuple[int, int, int]:
+    """The design parameters of the subgroup masks planes of GF(2^n),
+    checked for every point and every pair of nonzero points.
+
+    Raises DesignError naming the first bad block, point or pair.
+    """
+    size = 1 << n
+    k = size - 1
+    q = size // 2
+    lam = q // 2 - 1
+    if len(planes) != k:
+        raise DesignError(f"expected {k} blocks, got {len(planes)}")
+    for j, members in enumerate(planes):
+        if members.bit_count() != q or not members & 1:
+            raise DesignError(f"H_{j} is not a subgroup-sized set holding 0", j)
+    if len(set(planes)) != k:
+        raise DesignError("hyperplanes are not pairwise distinct")
+    profiles = ref_profiles(planes, n)
+    for x in range(1, size):
+        c = profiles[x].bit_count()
+        if c != q - 1:
+            raise DesignError(f"point {x} lies in {c} blocks, expected {q - 1}", x)
+    for x in range(1, size):
+        for y in range(x + 1, size):
+            c = (profiles[x] & profiles[y]).bit_count()
+            if c != lam:
+                raise DesignError(f"pair ({x}, {y}) lies in {c} blocks, expected {lam}", (x, y))
+    return (k, q - 1, lam)
 
 
 def ref_rank_fractions(rows) -> int:
@@ -248,7 +316,7 @@ def ref_check_R_conditions(W) -> RConditionReport:
     )
     positions = [j for j in range(k) if W.entry(1, j)]
     lam = q // 2 - 1
-    r5_ok = len(positions) == q - 1 and block_satisfies_r5(positions, k, lam)
+    r5_ok = len(positions) == q - 1 and ref_block_satisfies_r5(positions, k, lam)
     rep.results["R5"] = ConditionResult(
         r5_ok, None, "all nonzero shifts checked (strong reading)"
     )

@@ -183,7 +183,7 @@ def test_lazy_exports_resolve():
     script = """
 import inspect, multispinal
 names = multispinal.__all__
-assert len(names) == len(set(names)) == 47, names
+assert len(names) == len(set(names)) == 45, names
 assert all(hasattr(multispinal, name) for name in names)
 star = {}
 exec("from multispinal import *", star)
@@ -237,8 +237,10 @@ def test_emit_json_rejects_values_json_cannot_hold(tmp_path):
 
 # sha256 of each document with SOURCE_DATE_EPOCH=1700000000, recorded
 # before W became the only membership table of the groupoid and bound
-# code, and for certify again when the bound section became the certified
-# optimum; a refactor that keeps the certificates must keep these bytes
+# code, for certify again when the bound section became the certified
+# optimum, and for design --n 8 and --search-q 6 before the design was read
+# from the shift counts of one mask; a refactor that keeps the certificates
+# must keep these bytes
 PINNED_DOCUMENTS = {
     ("certify", "--all", "--n-min", "2", "--n-max", "4", "--seed", "7"):
         "a6a3eacf58178e4636193505a6a63f697d6abbcf2b4314091193d01d70fb543b",
@@ -252,6 +254,10 @@ PINNED_DOCUMENTS = {
         "320551aa30ba70251de30f98b5a3d3e417319acc11288599133a8fb163cd053f",
     ("certify", "--n", "8"):
         "a40c33158dce435c25ee878cbe4a2ae01e475ae361c300c098757b3d4408dbef",
+    ("design", "--n", "8"):
+        "03e03df199f5038260eb76bb3bb81aa3a9edac4872c16e0fcd866e228edcb2bd",
+    ("design", "--search-q", "6"):
+        "82013212489b6f7d0804fcdc351bc58328ed764190b3a95c31c35cdc23c2df4a",
 }
 
 

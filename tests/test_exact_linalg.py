@@ -190,6 +190,9 @@ def test_build_W_general_first_row_block_independent():
 def test_build_W_general_rejects_bad_block():
     with pytest.raises(ValueError):
         build_W_general(BaseBlock(q=4, positions=frozenset({0, 1, 2})))
+    # position 5 lies outside Z_3, though its shift counts read lambda = 0
+    with pytest.raises(ValueError):
+        build_W_general(BaseBlock(q=2, positions=frozenset({5})))
 
 
 def test_build_W_general_q4_passes_R(f8):

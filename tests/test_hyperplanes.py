@@ -1,21 +1,31 @@
+from itertools import combinations
+
 import pytest
 
 from multispinal.gf2n import field_context
 from multispinal.hyperplanes import (
     BaseBlock,
     DesignError,
-    Hyperplane,
     block_satisfies_r5,
     build_hyperplanes,
     extract_base_block,
     membership_profile,
-    pair_count,
     search_base_blocks,
     shift_block,
+    shift_intersections,
     verify_design,
 )
 
-from reference import REF_F8, RefField, ref_hyperplane_membership
+from reference import (
+    REF_F8,
+    RefField,
+    ref_block_satisfies_r5,
+    ref_hyperplane_membership,
+    ref_pair_count,
+    ref_profiles,
+    ref_shift_counts,
+    ref_verify_design,
+)
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +38,20 @@ def f8():
     return field_context(3)
 
 
+def members(mask):
+    return [x for x in range(mask.bit_length()) if (mask >> x) & 1]
+
+
+def mask_of(positions):
+    return sum(1 << p for p in positions)
+
+
 def test_degree2_subgroups_match_worked_example(f4):
     planes = build_hyperplanes(f4)
     # H_0 = {0, 1}, H_1 = {0, 1+alpha}, H_2 = {0, alpha}
-    assert sorted(planes[0].elements()) == [0, 1]
-    assert sorted(planes[1].elements()) == [0, 3]
-    assert sorted(planes[2].elements()) == [0, 2]
+    assert members(planes[0]) == [0, 1]
+    assert members(planes[1]) == [0, 3]
+    assert members(planes[2]) == [0, 2]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -41,20 +59,21 @@ def test_hyperplanes_distinct_half_size_contain_zero(n):
     ctx = field_context(n)
     planes = build_hyperplanes(ctx)
     assert len(planes) == ctx.k
-    assert len({h.members for h in planes}) == ctx.k
+    assert len(set(planes)) == ctx.k
     for h in planes:
-        assert h.size == ctx.q
-        assert 0 in h
-        for x in h.elements():  # closed under addition
-            for y in h.elements():
-                assert ctx.add(x, y) in h
+        assert h.bit_count() == ctx.q
+        assert h >> ctx.size == 0
+        assert h & 1
+        for x in members(h):  # closed under addition
+            for y in members(h):
+                assert (h >> ctx.add(x, y)) & 1
 
 
 def test_membership_matches_reference_field(f8):
     planes = build_hyperplanes(f8)
     for x in range(8):
         for j in range(7):
-            assert (x in planes[j]) == ref_hyperplane_membership(REF_F8, x, j)
+            assert bool((planes[j] >> x) & 1) == ref_hyperplane_membership(REF_F8, x, j)
 
 
 # pair counts -------------------------------------------------------------
@@ -64,21 +83,19 @@ def test_pair_count_degree2_always_zero(f4):
     for l1 in range(3):
         for l2 in range(3):
             if l1 != l2:
-                assert pair_count(f4, l1, l2) == 0
+                assert ref_pair_count(f4, l1, l2) == 0
 
 
 def test_pair_count_degree3_always_one(f8):
     for l1 in range(7):
         for l2 in range(l1 + 1, 7):
-            assert pair_count(f8, l1, l2) == 1
+            assert ref_pair_count(f8, l1, l2) == 1
 
 
 def test_pair_count_degree4_example_against_reference():
     ctx = field_context(4)
-    assert pair_count(ctx, 0, 5) == 3
+    assert ref_pair_count(ctx, 0, 5) == 3
     # independent count with the reference field
-    from reference import RefField
-
     ref = RefField((1, 1, 0, 0, 1))
     a0 = ref.pow(ref.alpha(), 0)
     a5 = ref.pow(ref.alpha(), 5)
@@ -95,9 +112,9 @@ def test_pair_count_degree4_example_against_reference():
 
 def test_pair_count_rejects_equal_or_out_of_range(f4):
     with pytest.raises(ValueError):
-        pair_count(f4, 1, 1)
+        ref_pair_count(f4, 1, 1)
     with pytest.raises(ValueError):
-        pair_count(f4, 0, 3)
+        ref_pair_count(f4, 0, 3)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -118,12 +135,15 @@ def test_membership_profile_matches_reference(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_profile_intersections_are_pair_counts(n):
-    # the design command counts pairs by intersecting profiles
+    # the pair (alpha^l1, alpha^l2) lies in the shift count of d = l2 - l1,
+    # which is what the design section and the design command read
     ctx = field_context(n)
     profiles = [membership_profile(ctx, ctx.pow_alpha(l)) for l in range(ctx.k)]
+    shifts = list(shift_intersections(ctx.trace_zero_mask, ctx.k))
     for l1 in range(ctx.k):
         for l2 in range(l1 + 1, ctx.k):
-            assert (profiles[l1] & profiles[l2]).bit_count() == pair_count(ctx, l1, l2)
+            c = ref_pair_count(ctx, l1, l2)
+            assert (profiles[l1] & profiles[l2]).bit_count() == c == shifts[l2 - l1 - 1]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -134,7 +154,7 @@ def test_shift_covariance(n):
     for x in ctx.elements():
         fx = ctx.mul_alpha(x)
         for j in range(ctx.k):
-            assert (x in planes[j]) == (fx in planes[(j - 1) % ctx.k])
+            assert (planes[j] >> x) & 1 == (planes[(j - 1) % ctx.k] >> fx) & 1
 
 
 # design ------------------------------------------------------------------
@@ -146,28 +166,93 @@ def test_shift_covariance(n):
 )
 def test_verify_design_parameters(n, expected):
     ctx = field_context(n)
-    params = verify_design(build_hyperplanes(ctx))
+    params = verify_design(ctx.trace_zero_mask, ctx.q)
     assert params.as_tuple() == expected
 
 
-def test_verify_design_names_offending_block(f8):
-    planes = build_hyperplanes(f8)
-    # corrupt one block: drop a member, add another
-    bad = planes[3].members ^ (1 << 5) ^ (1 << 6)
-    corrupted = planes[:3] + [Hyperplane(3, bad, 3)] + planes[4:]
-    with pytest.raises(DesignError) as err:
-        verify_design(corrupted)
-    assert err.value.offender == 5  # the point that lost a block
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shift_counts_match_the_pair_loop(n):
+    # the k - 1 shift counts of one mask against the O(k^2) loop over the
+    # explicit subgroup masks: same parameters, same pair histogram
+    ctx = field_context(n)
+    planes = build_hyperplanes(ctx)
+    expected = (ctx.k, ctx.q - 1, ctx.q // 2 - 1)
+    assert verify_design(ctx.trace_zero_mask, ctx.q).as_tuple() == expected
+    assert ref_verify_design(planes, n) == expected
+    from_shifts = {}
+    for d, c in enumerate(shift_intersections(ctx.trace_zero_mask, ctx.k), 1):
+        from_shifts[c] = from_shifts.get(c, 0) + ctx.k - d
+    profiles = ref_profiles(planes, n)
+    from_pairs = {}
+    for x, y in combinations(range(1, ctx.size), 2):
+        c = (profiles[x] & profiles[y]).bit_count()
+        from_pairs[c] = from_pairs.get(c, 0) + 1
+    assert from_shifts == from_pairs == {ctx.q // 2 - 1: ctx.k * (ctx.k - 1) // 2}
 
 
-def test_verify_design_names_offending_pair(f8):
-    # same sizes, but swap one block for a non-subgroup set of size q
-    fake = (1 << 0) | (1 << 1) | (1 << 2) | (1 << 4)
-    corrupted = build_hyperplanes(f8)
-    corrupted[0] = Hyperplane(0, fake, 3)
-    with pytest.raises(DesignError) as err:
-        verify_design(corrupted)
-    assert err.value.offender == 1  # the first point the fake block over-counts
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_shift_counts_match_the_set_oracle_on_every_subset(q):
+    k = 2 * q - 1
+    lam = q // 2 - 1
+    passed = 0
+    for subset in combinations(range(k), q - 1):
+        mask = mask_of(subset)
+        counts = ref_shift_counts(subset, k)
+        assert list(shift_intersections(mask, k)) == counts
+        ok = ref_block_satisfies_r5(subset, k, lam)
+        assert block_satisfies_r5(mask, q) == ok
+        if ok:
+            passed += 1
+            assert verify_design(mask, q).as_tuple() == (k, q - 1, lam)
+        else:
+            with pytest.raises(DesignError) as err:
+                verify_design(mask, q)
+            first_bad = next(d for d, c in enumerate(counts, 1) if c != lam)
+            assert err.value.offender == (0, first_bad)
+    assert passed == {2: 3, 4: 14, 6: 22}[q]
+
+
+def field_planes_of(ctx, z):
+    # H_j = {0} and the alpha^l with bit (l + j) mod k of z set
+    return [
+        1 | sum(1 << ctx.pow_alpha(l) for l in range(ctx.k) if (z >> ((l + j) % ctx.k)) & 1)
+        for j in range(ctx.k)
+    ]
+
+
+@pytest.mark.parametrize(
+    "positions, first_bad",
+    [
+        ((1, 2, 4, 6), (0, 2, 3)),  # Tr = 0 exponents {1, 2, 4} and one more: wrong size
+        ((0, 1, 4), (0, 2, 0)),  # right size, shift 2 misses
+    ],
+    ids=["wrong_size", "bad_shift"],
+)
+def test_verify_design_names_first_bad_shift(f8, positions, first_bad):
+    z = mask_of(positions)
+    assert f8.trace_zero_mask == mask_of((1, 2, 4))
+    with pytest.raises(DesignError, match=f"lies in {first_bad[2]} blocks") as err:
+        verify_design(z, f8.q)
+    assert err.value.offender == first_bad[:2]
+    assert not block_satisfies_r5(z, f8.q)
+    assert not ref_block_satisfies_r5(positions, 7, 1)
+    with pytest.raises(DesignError):
+        ref_verify_design(field_planes_of(f8, z), 3)
+
+
+def test_verify_design_rejects_masks_the_shifts_cannot_see():
+    # at q = 2 the empty mask has every shift count 0 = lambda
+    with pytest.raises(DesignError, match="every point lies in 0 blocks") as err:
+        verify_design(0, 2)
+    assert err.value.offender == 0
+    with pytest.raises(DesignError, match="outside Z_7"):
+        verify_design(mask_of((1, 2, 4, 7)), 4)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_field_planes_rebuilt_from_the_mask_are_the_hyperplanes(n):
+    ctx = field_context(n)
+    assert field_planes_of(ctx, ctx.trace_zero_mask) == build_hyperplanes(ctx)
 
 
 # base blocks -------------------------------------------------------------
@@ -219,6 +304,22 @@ def test_search_results_closed_under_cyclic_shift():
                 assert shift_block(block, r).positions in found
 
 
+@pytest.mark.parametrize("p", [11, 19])
+def test_search_finds_exactly_the_paley_blocks(p):
+    # for a prime p = 3 mod 4 the quadratic residues and the non-residues
+    # are (p, (p-1)/2, (p-3)/4) difference sets; at p = 11 and 19 they and
+    # their translates are every base block
+    residues = {x * x % p for x in range(1, p)}
+    nonresidues = set(range(1, p)) - residues
+    translates = {
+        frozenset((x + r) % p for x in base) for base in (residues, nonresidues) for r in range(p)
+    }
+    blocks = search_base_blocks((p + 1) // 2)
+    assert len(blocks) == len(translates) == 2 * p
+    assert {b.positions for b in blocks} == translates
+    assert [b.sorted_positions() for b in blocks] == sorted(b.sorted_positions() for b in blocks)
+
+
 def test_search_cap():
     with pytest.raises(ValueError, match="cap"):
         search_base_blocks(12)
@@ -234,4 +335,4 @@ def test_block_satisfies_r5_strong_equals_weak():
             sum(1 for p in b.positions if (p + d) % k in b.positions) == lam
             for d in range(1, b.q)
         )
-        assert weak == block_satisfies_r5(b.positions, k, lam)
+        assert weak == block_satisfies_r5(mask_of(b.positions), b.q)
