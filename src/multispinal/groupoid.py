@@ -17,6 +17,10 @@ intersection of the U_m over K minus the union over the complement is
 nonempty, witnessed by a tail 1^s 0 1^infinity with s = j mod (2^n - 1);
 stacking the membership indicator rows of all 2k such regions over the
 2q nucleus columns reproduces the transpose of the inclusion matrix.
+By the germ law [g, xi] = [h, xi] iff [h^-1 g, xi] = [e, xi], every
+entry of that stack is one question about b(w) against e along 0 1^inf,
+so 2q germ walks, one per field element w, certify all 2k rows at every
+degree (check_germ_rows).
 That full-rank transpose forces any vanishing combination of region
 indicators to have zero coefficients, and bounds from the explicit
 right-inverse give |max region value| strictly above |c_e| / 2^n (and at
@@ -25,6 +29,7 @@ least |c_e| * q / (2q - 1)).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -296,6 +301,80 @@ def _directed_value(g: GroupElement) -> int:
     return acc
 
 
+def _witness_length(ctx: FieldContext, m: int, j: int, label: str, search_depth: int | None) -> int:
+    """s of the witness 1^s 0 of region label (H_j or its complement):
+    the least s >= m with s = j mod k.  RegionSearchError when s lies at
+    or beyond search_depth (default_search_depth when None)."""
+    if m < 0:
+        raise ValueError(f"neighbourhood index m must be >= 0, got {m}")
+    if search_depth is None:
+        search_depth = default_search_depth(ctx, m)
+    if search_depth < m + 2:
+        raise ValueError("search depth too small to hold any witness")
+    s = m + (j - m) % ctx.k
+    if s >= search_depth:
+        raise RegionSearchError(
+            f"witness depth budget ran out for K={label} (m={m}): "
+            f"the witness 1^{s} 0 needs a depth above {s}, got {search_depth}"
+        )
+    return s
+
+
+def region_witnesses(ctx: FieldContext, m: int, search_depth: int | None = None) -> dict[str, str]:
+    """The witness of each of the 2k regions at m, keyed H0 .. H(k-1),
+    H0c .. H(k-1)c and written "1^s 0" for the tail 1^s 0 1^infinity,
+    s = m + (j - m) mod k.  The rows of these tails are certified by
+    check_germ_rows, which holds at every m."""
+    subgroups = {f"H{j}": f"1^{_witness_length(ctx, m, j, f'H{j}', search_depth)} 0" for j in range(ctx.k)}
+    return subgroups | {f"{label}c": w for label, w in subgroups.items()}  # same tails as H_j
+
+
+def meet_set(group: MultispinalGroup) -> frozenset[int]:
+    """G = {w : [b(w), 0 1^infinity] = [e, 0 1^infinity]}, one germ walk
+    per field element w."""
+    tail = Tail("0", "1")
+    e = group.identity
+    return frozenset(w for w in group.ctx.elements() if germ_equal(group, group.iota(w), e, tail))
+
+
+def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> Iterator[int]:
+    """The germ membership of every region over every element, as bitmask
+    rows in the layout of W, yielded one at a time: bit j (K = H_j) and
+    bit j + k (its complement) of the row of element x.
+
+    Region K with witness 1^s 0 holds x iff iota(x) meets iota(x0) along
+    1^s 0 1^infinity, x0 the first member of K.  By the germ law that is
+    [iota(x0)^-1 iota(x), tail] = [e, tail], and iota(x0)^-1 iota(x) =
+    b(x0 + x) by the normal form b(x) b(y) = b(x + y).  b(z) fixes 1^s
+    and restricts there to b(alpha^s z), and s = j mod k, so the entry is
+    [alpha^j (x0 + x) in G].  For H_j, x0 = 0: the row of alpha^i is the
+    exponent mask of G rotated by i, and the row of 0 is [0 in G] on
+    every subgroup.  Once those match W, G is the hyperplane H_0, so for
+    a complement (x0 outside H_j) the entry is 1 - [alpha^j x in G]: the
+    complement columns mirror the subgroup columns.
+    """
+    k = ctx.k
+    full = (1 << k) - 1
+    mask = int("".join("1" if ctx.power_table[t] in meet else "0" for t in reversed(range(k))), 2)
+    for i in range(2 * ctx.q):  # 0, alpha^1, ..., alpha^k = 1: W's canonical order
+        r = i % k
+        first = (full if 0 in meet else 0) if i == 0 else ((mask >> r) | (mask << (k - r))) & full
+        yield first | ((~first & full) << k)
+
+
+def check_germ_rows(group: MultispinalGroup, W: InclusionMatrix) -> None:
+    """Certify that the germ rows of all 2k regions stack into W's
+    transpose, from the 2q walks of meet_set; the rows do not depend on
+    m.  Compares germ_rows with W one row at a time and raises
+    MembershipMismatch naming the region of the lowest differing bit of
+    the first differing row, and that row's element."""
+    if W.q != group.ctx.q:
+        raise ValueError(f"W has q={W.q}, the field has q={group.ctx.q}")
+    for i, (got, want) in enumerate(zip(germ_rows(group.ctx, meet_set(group)), W.rows)):
+        if diff := got ^ want:
+            raise MembershipMismatch(W.col_labels[(diff & -diff).bit_length() - 1], W.row_labels[i])
+
+
 def region_pattern(
     group: MultispinalGroup,
     W: InclusionMatrix,
@@ -303,10 +382,10 @@ def region_pattern(
     kind: str,
     j: int,
     search_depth: int | None = None,
-    *,
-    rows: dict | None = None,
 ) -> RegionPattern:
-    """The germ point separating one admissible K from the rest.
+    """The germ point separating one admissible K from the rest, by one
+    germ walk per nucleus column: the one-region query, and the oracle
+    that check_germ_rows is tested against.
 
     K is read from the inclusion matrix W of the same field: column j
     (H_j) or column j + k (its complement), members in canonical element
@@ -321,10 +400,6 @@ def region_pattern(
     MembershipMismatch names the region and the first differing row of
     W.  Sets other than the subgroup images and their complements are
     not admissible and are rejected.
-
-    rows, when given, memoises walked rows by (kind, j, s) across calls:
-    a row is a pure function of its starting element and its tail, so
-    sharing it changes no result.
     """
     ctx = group.ctx
     k = ctx.k
@@ -334,43 +409,20 @@ def region_pattern(
         raise ValueError(f"subgroup index {j} outside 0..{k - 1}")
     if W.q != ctx.q:
         raise ValueError(f"W has q={W.q}, the field has q={ctx.q}")
-    if m < 0:
-        raise ValueError(f"neighbourhood index m must be >= 0, got {m}")
-    if search_depth is None:
-        search_depth = default_search_depth(ctx, m)
-    if search_depth < m + 2:
-        raise ValueError("search depth too small to hold any witness")
-
-    s = m + (j - m) % k
     label = f"H{j}" + ("c" if kind == "Hc" else "")
-    if s >= search_depth:
-        raise RegionSearchError(
-            f"witness depth budget ran out for K={label} (m={m}): "
-            f"the witness 1^{s} 0 needs a depth above {s}, got {search_depth}"
-        )
+    s = _witness_length(ctx, m, j, label, search_depth)
     order = ctx.canonical_elements()
     col = j if kind == "H" else j + k
     target = tuple(W.entry(i, col) for i in range(len(order)))
     members = tuple(x for x, t in zip(order, target) if t)
 
-    key = (kind, j, s)
-    row = rows.get(key) if rows is not None else None
-    if row is None:
-        g0 = group.iota(members[0])
-        tail = Tail("1" * s + "0", "1")
-        row = tuple(1 if germ_equal(group, g0, group.iota(x), tail) else 0 for x in order)
-        if rows is not None:
-            rows[key] = row
+    g0 = group.iota(members[0])
+    tail = Tail("1" * s + "0", "1")
+    row = tuple(1 if germ_equal(group, g0, group.iota(x), tail) else 0 for x in order)
     if row != target:
         i = next(i for i, (got, want) in enumerate(zip(row, target)) if got != want)
         raise MembershipMismatch(label, W.row_labels[i])
-    return RegionPattern(
-        kind=kind,
-        j=j,
-        witness="1" * s + "0",
-        membership_row=row,
-        members=members,
-    )
+    return RegionPattern(kind=kind, j=j, witness="1" * s + "0", membership_row=row, members=members)
 
 
 @dataclass
@@ -385,15 +437,14 @@ def membership_matrix(
     W: InclusionMatrix,
     m: int,
     search_depth: int | None = None,
-    *,
-    rows: dict | None = None,
 ) -> MembershipResult:
-    """Stack all 2k region rows, in the column order of W; region_pattern
-    checks each against its column of W, so the stack is W's transpose.
-    Raises MembershipMismatch naming the offending (row, column) on
-    disagreement.  rows is the walked-row memo of region_pattern."""
+    """Stack all 2k region rows of region_pattern, in the column order of
+    W; region_pattern checks each against its column of W, so the stack
+    is W's transpose.  Raises MembershipMismatch naming the offending
+    (row, column) on disagreement.  4kq germ walks: the oracle of
+    check_germ_rows, which needs 2q."""
     patterns = [
-        region_pattern(group, W, m, kind, j, search_depth, rows=rows)
+        region_pattern(group, W, m, kind, j, search_depth)
         for kind in ("H", "Hc")
         for j in range(group.ctx.k)
     ]

@@ -249,24 +249,6 @@ class MultispinalGroup:
 
     # -- nucleus checks -----------------------------------------------------
 
-    def restriction_period(self, s) -> int:
-        """Least p >= 1 with s|_(1^p) = s for a directed state.
-
-        The identity (b(0)) has the trivial period 1; a has no period
-        under '1' and is rejected.
-        """
-        if s == STATE_E:
-            return 1
-        if s == STATE_A:
-            raise ValueError("a is not a directed state; restriction leaves it")
-        x = s[1]
-        y = self.ctx.mul_alpha(x)
-        p = 1
-        while y != x:
-            y = self.ctx.mul_alpha(y)
-            p += 1
-        return p
-
     def verify_nucleus(self, depth: int) -> "NucleusReport":
         """Check restriction-closure and contraction of products of pairs.
 

@@ -9,8 +9,9 @@ ranks come from plain Fraction row reduction or GF(2) row-space
 enumeration, R1-R9 are read one matrix entry at a time, the
 right-inverse is a dense Fraction matrix multiplied out entry by entry, the
 degree-2 automaton is a hardcoded transition table, germ equality is
-the plain letter-by-letter walk on unreduced words, and region witnesses
-come from a scan over tails.
+the plain letter-by-letter walk on unreduced words, restriction periods
+come from stepping that automaton, and region witnesses come from a scan
+over tails.
 """
 
 from __future__ import annotations
@@ -430,6 +431,17 @@ class RefAutomaton:
                     seen.add((u2, v2))
                     todo.append((u2, v2))
         return True
+
+
+def ref_restriction_period(auto: RefAutomaton, x: int) -> int:
+    """Least p >= 1 with b(x) restricted along 1^p equal to b(x), by
+    single restriction steps of the reference automaton (the identity,
+    x = 0, has period 1)."""
+    start = (("b", x),) if x else ()
+    word, p = auto.step(start, "1")[0], 1
+    while word != start:
+        word, p = auto.step(word, "1")[0], p + 1
+    return p
 
 
 def ref_germ_equal(auto: RefAutomaton, u, v, prefix: str, period: str) -> bool:

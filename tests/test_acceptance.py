@@ -19,7 +19,10 @@ from multispinal.groupoid import (
     SemigroupTriple,
     Tail,
     germ_equal,
+    check_germ_rows,
+    germ_rows,
     intersect_witness,
+    meet_set,
     membership_matrix,
     sample_bound_ratios,
     sg_equal,
@@ -30,7 +33,7 @@ from multispinal.groupoid import (
 from multispinal.hyperplanes import extract_base_block, search_base_blocks, shift_block, verify_design
 from multispinal.selfsim import MultispinalGroup
 
-from reference import ref_pair_count
+from reference import RefAutomaton, RefField, ref_pair_count, ref_restriction_period
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,9 +156,10 @@ def test_c6_nucleus():
     assert g.equal(g.restrict(c, "0"), g.gen_a)
     assert g.equal(g.restrict(d, "0"), g.identity)
     for n in range(2, 9):
+        auto = RefAutomaton(RefField(tuple((ctx(n).poly.mask >> i) & 1 for i in range(n + 1))))
         for s in group(n).nucleus_states:
             if s[0] == "b":
-                assert group(n).restriction_period(s) == 2 ** n - 1
+                assert ref_restriction_period(auto, s[1]) == 2 ** n - 1
 
 
 @criterion("C7 groupoid structure")
@@ -176,6 +180,10 @@ def test_c7_membership_matrices():
                     group(n).iota(pattern.members[-1]),
                     Tail(pattern.witness, "1"),
                 )
+            # the 2q-walk certificate gives the same stack
+            rows = tuple(germ_rows(ctx(n), meet_set(group(n))))
+            assert result.rows == tuple(tuple((r >> col) & 1 for r in rows) for col in range(2 * ctx(n).k))
+        check_germ_rows(group(n), W)
     assert time.monotonic() - t0 < 60.0
 
 

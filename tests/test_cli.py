@@ -50,6 +50,8 @@ def test_certify_n8_derives_every_rank_from_the_right_inverse():
     assert matrix["rank_mod_p"] == {"5": "skipped (divides k*q)", "7": 256, "11": 256, "13": 256}
     assert "rank_note" not in matrix
     assert doc["sections"]["groupoid"]["singular_certificate"]["rank_over_Q"] == 256
+    assert doc["sections"]["groupoid"]["singular_certificate"]["germ_verified"] is True
+    assert doc["sections"]["groupoid"]["germ_walks"] == 256
 
 
 def test_certify_deterministic_bytes():
@@ -238,22 +240,24 @@ def test_emit_json_rejects_values_json_cannot_hold(tmp_path):
 # sha256 of each document with SOURCE_DATE_EPOCH=1700000000, recorded
 # before W became the only membership table of the groupoid and bound
 # code, for certify again when the bound section became the certified
-# optimum, and for design --n 8 and --search-q 6 before the design was read
-# from the shift counts of one mask; a refactor that keeps the certificates
-# must keep these bytes
+# optimum, for design --n 8 and --search-q 6 before the design was read
+# from the shift counts of one mask, and for the certify and groupoid
+# documents when every germ row came from 2q walks (witnesses written
+# "1^s 0", the full certificate at every degree); a refactor that keeps
+# the certificates must keep these bytes
 PINNED_DOCUMENTS = {
     ("certify", "--all", "--n-min", "2", "--n-max", "4", "--seed", "7"):
-        "a6a3eacf58178e4636193505a6a63f697d6abbcf2b4314091193d01d70fb543b",
+        "e8162836410fe993d606243701460b9d7a19922441ebec1ca42b567ae24c718b",
     ("groupoid", "--n", "5", "--m", "2"):
-        "b2095e4ccc71362f4c0c5dd853028cf34da4660e3ae83cb84a74585340174ea7",
+        "e6c167b9de5a2127a624f990ad19f35037338ff488f9ccdf77380bf718d37ea2",
     ("groupoid", "--n", "7", "--m", "1"):
-        "c4ccb15ad098a5a82649a756dbca3377f50bc18dbc34559412bed3f0ae7603e0",
+        "b5f94f62da5b936b45bc20ad0279ac7efaac664caec29ed6b8a748e2cca4e4fa",
     ("design", "--n", "5"):
         "33a8b8a61816da7b25574166593ddf9f73b28353d0a3db084ef73813a28efd15",
     ("matrix", "--n", "3"):
         "320551aa30ba70251de30f98b5a3d3e417319acc11288599133a8fb163cd053f",
     ("certify", "--n", "8"):
-        "a40c33158dce435c25ee878cbe4a2ae01e475ae361c300c098757b3d4408dbef",
+        "3900f53b66e1834cfaa4f870736c86d56b4bd5ac5a5b9add8887ddfa668d706a",
     ("design", "--n", "8"):
         "03e03df199f5038260eb76bb3bb81aa3a9edac4872c16e0fcd866e228edcb2bd",
     ("design", "--search-q", "6"):
@@ -321,13 +325,22 @@ def test_nucleus_output():
     assert doc["contraction"]["pass"] is True
 
 
-def test_groupoid_verify():
-    res = run_cli("groupoid", "--n", "2", "--m", "1", "--verify")
+def test_groupoid_certificate():
+    res = run_cli("groupoid", "--n", "2", "--m", "1")
     doc = json.loads(res.stdout)
     assert res.returncode == 0
+    assert list(doc) == ["n", "m", "germ_walks", "witnesses", "matches_transpose", "pass"]
+    assert doc["germ_walks"] == 4
     assert doc["matches_transpose"] is True
-    assert doc["witnesses"]["H0"] == "1110"
-    assert len(doc["membership_matrix"]) == 6
+    tails = {"H0": "1^3 0", "H1": "1^1 0", "H2": "1^2 0"}
+    assert doc["witnesses"] == tails | {f"{label}c": w for label, w in tails.items()}
+    assert doc["pass"] is True
+
+
+def test_groupoid_has_no_verify_flag():
+    res = run_cli("groupoid", "--n", "2", "--m", "1", "--verify")
+    assert res.returncode == 2
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -348,7 +361,7 @@ def test_groupoid_depth_budget():
     assert "depth budget ran out" in doc["error"] and "1^31 0" in doc["error"]
     res = run_cli("groupoid", "--n", "3", "--m", "1", "--depth", "9")
     assert res.returncode == 0
-    assert json.loads(res.stdout)["witnesses"]["H0"] == "1" * 7 + "0"
+    assert json.loads(res.stdout)["witnesses"]["H0"] == "1^7 0"
 
 
 def test_certify_reports_wrong_germ_rows_as_fail(monkeypatch, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from multispinal import certify, exact_linalg, groupoid
+from multispinal import exact_linalg, groupoid
 from multispinal.certify import bound_section, groupoid_section, matrix_section
 from multispinal.exact_linalg import (
     InclusionMatrix,
@@ -24,13 +24,17 @@ from multispinal.groupoid import (
     SemigroupTriple,
     Tail,
     bound_check,
+    check_germ_rows,
     default_search_depth,
     germ_equal,
+    germ_rows,
     intersect_witness,
     is_idempotent,
+    meet_set,
     membership_matrix,
     point_in_bisection,
     region_pattern,
+    region_witnesses,
     sample_bound_ratios,
     sg_equal,
     sg_multiply,
@@ -282,6 +286,34 @@ def test_germ_equal_is_the_trace_identity(n):
             assert germ_equal(group, group.iota(x), group.iota(y), tail) == want, (s, x, y)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_germ_equal_cancels_to_the_identity(n):
+    # [iota(x), t] = [iota(y), t] iff [iota(x + y), t] = [e, t]: the germ
+    # law with iota(y)^-1 iota(x) = b(x + y), over every pair x, y
+    ctx = field_context(n)
+    group = MultispinalGroup(ctx)
+    rng = random.Random(300 + n)
+    tails = [Tail("1" * s + "0", "1") for s in range(2 * ctx.k + 2)]
+    tails += [random_tail(rng, ctx.k, kind % 3) for kind in range(12)]
+    verdicts = set()
+    for tail in tails:
+        for x in ctx.elements():
+            for y in ctx.elements():
+                got = germ_equal(group, group.iota(x), group.iota(y), tail)
+                assert got == germ_equal(group, group.iota(x ^ y), group.identity, tail), (x, y, tail)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_meet_set_matches_reference_walks(n):
+    ctx = field_context(n)
+    auto = RefAutomaton(ref_field(ctx))
+    want = {w for w in ctx.elements() if ref_germ_equal(auto, (("b", w),), (), "0", "1")}
+    assert meet_set(MultispinalGroup(ctx)) == want
+    assert len(want) == ctx.q
+
+
 def test_witness_rejects_equal_elements(g2):
     with pytest.raises(ValueError):
         intersect_witness(g2, g2.iota(2), g2.iota(2), 1)
@@ -340,9 +372,39 @@ def test_region_pattern_matches_reference_scan(n):
                 assert (p.witness, p.membership_row) == ref_region_witness(field, m, kind, j, depth)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_germ_rows_and_witnesses_match_the_oracles(n):
+    # the 2q-walk certificate against 2k region_pattern rows of 2q walks
+    # each, and against the reference scan over tails
+    ctx = field_context(n)
+    group = MultispinalGroup(ctx)
+    field = ref_field(ctx)
+    W = build_W(ctx)
+    k = ctx.k
+    rows = tuple(germ_rows(ctx, meet_set(group)))
+    assert rows == W.rows
+    matrix = matrix_section(ctx, W, build_T(ctx.q, W))
+    for m in sorted({0, 1, 2, 3, k, k + 1}):
+        result = membership_matrix(group, W, m)
+        assert result.rows == tuple(tuple((r >> col) & 1 for r in rows) for col in range(2 * k))
+        section = groupoid_section(group, (m,), W, matrix)
+        witnesses = section["membership"][str(m)]["witnesses"]
+        assert witnesses == region_witnesses(ctx, m)
+        assert list(witnesses) == list(W.col_labels)
+        depth = default_search_depth(ctx, m)
+        for p in result.patterns:
+            s = len(p.witness) - 1
+            assert witnesses[p.label] == f"1^{s} 0"
+            ref = ref_region_witness(field, m, p.kind, p.j, depth)
+            assert ref == (p.witness, p.membership_row)
+        assert section["singular_certificate"]["germ_verified"] is True
+
+
 def test_negative_m_is_rejected(g2, w2):
     with pytest.raises(ValueError):
         region_pattern(g2, w2, -1, "H", 0)
+    with pytest.raises(ValueError):
+        region_witnesses(g2.ctx, -1)
     with pytest.raises(ValueError):
         membership_matrix(g2, w2, -2)
     with pytest.raises(ValueError):
@@ -354,6 +416,12 @@ def test_region_pattern_depth_budget(g3, w3):
     with pytest.raises(RegionSearchError, match="depth budget ran out.*1\\^7 0"):
         region_pattern(g3, w3, 3, "H", 0, search_depth=7)
     assert region_pattern(g3, w3, 3, "H", 0, search_depth=8).witness == "1" * 7 + "0"
+    with pytest.raises(RegionSearchError, match="K=H0 \\(m=3\\).*1\\^7 0"):
+        region_witnesses(g3.ctx, 3, search_depth=7)
+    # the regions' witnesses run up to 1^9 0 at m = 3, so all fit in depth 10
+    with pytest.raises(RegionSearchError, match="K=H2 \\(m=3\\).*1\\^9 0"):
+        region_witnesses(g3.ctx, 3, search_depth=9)
+    assert region_witnesses(g3.ctx, 3, search_depth=10)["H0c"] == "1^7 0"
 
 
 def test_region_pattern_names_first_wrong_column(g3, w3, monkeypatch):
@@ -376,38 +444,41 @@ def _flip(W, i, col):
 
 @pytest.mark.parametrize("i, kind, j", [(0, "H", 2), (3, "H", 5), (7, "Hc", 4), (7, "H", 0)])
 def test_flipped_W_entry_is_named(g3, w3, i, kind, j):
-    # the germ rows are right and W is wrong in one entry: the single
-    # comparison in region_pattern must name that region and that row
+    # the germ rows are right and W is wrong in one entry: the 2q-walk
+    # check and the per-region oracles must all name that region and row
     col = j if kind == "H" else j + g3.ctx.k
     bad = _flip(w3, i, col)
     label = f"H{j}" + ("c" if kind == "Hc" else "")
-    for call in (lambda: region_pattern(g3, bad, 1, kind, j), lambda: membership_matrix(g3, bad, 1)):
+    calls = (
+        lambda: check_germ_rows(g3, bad),
+        lambda: region_pattern(g3, bad, 1, kind, j),
+        lambda: membership_matrix(g3, bad, 1),
+    )
+    for call in calls:
         with pytest.raises(MembershipMismatch) as err:
             call()
         assert (err.value.row_label, err.value.col_label) == (label, w3.row_labels[i])
+    section = groupoid_section(g3, (1, 2), bad, matrix_section(g3.ctx, bad, build_T(bad.q, bad)))
+    error = f"membership mismatch at row {label}, column {w3.row_labels[i]}"
+    assert all(e == {"matches_transpose": False, "error": error} for e in section["membership"].values())
+    assert section["pass"] is False
 
 
-def test_shared_rows_memo_gives_the_same_rows(g3, w3):
-    rows = {}
-    for m in (1, 2, 3):
-        shared = membership_matrix(g3, w3, m, rows=rows)
-        fresh = membership_matrix(g3, w3, m)
-        assert shared.rows == fresh.rows
-        assert [p.witness for p in shared.patterns] == [p.witness for p in fresh.patterns]
-    # for j >= 3 the witness does not depend on m: 2 (k + 2) distinct rows
-    assert len(rows) == 2 * (g3.ctx.k + 2)
-
-
-def test_sampled_groupoid_section_reports_wrong_rows(g3, monkeypatch):
-    W = build_W(g3.ctx)
-    matrix = matrix_section(g3.ctx, W, build_T(g3.ctx.q, W))
+@pytest.mark.parametrize("n", [3, 7, 8])
+def test_negated_germ_equal_fails_every_m(n, monkeypatch):
+    ctx = field_context(n)
+    group = MultispinalGroup(ctx)
+    W = build_W(ctx)
+    matrix = matrix_section(ctx, W, build_T(ctx.q, W))
     real = groupoid.germ_equal
     monkeypatch.setattr(groupoid, "germ_equal", lambda group, g1, g2, tail: not real(group, g1, g2, tail))
-    monkeypatch.setattr(certify, "GERM_FULL_CAP", 2)
-    section = groupoid_section(g3, (1,), 0, W, matrix)
-    regions = section["membership"]["1"]["regions"]
-    assert section["pass"] is False and set(regions) == {"H0", "H2", "H0c", "H2c"}
-    assert all("membership mismatch" in r["error"] for r in regions.values())
+    section = groupoid_section(group, (1, 2, 3), W, matrix)
+    assert section["pass"] is False
+    assert section["singular_certificate"]["germ_verified"] is False
+    assert set(section["membership"]) == {"1", "2", "3"}
+    for entry in section["membership"].values():
+        # 0 lies in every H_j, so row 0 is the first to differ
+        assert entry == {"matches_transpose": False, "error": "membership mismatch at row H0, column 0"}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

