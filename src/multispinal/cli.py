@@ -25,8 +25,42 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte.
+
+    With an indent json.dumps runs the pure-Python encoder.  Here only
+    the nesting is walked in Python: a container holding no container is
+    written by the C encoder with the item separator ",\n" + indent, and
+    only its brackets are laid out here.
+    """
+    is_dict = isinstance(obj, dict)
+    if not obj or not (is_dict or isinstance(obj, (list, tuple))):
+        return json.dumps(obj)  # a scalar, or [] or {}
+    inner = indent + "  "
+    values = obj.values() if is_dict else obj
+    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+        flat = json.dumps(obj, separators=(",\n" + inner, ": "))
+        return f"{flat[0]}\n{inner}{flat[1:-1]}\n{indent}{flat[-1]}"
+    if is_dict:
+        parts = [f"{json.dumps(_json_key(k))}: {_dumps(v, inner)}" for k, v in obj.items()]
+    else:
+        parts = [_dumps(v, inner) for v in obj]
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}{closing}"
+
+
+def _json_key(key) -> str:
+    """A dict key as JSON writes it: str as is, and a number, bool or None
+    as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit_json(doc, out: str | None) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", out)
+    _emit(_dumps(doc) + "\n", out)
 
 
 def cmd_field(args) -> int:

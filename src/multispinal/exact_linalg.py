@@ -32,22 +32,26 @@ as independent checks; all arithmetic on any pass/fail path is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from ._record import FrozenRecord, Record
 from .gf2n import FieldContext
 from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
 
 
-@dataclass(frozen=True)
-class InclusionMatrix:
+class InclusionMatrix(FrozenRecord):
     """0/1 matrix with labelled rows and columns; rows stored as bitmasks."""
 
-    q: int
-    rows: tuple[int, ...]
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
+    __slots__ = ("q", "rows", "row_labels", "col_labels")
+
+    def __init__(
+        self, q: int, rows: tuple[int, ...], row_labels: tuple[str, ...], col_labels: tuple[str, ...]
+    ) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "col_labels", col_labels)
 
     @property
     def k(self) -> int:
@@ -106,17 +110,19 @@ def build_W_general(block: BaseBlock) -> InclusionMatrix:
     return InclusionMatrix(q=q, rows=tuple(rows), row_labels=row_labels, col_labels=_col_labels(k))
 
 
-@dataclass(frozen=True)
-class RightInverse:
+class RightInverse(FrozenRecord):
     """The two-valued right-inverse of W, held as its two values over W.
 
     Entry (j, i) is a where W[i][j] = 1 and b elsewhere; shape 2k x 2q,
     the transpose of W's.
     """
 
-    W: InclusionMatrix
-    a: Fraction
-    b: Fraction
+    __slots__ = ("W", "a", "b")
+
+    def __init__(self, W: InclusionMatrix, a: Fraction, b: Fraction) -> None:
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -296,16 +302,20 @@ def rank_mod_p(M, p: int) -> int:
     return rank
 
 
-@dataclass
-class ConditionResult:
-    passed: bool
-    counterexample: tuple | None = None
-    note: str = ""
+class ConditionResult(Record):
+    __slots__ = ("passed", "counterexample", "note")
+
+    def __init__(self, passed: bool, counterexample: tuple | None = None, note: str = "") -> None:
+        self.passed = passed
+        self.counterexample = counterexample
+        self.note = note
 
 
-@dataclass
-class RConditionReport:
-    results: dict[str, ConditionResult] = field(default_factory=dict)
+class RConditionReport(Record):
+    __slots__ = ("results",)
+
+    def __init__(self, results: dict[str, ConditionResult] | None = None) -> None:
+        self.results = {} if results is None else results
 
     @property
     def all_pass(self) -> bool:

@@ -64,9 +64,9 @@ class PrimitivePolynomial:
 
     The class itself only guarantees monic and degree >= 1; primitivity is
     checked by :func:`is_primitive` and enforced by :class:`FieldContext`.
-    Immutable, compared and hashed by mask.  A plain class rather than a
-    frozen dataclass: importing dataclasses (and inspect with it) would
-    cost the `field` subcommand a tenth of its run time.
+    Immutable, compared and hashed by mask.  Written out rather than
+    derived from multispinal._record.FrozenRecord, so that the `field`
+    subcommand loads no module but gf2n and cli.
     """
 
     __slots__ = ("mask",)

@@ -30,10 +30,10 @@ least |c_e| * q / (2q - 1)).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import FrozenRecord, Record
 from .exact_linalg import InclusionMatrix
 from .gf2n import FieldContext
 from .selfsim import GroupElement, MultispinalGroup
@@ -56,23 +56,25 @@ class _Zero:
 ZERO = _Zero()
 
 
-@dataclass(frozen=True)
-class SemigroupTriple:
-    eta: str
-    g: GroupElement
-    mu: str
+class SemigroupTriple(FrozenRecord):
+    __slots__ = ("eta", "g", "mu")
+
+    def __init__(self, eta: str, g: GroupElement, mu: str) -> None:
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class Tail:
+class Tail(FrozenRecord):
     """Eventually periodic infinite word prefix . period period ..."""
 
-    prefix: str
-    period: str
+    __slots__ = ("prefix", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, prefix: str, period: str) -> None:
+        if not period:
             raise ValueError("period must be nonempty")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "period", period)
 
     def letter(self, i: int) -> str:
         if i < len(self.prefix):
@@ -101,26 +103,34 @@ class Tail:
 ONES = Tail("", "1")
 
 
-@dataclass(frozen=True)
-class GermPoint:
-    triple: SemigroupTriple
-    tail: Tail
+class GermPoint(FrozenRecord):
+    __slots__ = ("triple", "tail")
 
-    def __post_init__(self):
-        mu = self.triple.mu
-        if any(self.tail.letter(i) != ch for i, ch in enumerate(mu)):
+    def __init__(self, triple: SemigroupTriple, tail: Tail) -> None:
+        if any(tail.letter(i) != ch for i, ch in enumerate(triple.mu)):
             raise ValueError("mu must be a prefix of the tail")
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "tail", tail)
 
 
-@dataclass(frozen=True)
-class RegionPattern:
-    """One disjointified region: its defining set, witness and indicator row."""
+class RegionPattern(FrozenRecord):
+    """One disjointified region: its defining set, witness and indicator row.
 
-    kind: str                         # "H" or "Hc"
-    j: int
-    witness: str                      # finite word; the tail continues 1^infinity
-    membership_row: tuple[int, ...]   # over the canonical 2q nucleus columns
-    members: tuple[int, ...]          # field elements of K, canonical order
+    kind is "H" or "Hc"; the witness is a finite word after which the tail
+    continues 1^infinity; membership_row runs over the canonical 2q
+    nucleus columns, and members are the field elements of K in canonical
+    order."""
+
+    __slots__ = ("kind", "j", "witness", "membership_row", "members")
+
+    def __init__(
+        self, kind: str, j: int, witness: str, membership_row: tuple[int, ...], members: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "membership_row", membership_row)
+        object.__setattr__(self, "members", members)
 
     @property
     def label(self) -> str:
@@ -151,21 +161,14 @@ def sg_multiply(group: MultispinalGroup, s, t):
         return ZERO
     eta, g, mu = s.eta, s.g, s.mu
     gamma, h, nu = t.eta, t.g, t.mu
+    # each branch walks eps once for both the image and the restriction;
+    # the inverse of a word is the reversed word
     if gamma.startswith(mu):
-        eps = gamma[len(mu):]
-        return SemigroupTriple(
-            eta + group.act(g, eps),
-            group.multiply(group.restrict(g, eps), h),
-            nu,
-        )
+        image, rest = group._walk(g.factors, gamma[len(mu):])
+        return SemigroupTriple(eta + image, group.element(*rest, *h.factors), nu)
     if mu.startswith(gamma):
-        eps = mu[len(gamma):]
-        hinv = group.inverse(h)
-        return SemigroupTriple(
-            eta,
-            group.multiply(g, group.inverse(group.restrict(hinv, eps))),
-            nu + group.act(hinv, eps),
-        )
+        image, rest = group._walk(h.factors[::-1], mu[len(gamma):])
+        return SemigroupTriple(eta, group.element(*g.factors, *rest[::-1]), nu + image)
     return ZERO
 
 
@@ -212,11 +215,12 @@ def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail
     """
     ctx = group.ctx
     step = group._step
+    bisimilar = group._bisimilar
     u, v = g1.factors, g2.factors
     pos = 0
     seen = set()
     while True:
-        if group.equal(GroupElement(u), GroupElement(v)):
+        if bisimilar(u, v):
             return True
         key = (u, v, tail.fold(pos))
         if key in seen:
@@ -425,11 +429,15 @@ def region_pattern(
     return RegionPattern(kind=kind, j=j, witness="1" * s + "0", membership_row=row, members=members)
 
 
-@dataclass
-class MembershipResult:
-    rows: tuple[tuple[int, ...], ...]
-    patterns: list[RegionPattern]
-    matches_transpose: bool
+class MembershipResult(Record):
+    __slots__ = ("rows", "patterns", "matches_transpose")
+
+    def __init__(
+        self, rows: tuple[tuple[int, ...], ...], patterns: list[RegionPattern], matches_transpose: bool
+    ) -> None:
+        self.rows = rows
+        self.patterns = patterns
+        self.matches_transpose = matches_transpose
 
 
 def membership_matrix(

@@ -15,28 +15,35 @@ cyclic shift-intersections all have size q/2 - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import FrozenRecord
 from .gf2n import FieldContext
 
 
-@dataclass(frozen=True)
-class DesignParams:
-    v: int           # number of points (nonzero field elements)
-    block_size: int  # points per block (subgroup minus zero)
-    lam: int         # blocks through each point pair
+class DesignParams(FrozenRecord):
+    """v points (the nonzero field elements), block_size points per block
+    (a subgroup minus zero), lam blocks through each pair of points."""
+
+    __slots__ = ("v", "block_size", "lam")
+
+    def __init__(self, v: int, block_size: int, lam: int) -> None:
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "block_size", block_size)
+        object.__setattr__(self, "lam", lam)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.v, self.block_size, self.lam)
 
 
-@dataclass(frozen=True)
-class BaseBlock:
+class BaseBlock(FrozenRecord):
     """A (q-1)-subset of Z_(2q-1) with constant shift-intersection q/2 - 1."""
 
-    q: int
-    positions: frozenset[int]
+    __slots__ = ("q", "positions")
+
+    def __init__(self, q: int, positions: frozenset[int]) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "positions", positions)
 
     @property
     def k(self) -> int:

@@ -416,6 +416,11 @@ class RefAutomaton:
             out.append(c)
         return "".join(out)
 
+    def restrict(self, word, letters: str):
+        for ch in letters:
+            word = self.step(word, ch)[0]
+        return word
+
     def equal(self, u, v) -> bool:
         """Bisimulation over pairs of unreduced words, without memo."""
         seen = {(u, v)}
@@ -431,6 +436,25 @@ class RefAutomaton:
                     seen.add((u2, v2))
                     todo.append((u2, v2))
         return True
+
+
+def ref_sg_multiply(auto: RefAutomaton, s, t):
+    """Product of triples (eta, word, mu) in the inverse semigroup, on the
+    unreduced words of the reference automaton; None is the zero.  Walks
+    eps twice, once for the image and once for the restriction, and
+    inverts a word by reversing it (every state is an involution)."""
+    if s is None or t is None:
+        return None
+    eta, g, mu = s
+    gamma, h, nu = t
+    if gamma.startswith(mu):
+        eps = gamma[len(mu):]
+        return (eta + auto.act(g, eps), auto.restrict(g, eps) + h, nu)
+    if mu.startswith(gamma):
+        eps = mu[len(gamma):]
+        hinv = h[::-1]
+        return (eta, g + auto.restrict(hinv, eps)[::-1], nu + auto.act(hinv, eps))
+    return None
 
 
 def ref_restriction_period(auto: RefAutomaton, x: int) -> int:

@@ -274,7 +274,9 @@ def test_documents_are_byte_identical(args):
 
 def test_no_subcommand_imports_numpy():
     # NumPy serves only the public sample_bound_ratios spot-check; a CLI
-    # process that imported it would pay its start-up time and memory
+    # process that imported it would pay its start-up time and memory.
+    # Nor does any subcommand load dataclasses, or inspect with it: the
+    # value classes are plain classes
     script = """
 import contextlib, io, sys
 from multispinal import cli
@@ -285,15 +287,59 @@ runs = [
     ["matrix", "--n", "3"],
     ["nucleus", "--n", "3"],
     ["groupoid", "--n", "3", "--m", "1"],
+    ["design", "--search-q", "4"],
 ]
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print("numpy" in sys.modules)
+print([m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules])
 """
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
+
+
+def _subcommand_documents():
+    for n in (2, 3, 4):
+        yield ["field", "--n", str(n)]
+        yield ["design", "--n", str(n)]
+        yield ["matrix", "--n", str(n), "--rank-field", "Q"]
+        yield ["nucleus", "--n", str(n)]
+        yield ["groupoid", "--n", str(n), "--m", "2"]
+        yield ["certify", "--n", str(n)]
+    yield ["design", "--search-q", "4"]
+    yield ["certify", "--all", "--n-min", "2", "--n-max", "4"]
+
+
+@pytest.mark.parametrize("argv", list(_subcommand_documents()), ids=" ".join)
+def test_json_emitter_matches_indented_dumps(argv, monkeypatch, tmp_path):
+    from multispinal import cli
+
+    docs = []
+    monkeypatch.setattr(cli, "_emit_json", lambda doc, out: docs.append(doc))
+    assert cli.main(argv) == 0
+    (doc,) = docs
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    monkeypatch.undo()
+    out = tmp_path / "doc.json"
+    cli._emit_json(doc, str(out))
+    assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [], {}, (), [[]], {"a": {}}, [[], {}, [[{}]]], {"x": {"y": []}, "z": [{}]},
+        'say "hi" \\ \n\t', "naïve ☃ 𝄞", {"quote\"key": "é", "ünïcode": ["☃", "\u0000"]},
+        True, False, None, 0, -7, 2.5, [True, False, None, 1, 0], {"t": True, "f": False, "n": None},
+        {1: "a", 2: [1, 2], True: None, None: 0, 2.5: {}}, {3: 1, 4: 2}, [1.0, -0.0, 1e300, 1e-7],
+        (1, (2, (3, ()))), {"deep": [[1, [2, [3]]], {"k": [{"j": []}]}]}, list(range(50)),
+    ],
+)
+def test_json_emitter_edge_cases(doc):
+    from multispinal import cli
+
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
 
 
 def test_unknown_subcommand_exits_2():

@@ -49,6 +49,7 @@ from reference import (
     ref_germ_equal,
     ref_hyperplane_membership,
     ref_region_witness,
+    ref_sg_multiply,
     t_first_column_abs_sum,
 )
 
@@ -104,6 +105,35 @@ def test_product_empty_extension_case(g2):
         prod = sg_multiply(g2, SemigroupTriple(eta, g, mu), SemigroupTriple(mu, h, nu))
         assert prod.eta == eta and prod.mu == nu
         assert g2.equal(prod.g, g2.multiply(g, h))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sg_multiply_matches_reference_product(n):
+    # 500 seeded pairs: a third with t's eta extending s's mu, a third the
+    # other way round, a third drawn freely (mostly zero products).  The
+    # group parts have up to 5 factors and the extensions up to 2
+    # letters, so that restrictions of length 2 or more, where the order
+    # of the factors matters, are common
+    group = MultispinalGroup(field_context(n))
+    auto = RefAutomaton(ref_field(group.ctx))
+    rng = random.Random(500 + n)
+    branches = set()
+    for case in range(500):
+        s, t = (SemigroupTriple(random_word(rng), random_element(group, rng, 5), random_word(rng)) for _ in "st")
+        if case % 3 == 0:
+            t = SemigroupTriple(s.mu + random_word(rng, 2), t.g, t.mu)
+        elif case % 3 == 1:
+            s = SemigroupTriple(s.eta, s.g, t.eta + random_word(rng, 2))
+        got = sg_multiply(group, s, t)
+        want = ref_sg_multiply(auto, (s.eta, s.g.factors, s.mu), (t.eta, t.g.factors, t.mu))
+        if want is None:
+            assert got is ZERO, (s, t)
+            branches.add("zero")
+            continue
+        assert (got.eta, got.mu) == (want[0], want[2]), (s, t)
+        assert auto.equal(got.g.factors, want[1]), (s, t)
+        branches.add(len(t.eta) >= len(s.mu))
+    assert branches == {"zero", True, False}
 
 
 def test_product_zero_case(g2):
@@ -302,6 +332,27 @@ def test_germ_equal_cancels_to_the_identity(n):
                 got = germ_equal(group, group.iota(x), group.iota(y), tail)
                 assert got == germ_equal(group, group.iota(x ^ y), group.identity, tail), (x, y, tail)
                 verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_germ_equal_cancellation_cases_match_reference_walk(n):
+    # the tails of the cancellation law above, both sides walked by the
+    # reference automaton one letter per step: every pair x, y at n <= 3,
+    # 24 seeded pairs per tail at n = 4
+    ctx = field_context(n)
+    group = MultispinalGroup(ctx)
+    auto = RefAutomaton(ref_field(ctx))
+    rng = random.Random(300 + n)
+    tails = [Tail("1" * s + "0", "1") for s in range(2 * ctx.k + 2)]
+    tails += [random_tail(rng, ctx.k, kind % 3) for kind in range(12)]
+    pairs = list(itertools.product(ctx.elements(), repeat=2))
+    verdicts = set()
+    for tail in tails:
+        for x, y in pairs if n <= 3 else rng.sample(pairs, 24):
+            want = ref_germ_equal(auto, (("b", x),), (("b", y),), tail.prefix, tail.period)
+            assert germ_equal(group, group.iota(x), group.iota(y), tail) == want, (x, y, tail)
+            verdicts.add(want)
     assert verdicts == {True, False}
 
 
@@ -674,3 +725,77 @@ def test_bound_section_needs_the_right_inverse(w3):
     section = bound_section(w3, T, matrix)
     assert section["lower_bound"]["pass"] is False and section["attained"]["pass"] is True
     assert section["pass"] is False
+
+
+# value classes ----------------------------------------------------------------
+
+
+def _values():
+    """(value, an equal copy, a different value, repr text, frozen) for
+    every value class of the package but GroupElement and NucleusReport
+    (tests/test_selfsim.py)."""
+    from multispinal.exact_linalg import ConditionResult, RConditionReport, RightInverse
+    from multispinal.groupoid import MembershipResult, RegionPattern
+    from multispinal.hyperplanes import BaseBlock, DesignParams
+
+    e = GroupElement(())
+    W = InclusionMatrix(q=2, rows=(7, 9), row_labels=("0", "a^1"), col_labels=("H0", "H0c"))
+    W2 = InclusionMatrix(2, (7, 9), ("0", "a^1"), ("H0", "H0c"))
+    pattern = RegionPattern(kind="H", j=0, witness="10", membership_row=(1, 0), members=(0,))
+    return [
+        (SemigroupTriple("0", e, "1"), SemigroupTriple(eta="0", g=GroupElement(()), mu="1"),
+         SemigroupTriple("0", e, "0"), "SemigroupTriple(eta='0', g=GroupElement(factors=()), mu='1')", True),
+        (Tail("10", "1"), Tail(prefix="10", period="1"), Tail("1", "10"), "Tail(prefix='10', period='1')", True),
+        (GermPoint(SemigroupTriple("", e, "1"), ONES), GermPoint(triple=SemigroupTriple("", e, "1"), tail=ONES),
+         GermPoint(SemigroupTriple("", e, ""), ONES),
+         "GermPoint(triple=SemigroupTriple(eta='', g=GroupElement(factors=()), mu='1'), "
+         "tail=Tail(prefix='', period='1'))", True),
+        (pattern, RegionPattern("H", 0, "10", (1, 0), (0,)), RegionPattern("Hc", 0, "10", (1, 0), (0,)),
+         "RegionPattern(kind='H', j=0, witness='10', membership_row=(1, 0), members=(0,))", True),
+        (MembershipResult(((1,),), [pattern], True),
+         MembershipResult(rows=((1,),), patterns=[pattern], matches_transpose=True),
+         MembershipResult(((1,),), [], True),
+         f"MembershipResult(rows=((1,),), patterns=[{pattern!r}], matches_transpose=True)", False),
+        (W, W2, InclusionMatrix(2, (7, 8), ("0", "a^1"), ("H0", "H0c")),
+         "InclusionMatrix(q=2, rows=(7, 9), row_labels=('0', 'a^1'), col_labels=('H0', 'H0c'))", True),
+        (RightInverse(W, Fraction(1, 3), Fraction(-1, 6)), RightInverse(W=W2, a=Fraction(1, 3), b=Fraction(-1, 6)),
+         RightInverse(W, Fraction(1, 3), Fraction(1, 6)), f"RightInverse(W={W!r}, a=Fraction(1, 3), b=Fraction(-1, 6))",
+         True),
+        (ConditionResult(False, (0, 1)), ConditionResult(passed=False, counterexample=(0, 1), note=""),
+         ConditionResult(False, (0, 1), "x"), "ConditionResult(passed=False, counterexample=(0, 1), note='')", False),
+        (RConditionReport({"R1": ConditionResult(True)}),
+         RConditionReport(results={"R1": ConditionResult(True, None, "")}),
+         RConditionReport(),
+         "RConditionReport(results={'R1': ConditionResult(passed=True, counterexample=None, note='')})", False),
+        (DesignParams(3, 1, 0), DesignParams(v=3, block_size=1, lam=0), DesignParams(3, 1, 1),
+         "DesignParams(v=3, block_size=1, lam=0)", True),
+        (BaseBlock(2, frozenset({1})), BaseBlock(q=2, positions=frozenset({1})), BaseBlock(2, frozenset({2})),
+         "BaseBlock(q=2, positions=frozenset({1}))", True),
+    ]
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_value_classes_compare_hash_and_print_by_field(case):
+    import copy
+    import pickle
+
+    value, same, other, text, frozen = _values()[case]
+    assert value == same and not value != same
+    assert value != other and value != tuple(getattr(value, f) for f in type(value).__slots__)
+    assert repr(value) == text
+    assert pickle.loads(pickle.dumps(value)) == copy.deepcopy(value) == value
+    first = type(value).__slots__[0]
+    if frozen:
+        assert hash(value) == hash(same)
+        for attempt in (
+            lambda: setattr(value, first, None),
+            lambda: delattr(value, first),
+            lambda: setattr(value, "other", 1),
+        ):
+            with pytest.raises(AttributeError):
+                attempt()
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+        setattr(value, first, getattr(other, first))
+        assert getattr(value, first) == getattr(other, first)

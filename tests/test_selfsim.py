@@ -4,7 +4,7 @@ import random
 import pytest
 
 from multispinal.gf2n import field_context
-from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup
+from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup, NucleusReport
 
 from reference import GRIG_REST, GRIG_SWAPS, RefAutomaton, RefField, grig_act, ref_restriction_period
 
@@ -307,3 +307,126 @@ def test_identity_pair_contracts_at_depth_zero(g2):
 def test_verify_nucleus_rejects_bad_depth(g2):
     with pytest.raises(ValueError):
         g2.verify_nucleus(0)
+
+
+def test_closure_check_sees_a_restriction_outside_the_nucleus(g2, monkeypatch):
+    group = MultispinalGroup(g2.ctx)
+    assert group.verify_nucleus(8).closure_ok
+    real = group.restrict_letter_state
+    rogue = ("b", 0)  # b(0) is e, never a state of its own
+    monkeypatch.setattr(group, "restrict_letter_state", lambda s, ch: rogue if s == STATE_A else real(s, ch))
+    report = group.verify_nucleus(8)
+    assert not report.closure_ok
+    assert not report.passed
+
+
+def test_nucleus_states_are_built_once(g3):
+    assert g3.nucleus_states is g3.nucleus_states
+    assert len(g3.nucleus_states) == g3.ctx.k + 2
+
+
+# transition memo and the fused walk --------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_memoised_step_matches_reference_automaton(n):
+    # every word of up to 3 nucleus states, as built and in normal form
+    group = MultispinalGroup(field_context(n))
+    auto = _ref_automaton(group.ctx)
+    states = group.nucleus_states
+    raw = [w for r in range(4) for w in itertools.product(states, repeat=r)]
+    words = dict.fromkeys(raw + [group.element(*w).factors for w in raw])
+    for word in words:
+        for ch in "01":
+            assert (word, ch) not in group._step_memo
+            first = group._step(word, ch)
+            ref_rest, ref_out = auto.step(word, ch)
+            assert first[1] == ref_out, (word, ch)
+            assert is_normal(first[0]), (word, ch)
+            assert auto.equal(first[0], ref_rest), (word, ch)
+            assert group._step(word, ch) is first  # the repeat is read from the memo
+    assert len(group._step_memo) == 2 * len(words)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fused_walk_is_act_and_restrict(n):
+    group = MultispinalGroup(field_context(n))
+    auto = _ref_automaton(group.ctx)
+    states = group.nucleus_states
+    rng = random.Random(40 + n)
+    elements = [GroupElement(tuple(rng.choice(states) for _ in range(rng.randrange(0, 4)))) for _ in range(25)]
+    words = ["".join(w) for r in range(5) for w in itertools.product("01", repeat=r)]
+    for g in elements:
+        for w in words:
+            image, rest = group._walk(g.factors, w)
+            assert (image, rest) == (group.act(g, w), group.restrict(g, w).factors)
+            assert image == auto.act(g.factors, w)
+            assert auto.equal(rest, auto.restrict(g.factors, w)), (g, w)
+
+
+def test_shared_memos_under_threads():
+    # both memos are insert-only and pure in their keys: threads racing on
+    # one group get the answers of a group of their own
+    import sys
+    import threading
+
+    ctx = field_context(4)
+    states = MultispinalGroup(ctx).nucleus_states
+    rng = random.Random(60)
+    words = [tuple(rng.choice(states) for _ in range(rng.randrange(0, 5))) for _ in range(150)]
+    letters = ["".join(rng.choice("01") for _ in range(6)) for _ in words]
+
+    def answers(group):
+        return [(group._walk(u, w), group.equal(GroupElement(u), GroupElement(v)))
+                for u, v, w in zip(words, words[1:] + words[:1], letters)]
+
+    want = answers(MultispinalGroup(ctx))
+    shared = MultispinalGroup(ctx)
+    got = [None] * 8
+    threads = [threading.Thread(target=lambda i=i: got.__setitem__(i, answers(shared))) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 8
+
+
+# value classes ------------------------------------------------------------------
+
+
+def test_group_element_is_an_immutable_value():
+    import copy
+    import pickle
+
+    g = GroupElement((STATE_A, ("b", 3)))
+    assert g == GroupElement((("a",), ("b", 3))) and hash(g) == hash(GroupElement(g.factors))
+    assert g != GroupElement((STATE_A,)) and g != (STATE_A, ("b", 3))
+    assert repr(g) == "GroupElement(factors=(('a',), ('b', 3)))"
+    assert pickle.loads(pickle.dumps(g)) == copy.deepcopy(g) == g
+    assert len(g) == 2
+    with pytest.raises(AttributeError):
+        g.factors = ()
+    with pytest.raises(AttributeError):
+        del g.factors
+    with pytest.raises(AttributeError):
+        g.other = 1
+
+
+def test_nucleus_report_is_a_mutable_record(g2):
+    report = g2.verify_nucleus(8)
+    same = NucleusReport(
+        n=2, state_count=5, closure_ok=True, pairs_checked=25,
+        max_contraction_depth=report.max_contraction_depth, depth_limit=8, failures=[],
+    )
+    assert report == same
+    assert repr(report).startswith("NucleusReport(n=2, state_count=5, closure_ok=True, pairs_checked=25, ")
+    report.failures = [("a", "a")]
+    assert report != same and not report.passed
+    with pytest.raises(TypeError):
+        hash(report)
