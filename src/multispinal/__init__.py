@@ -26,14 +26,14 @@ _EXPORTS = {
         "is_primitive",
     ),
     "hyperplanes": (
-        "BaseBlock", "DesignError", "DesignParams", "build_hyperplanes", "extract_base_block",
+        "BaseBlock", "DesignError", "build_hyperplanes", "extract_base_block",
         "search_base_blocks", "verify_design",
     ),
     "exact_linalg": (
         "InclusionMatrix", "RightInverse", "build_T", "build_W", "build_W_general",
         "check_R_conditions", "rank_mod_p", "rank_over_Q", "verify_right_inverse",
     ),
-    "selfsim": ("GroupElement", "MultispinalGroup", "NucleusReport"),
+    "selfsim": ("GroupElement", "MultispinalGroup"),
     "groupoid": (
         "ONES", "ZERO", "GermPoint", "MembershipMismatch", "RegionPattern", "RegionSearchError",
         "SemigroupTriple", "Tail", "bound_check", "germ_equal", "intersect_witness",

@@ -1,21 +1,23 @@
-"""Plain value classes: fields in __slots__, methods written once.
+"""The base of the package's value classes: fields in __slots__, methods
+written once.
 
-A subclass names its fields in __slots__ and writes its own __init__;
-Record then gives field-wise ==, a "Name(field=value, ...)" repr and
-pickling, read from those fields in order.  The standard library's
-record decorator would import inspect and generate each class's methods
-at import time, a noticeable share of a short CLI process.
+A subclass names its fields in __slots__ and writes its own __init__,
+storing each field with object.__setattr__; Record then gives
+field-wise == and hash, a "Name(field=value, ...)" repr and pickling,
+read from those fields in order, and rejects setting or deleting an
+attribute.  The standard library's record decorator would import
+inspect and generate each class's methods at import time, a noticeable
+share of a short CLI process.
 """
 
 from __future__ import annotations
 
 
 class Record:
-    """Compared field by field when the classes match; mutable and
-    unhashable."""
+    """An immutable value, compared and hashed field by field when the
+    classes match."""
 
     __slots__ = ()
-    __hash__ = None
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -25,6 +27,14 @@ class Record:
             return NotImplemented
         return self._fields() == other._fields()
 
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
@@ -32,18 +42,3 @@ class Record:
     def __reduce__(self):
         # positional construction from the fields, in __slots__ order
         return (type(self), self._fields())
-
-
-class FrozenRecord(Record):
-    """An immutable Record, hashed by its fields.  __init__ stores each
-    field with object.__setattr__."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __hash__(self) -> int:
-        return hash(self._fields())

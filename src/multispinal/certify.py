@@ -49,11 +49,11 @@ def design_section(ctx: FieldContext) -> dict:
     try:
         params = verify_design(ctx.trace_zero_mask, ctx.q)
         return {
-            "params": list(params.as_tuple()),
+            "params": list(params),
             "expected": list(expected),
             "blocks": ctx.k,  # the k rotations of the mask, distinct once verified
             "pair_counts_verified": True,  # each pair count is one of the shift counts
-            "pass": params.as_tuple() == expected,
+            "pass": params == expected,
         }
     except DesignError as err:
         return {
@@ -73,12 +73,13 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> di
     dividing kq; the primes that divide kq are reported as skipped.  The
     GF(2) rank, which W T = I leaves open, comes from elimination.
     """
-    report = check_R_conditions(W)
+    conditions = check_R_conditions(W)
+    all_r = all(c["pass"] for c in conditions.values())
     wt = verify_right_inverse(W, T)
     section = {
         "shape": list(W.shape),
-        "R_conditions": report.as_dict(),
-        "all_R_pass": report.all_pass,
+        "R_conditions": conditions,
+        "all_R_pass": all_r,
         "right_inverse_identity": wt,
     }
     if ctx.n <= 4:  # small enough to inline the full matrices
@@ -92,7 +93,7 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> di
     section["rank_mod_p"] = {
         str(p): "skipped (divides k*q)" if (ctx.k * ctx.q) % p == 0 else full for p in CANDIDATE_PRIMES
     }
-    section["pass"] = report.all_pass and wt and r2 < 2 * ctx.q
+    section["pass"] = all_r and wt and r2 < 2 * ctx.q
     return section
 
 
@@ -100,11 +101,9 @@ def nucleus_section(group: MultispinalGroup, depth: int = 8) -> dict:
     """Contraction of the nucleus pairs.  Every directed state b(x) has
     restriction period k along 1, since b(x)|1 = b(alpha x) and alpha has
     order k, which FieldContext asserts when it builds the power table."""
-    report = group.verify_nucleus(depth)
-    d = report.as_dict()
-    d["restriction_periods_ok"] = True
-    d["pass"] = report.passed
-    return d
+    section = group.verify_nucleus(depth)
+    section["restriction_periods_ok"] = True
+    return section
 
 
 def groupoid_section(group: MultispinalGroup, m_values, W: InclusionMatrix, matrix: dict) -> dict:
@@ -185,7 +184,11 @@ def certify(
     nucleus_depth: int = 8,
 ) -> dict:
     """Run the whole pipeline for one degree and assemble the document.
-    seed is echoed into the document and selects nothing."""
+    seed is echoed into the document and selects nothing; the groupoid
+    section keys its membership by m, so m_values must not repeat."""
+    m_values = tuple(m_values)
+    if not m_values or len(set(m_values)) < len(m_values):
+        raise ValueError(f"m_values must be nonempty and distinct, got {list(m_values)}")
     ctx = field_context(n, poly)
     group = MultispinalGroup(ctx)
     # W and T are built once, W as bitmask rows and T as its two values

@@ -125,7 +125,7 @@ def cmd_matrix(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     T = build_T(ctx.q, W)
-    report = check_R_conditions(W)
+    conditions = check_R_conditions(W)
     doc = {
         "n": ctx.n,
         "q": ctx.q,
@@ -133,8 +133,8 @@ def cmd_matrix(args) -> int:
         "row_labels": list(W.row_labels),
         "col_labels": list(W.col_labels),
         "W": W.to_lists(),
-        "R_conditions": report.as_dict(),
-        "all_R_pass": report.all_pass,
+        "R_conditions": conditions,
+        "all_R_pass": all(c["pass"] for c in conditions.values()),
         "T": T.to_strings(),
         "right_inverse_identity": verify_right_inverse(W, T),
     }
@@ -163,7 +163,7 @@ def cmd_nucleus(args) -> int:
 
     ctx = field_context(args.n, args.poly)
     group = MultispinalGroup(ctx)
-    report = group.verify_nucleus(args.depth)
+    contraction = group.verify_nucleus(args.depth)
     states = []
     for s in group.nucleus_states:
         entry = {
@@ -183,11 +183,11 @@ def cmd_nucleus(args) -> int:
     doc = {
         "n": ctx.n,
         "states": states,
-        "contraction": report.as_dict(),
-        "pass": report.passed,
+        "contraction": contraction,
+        "pass": contraction["pass"],
     }
     _emit_json(doc, args.out)
-    return 0 if report.passed else 1
+    return 0 if contraction["pass"] else 1
 
 
 def cmd_groupoid(args) -> int:
@@ -300,9 +300,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "design" and args.search_q is None and args.n is None:
         parser.error("design needs --n or --search-q")
+    field_given = args.n is not None or args.poly is not None  # every subcommand has both
+    if args.command == "design" and args.search_q is not None and field_given:
+        parser.error("design --search-q searches abstract base blocks; it takes neither --n nor --poly")
     if args.command == "certify" and not args.all and args.n is None:
         parser.error("certify needs --n or --all")
-    if args.command == "certify" and args.all and (args.n is not None or args.poly is not None):
+    if args.command == "certify" and args.all and field_given:
         parser.error("certify --all covers the stock polynomials of --n-min..--n-max; it takes neither --n nor --poly")
     if args.command == "certify" and args.all and args.n_min > args.n_max:
         parser.error(f"certify --all needs --n-min <= --n-max, got {args.n_min} > {args.n_max}")

@@ -17,12 +17,14 @@ conditions:
     R8  every row sums to k
     R9  every column sums to q
 
-Any matrix built from a base block by R1-R4 has the exact right-inverse
-T with entries a = 1/k where W is 1 and b = -(q-1)/(k(k-q+1)) where W is
-0.  T is held as those two values over W, and W as its bitmask rows, so
-R1-R9 are read from the rows by rotations and popcounts and W T = I is
-an integer Gram identity in popcounts; no Fraction is made per entry.  Since k - q + 1 =
-q, every denominator of T divides kq, so W T = I certifies full rank 2q
+circulant_rows writes W, and the W of a base block, from rows 0 and 1
+by R3 and R4.  Any matrix built from a base block by R1-R4 has the
+exact right-inverse T with entries a = 1/k where W is 1 and
+b = -(q-1)/(k(k-q+1)) where W is 0.  T is held as those two values over
+W, and W as its bitmask rows, so R1-R9 are read from the rows by
+rotations and popcounts, into the certificate's R_conditions dict, and
+W T = I is an integer Gram identity in popcounts.  Since k - q + 1 = q,
+every denominator of T divides kq, so W T = I certifies full rank 2q
 over the rationals and over GF(p) for every prime p not dividing kq.
 The one rank it leaves open is the GF(2) rank, found by elimination on
 the bitmask rows.  Rank over the rationals by fraction-free (Bareiss)
@@ -32,15 +34,16 @@ as independent checks; all arithmetic on any pass/fail path is exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 
-from ._record import FrozenRecord, Record
+from ._record import Record
 from .gf2n import FieldContext
 from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
 
 
-class InclusionMatrix(FrozenRecord):
+class InclusionMatrix(Record):
     """0/1 matrix with labelled rows and columns; rows stored as bitmasks."""
 
     __slots__ = ("q", "rows", "row_labels", "col_labels")
@@ -69,28 +72,32 @@ class InclusionMatrix(FrozenRecord):
         return [[(r >> j) & 1 for j in range(ncols)] for r in self.rows]
 
 
-def _row_labels(ctx: FieldContext) -> tuple[str, ...]:
-    return ("0",) + tuple(f"a^{i}" for i in range(1, ctx.k + 1))
-
-
 def _col_labels(k: int) -> tuple[str, ...]:
     return tuple(f"H{j}" for j in range(k)) + tuple(f"H{j}c" for j in range(k))
 
 
+def circulant_rows(row0: int, row1: int, k: int) -> Iterator[int]:
+    """The rows of a matrix in W's layout from the subgroup halves (k bits
+    each) of its rows 0 and 1: row 0, then row 1 rotated down by 0 .. k - 1
+    places (R3), each with its complement mirrored into the high k bits
+    (R4)."""
+    full = (1 << k) - 1
+    yield row0 | ((~row0 & full) << k)
+    for r in range(k):
+        first = ((row1 >> r) | (row1 << (k - r))) & full
+        yield first | ((~first & full) << k)
+
+
 def build_W(ctx: FieldContext) -> InclusionMatrix:
-    """Inclusion matrix of the field's hyperplanes and their complements."""
+    """Inclusion matrix of the field's hyperplanes and their complements.
+
+    0 lies in every subgroup, and alpha^i lies in H_j iff bit (i + j) mod k
+    of the zero-trace mask is set, so the row of alpha^i is the row of
+    alpha rotated down by i - 1 places."""
     k = ctx.k
-    rows = []
-    for x in ctx.canonical_elements():
-        first = membership_profile(ctx, x)
-        mirror = (~first) & ((1 << k) - 1)
-        rows.append(first | (mirror << k))
-    return InclusionMatrix(
-        q=ctx.q,
-        rows=tuple(rows),
-        row_labels=_row_labels(ctx),
-        col_labels=_col_labels(k),
-    )
+    rows = tuple(circulant_rows((1 << k) - 1, membership_profile(ctx, ctx.pow_alpha(1)), k))
+    row_labels = ("0",) + tuple(f"a^{i}" for i in range(1, k + 1))
+    return InclusionMatrix(q=ctx.q, rows=rows, row_labels=row_labels, col_labels=_col_labels(k))
 
 
 def build_W_general(block: BaseBlock) -> InclusionMatrix:
@@ -100,17 +107,12 @@ def build_W_general(block: BaseBlock) -> InclusionMatrix:
     seed = sum(1 << p for p in block.positions)
     if not block_satisfies_r5(seed, q):
         raise ValueError("base block violates the shift-intersection condition (R5)")
-    all_first = (1 << k) - 1
-    rows = [all_first]  # R1: zero row is in every subgroup, no complement
-    for shift in range(2 * q - 1):
-        first = ((seed >> shift) | (seed << (k - shift))) & all_first  # R3: row 2 rotated
-        mirror = (~first) & all_first  # R4
-        rows.append(first | (mirror << k))
+    rows = tuple(circulant_rows((1 << k) - 1, seed, k))  # R1: row 0 is in every subgroup
     row_labels = ("0",) + tuple(f"r{i}" for i in range(1, 2 * q))
-    return InclusionMatrix(q=q, rows=tuple(rows), row_labels=row_labels, col_labels=_col_labels(k))
+    return InclusionMatrix(q=q, rows=rows, row_labels=row_labels, col_labels=_col_labels(k))
 
 
-class RightInverse(FrozenRecord):
+class RightInverse(Record):
     """The two-valued right-inverse of W, held as its two values over W.
 
     Entry (j, i) is a where W[i][j] = 1 and b elsewhere; shape 2k x 2q,
@@ -302,45 +304,30 @@ def rank_mod_p(M, p: int) -> int:
     return rank
 
 
-class ConditionResult(Record):
-    __slots__ = ("passed", "counterexample", "note")
-
-    def __init__(self, passed: bool, counterexample: tuple | None = None, note: str = "") -> None:
-        self.passed = passed
-        self.counterexample = counterexample
-        self.note = note
-
-
-class RConditionReport(Record):
-    __slots__ = ("results",)
-
-    def __init__(self, results: dict[str, ConditionResult] | None = None) -> None:
-        self.results = {} if results is None else results
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.results.values())
-
-    def failing(self) -> list[str]:
-        return [name for name, r in self.results.items() if not r.passed]
-
-    def as_dict(self) -> dict:
-        return {
-            name: {
-                "pass": r.passed,
-                **({"counterexample": list(r.counterexample)} if r.counterexample else {}),
-                **({"note": r.note} if r.note else {}),
-            }
-            for name, r in self.results.items()
-        }
+def _condition(passed: bool, counterexample: list | None = None, note: str = "") -> dict:
+    """One R_conditions entry: pass, then a counterexample and a note if given."""
+    entry = {"pass": passed}
+    if counterexample is not None:
+        entry["counterexample"] = counterexample
+    if note:
+        entry["note"] = note
+    return entry
 
 
 def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def check_R_conditions(W: InclusionMatrix) -> RConditionReport:
-    """Itemized pass/fail for R1-R9 with first-counterexample coordinates.
+def _first_fail(violations) -> dict:
+    """The entry of a condition from its violations in order: the first is the counterexample."""
+    first = next(violations, None)
+    return _condition(first is None, first)
+
+
+def check_R_conditions(W: InclusionMatrix) -> dict[str, dict]:
+    """Itemized pass/fail for R1-R9 with first-counterexample coordinates,
+    as the certificate prints them: name -> {"pass", "counterexample"?,
+    "note"?}, or the single entry "shape" when W has the wrong shape.
 
     Coordinates in counterexamples are 0-based (row, column), the first
     in row-major order.  Every condition is read from the bitmask rows:
@@ -348,56 +335,14 @@ def check_R_conditions(W: InclusionMatrix) -> RConditionReport:
     """
     q = W.q
     k = W.k
-    nrows, ncols = W.shape
-    rep = RConditionReport()
-
-    def first_fail(name, gen, note=""):
-        for coords in gen:
-            rep.results[name] = ConditionResult(False, coords, note)
-            return
-        rep.results[name] = ConditionResult(True, None, note)
-
-    if nrows != 2 * q or ncols != 2 * k:
-        rep.results["shape"] = ConditionResult(False, (nrows, ncols), f"expected {2*q}x{2*k}")
-        return rep
+    if W.shape != (2 * q, 2 * k):
+        return {"shape": _condition(False, list(W.shape), f"expected {2*q}x{2*k}")}
 
     low_k = (1 << k) - 1
     first = [r & low_k for r in W.rows]
     second = [(r >> k) & low_k for r in W.rows]
     r1 = (first[0] ^ low_k) | (second[0] << k)
-    rep.results["R1"] = ConditionResult(not r1, (0, _low_bit(r1)) if r1 else None)
     row2 = first[1].bit_count()
-    rep.results["R2"] = ConditionResult(
-        row2 == q - 1, None if row2 == q - 1 else (1, row2), f"row 2 supports {row2} ones"
-    )
-    # R3: row i+1 is row i rotated down one place, bit j <- bit (j+1) mod k
-    first_fail(
-        "R3",
-        (
-            (i + 1, _low_bit(d))
-            for i in range(1, 2 * q - 1)
-            if (d := first[i + 1] ^ ((first[i] >> 1) | ((first[i] & 1) << (k - 1))))
-        ),
-    )
-    first_fail(
-        "R4",
-        ((i, _low_bit(d) + k) for i in range(1, 2 * q) if (d := second[i] ^ first[i] ^ low_k)),
-    )
-    rep.results["R5"] = ConditionResult(
-        block_satisfies_r5(first[1], q), None, "all nonzero shifts checked (strong reading)"
-    )
-    first_fail(
-        "R6",
-        ((i,) for i in range(2 * q) if first[i].bit_count() != (k if i == 0 else q - 1)),
-    )
-    first_fail(
-        "R7",
-        ((i,) for i in range(2 * q) if second[i].bit_count() != (0 if i == 0 else q)),
-    )
-    first_fail(
-        "R8",
-        ((i,) for i in range(2 * q) if W.rows[i].bit_count() != k),
-    )
     # R9, bit-sliced: plane p holds bit p of every column's count, so a
     # row is added by one ripple-carry pass over the planes; the columns
     # whose count is off are those where some plane disagrees with q
@@ -412,5 +357,25 @@ def check_R_conditions(W: InclusionMatrix) -> RConditionReport:
     off = 0
     for p, plane in enumerate(planes):
         off |= plane ^ (full if (q >> p) & 1 else 0)
-    rep.results["R9"] = ConditionResult(not off, (_low_bit(off),) if off else None)
-    return rep
+    return {
+        "R1": _condition(not r1, [0, _low_bit(r1)] if r1 else None),
+        "R2": _condition(
+            row2 == q - 1, None if row2 == q - 1 else [1, row2], f"row 2 supports {row2} ones"
+        ),
+        # R3: row i+1 is row i rotated down one place, bit j <- bit (j+1) mod k
+        "R3": _first_fail(
+            [i + 1, _low_bit(d)]
+            for i in range(1, 2 * q - 1)
+            if (d := first[i + 1] ^ ((first[i] >> 1) | ((first[i] & 1) << (k - 1))))
+        ),
+        "R4": _first_fail(
+            [i, _low_bit(d) + k] for i in range(1, 2 * q) if (d := second[i] ^ first[i] ^ low_k)
+        ),
+        "R5": _condition(
+            block_satisfies_r5(first[1], q), None, "all nonzero shifts checked (strong reading)"
+        ),
+        "R6": _first_fail([i] for i in range(2 * q) if first[i].bit_count() != (k if i == 0 else q - 1)),
+        "R7": _first_fail([i] for i in range(2 * q) if second[i].bit_count() != (0 if i == 0 else q)),
+        "R8": _first_fail([i] for i in range(2 * q) if W.rows[i].bit_count() != k),
+        "R9": _condition(not off, [_low_bit(off)] if off else None),
+    }

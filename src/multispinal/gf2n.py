@@ -65,7 +65,7 @@ class PrimitivePolynomial:
     The class itself only guarantees monic and degree >= 1; primitivity is
     checked by :func:`is_primitive` and enforced by :class:`FieldContext`.
     Immutable, compared and hashed by mask.  Written out rather than
-    derived from multispinal._record.FrozenRecord, so that the `field`
+    derived from multispinal._record.Record, so that the `field`
     subcommand loads no module but gf2n and cli.
     """
 

@@ -33,8 +33,8 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 
-from ._record import FrozenRecord, Record
-from .exact_linalg import InclusionMatrix
+from ._record import Record
+from .exact_linalg import InclusionMatrix, circulant_rows
 from .gf2n import FieldContext
 from .selfsim import GroupElement, MultispinalGroup
 
@@ -56,7 +56,7 @@ class _Zero:
 ZERO = _Zero()
 
 
-class SemigroupTriple(FrozenRecord):
+class SemigroupTriple(Record):
     __slots__ = ("eta", "g", "mu")
 
     def __init__(self, eta: str, g: GroupElement, mu: str) -> None:
@@ -65,14 +65,15 @@ class SemigroupTriple(FrozenRecord):
         object.__setattr__(self, "mu", mu)
 
 
-class Tail(FrozenRecord):
+class Tail(Record):
     """Eventually periodic infinite word prefix . period period ..."""
 
     __slots__ = ("prefix", "period")
 
     def __init__(self, prefix: str, period: str) -> None:
-        if not period:
-            raise ValueError("period must be nonempty")
+        # the bad letters are what is left after deleting each 0 and 1 (bytes: fast on long prefixes)
+        if not period or (prefix + period).encode().translate(None, b"01"):
+            raise ValueError(f"a tail is 0/1 words with a nonempty period, got {prefix!r}, {period!r}")
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
 
@@ -103,7 +104,7 @@ class Tail(FrozenRecord):
 ONES = Tail("", "1")
 
 
-class GermPoint(FrozenRecord):
+class GermPoint(Record):
     __slots__ = ("triple", "tail")
 
     def __init__(self, triple: SemigroupTriple, tail: Tail) -> None:
@@ -113,7 +114,7 @@ class GermPoint(FrozenRecord):
         object.__setattr__(self, "tail", tail)
 
 
-class RegionPattern(FrozenRecord):
+class RegionPattern(Record):
     """One disjointified region: its defining set, witness and indicator row.
 
     kind is "H" or "Hc"; the witness is a finite word after which the tail
@@ -358,12 +359,10 @@ def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> Iterator[int]:
     complement columns mirror the subgroup columns.
     """
     k = ctx.k
-    full = (1 << k) - 1
-    mask = int("".join("1" if ctx.power_table[t] in meet else "0" for t in reversed(range(k))), 2)
-    for i in range(2 * ctx.q):  # 0, alpha^1, ..., alpha^k = 1: W's canonical order
-        r = i % k
-        first = (full if 0 in meet else 0) if i == 0 else ((mask >> r) | (mask << (k - r))) & full
-        yield first | ((~first & full) << k)
+    # W's canonical order 0, alpha^1, ..., alpha^k = 1; bit j of the row
+    # of alpha is [alpha^(j + 1) in G]
+    row1 = sum(1 << j for j in range(k) if ctx.power_table[(j + 1) % k] in meet)
+    return circulant_rows((1 << k) - 1 if 0 in meet else 0, row1, k)
 
 
 def check_germ_rows(group: MultispinalGroup, W: InclusionMatrix) -> None:
@@ -372,8 +371,9 @@ def check_germ_rows(group: MultispinalGroup, W: InclusionMatrix) -> None:
     m.  Compares germ_rows with W one row at a time and raises
     MembershipMismatch naming the region of the lowest differing bit of
     the first differing row, and that row's element."""
-    if W.q != group.ctx.q:
-        raise ValueError(f"W has q={W.q}, the field has q={group.ctx.q}")
+    q, k = group.ctx.q, group.ctx.k
+    if W.q != q or W.shape != (2 * q, 2 * k):
+        raise ValueError(f"W has q={W.q}, shape {W.shape}; the field has q={q}, shape {(2 * q, 2 * k)}")
     for i, (got, want) in enumerate(zip(germ_rows(group.ctx, meet_set(group)), W.rows)):
         if diff := got ^ want:
             raise MembershipMismatch(W.col_labels[(diff & -diff).bit_length() - 1], W.row_labels[i])
@@ -429,35 +429,22 @@ def region_pattern(
     return RegionPattern(kind=kind, j=j, witness="1" * s + "0", membership_row=row, members=members)
 
 
-class MembershipResult(Record):
-    __slots__ = ("rows", "patterns", "matches_transpose")
-
-    def __init__(
-        self, rows: tuple[tuple[int, ...], ...], patterns: list[RegionPattern], matches_transpose: bool
-    ) -> None:
-        self.rows = rows
-        self.patterns = patterns
-        self.matches_transpose = matches_transpose
-
-
 def membership_matrix(
     group: MultispinalGroup,
     W: InclusionMatrix,
     m: int,
     search_depth: int | None = None,
-) -> MembershipResult:
-    """Stack all 2k region rows of region_pattern, in the column order of
-    W; region_pattern checks each against its column of W, so the stack
-    is W's transpose.  Raises MembershipMismatch naming the offending
-    (row, column) on disagreement.  4kq germ walks: the oracle of
-    check_germ_rows, which needs 2q."""
-    patterns = [
+) -> tuple[RegionPattern, ...]:
+    """The region_pattern of all 2k regions, in the column order of W;
+    region_pattern checks each membership row against its column of W,
+    so the rows stack into W's transpose.  Raises MembershipMismatch
+    naming the offending (row, column) on disagreement.  4kq germ walks:
+    the oracle of check_germ_rows, which needs 2q."""
+    return tuple(
         region_pattern(group, W, m, kind, j, search_depth)
         for kind in ("H", "Hc")
         for j in range(group.ctx.k)
-    ]
-    stacked = tuple(p.membership_row for p in patterns)
-    return MembershipResult(rows=stacked, patterns=patterns, matches_transpose=True)
+    )
 
 
 # -- singular system and magnitude bound ---------------------------------

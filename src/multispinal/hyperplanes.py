@@ -8,7 +8,8 @@ alpha^l lies in H_j iff bit (l + j) mod k of the zero-trace mask Z is
 set, so every point's blocks and every block's points are a rotation of
 Z, and the pair (alpha^l1, alpha^l2) lies in |Z ∩ (Z - d)| blocks,
 d = l2 - l1.  The k - 1 shift counts of one mask (shift_intersections)
-therefore certify the design, and the same counts decide the shift
+therefore certify the design: verify_design returns its parameters as
+the tuple (v, block_size, lam).  The same counts decide the shift
 condition R5 on an abstract base block: a (q-1)-subset of Z_(2q-1) whose
 cyclic shift-intersections all have size q/2 - 1.
 """
@@ -17,26 +18,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ._record import FrozenRecord
+from ._record import Record
 from .gf2n import FieldContext
 
 
-class DesignParams(FrozenRecord):
-    """v points (the nonzero field elements), block_size points per block
-    (a subgroup minus zero), lam blocks through each pair of points."""
-
-    __slots__ = ("v", "block_size", "lam")
-
-    def __init__(self, v: int, block_size: int, lam: int) -> None:
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "block_size", block_size)
-        object.__setattr__(self, "lam", lam)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.v, self.block_size, self.lam)
-
-
-class BaseBlock(FrozenRecord):
+class BaseBlock(Record):
     """A (q-1)-subset of Z_(2q-1) with constant shift-intersection q/2 - 1."""
 
     __slots__ = ("q", "positions")
@@ -119,8 +105,10 @@ def membership_profile(ctx: FieldContext, x: int) -> int:
     return ((z >> lx) | (z << (ctx.k - lx))) & full
 
 
-def verify_design(z: int, q: int) -> DesignParams:
-    """Certify the design of a zero-trace mask z and return its parameters.
+def verify_design(z: int, q: int) -> tuple[int, int, int]:
+    """Certify the design of a zero-trace mask z and return its parameters
+    (v, block_size, lam): v points, block_size points per block and lam
+    blocks through each pair of points.
 
     The points are the exponents l of alpha^l and the blocks the H_j,
     l, j in Z_k with k = 2q - 1, and alpha^l lies in H_j iff bit
@@ -148,7 +136,7 @@ def verify_design(z: int, q: int) -> DesignParams:
             )
     if z.bit_count() != q - 1:
         raise DesignError(f"every point lies in {z.bit_count()} blocks, expected {q - 1}", 0)
-    return DesignParams(v=k, block_size=q - 1, lam=lam)
+    return (k, q - 1, lam)
 
 
 def extract_base_block(ctx: FieldContext) -> BaseBlock:

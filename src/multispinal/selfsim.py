@@ -28,7 +28,8 @@ directed states: each fixes every letter and b(x)|_(1^r) = b(alpha^r x).
 The normal form is syntactic only.  Equality of elements is decided
 semantically by bisimulation: restriction maps a word to a word of the
 same or smaller length, so the reachable pair space is finite and the
-worklist search terminates.
+worklist search terminates.  verify_nucleus checks closure and pair
+contraction and returns the certificate's contraction dict.
 
 The group is finite-state, so the words the walks reach form one finite
 Mealy automaton.  Two insert-only caches on the object are its only
@@ -45,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 
-from ._record import FrozenRecord, Record
+from ._record import Record
 from .gf2n import FieldContext
 
 STATE_E = ("e",)
@@ -77,7 +78,7 @@ def _reduce(states) -> tuple:
     return tuple(out)
 
 
-class GroupElement(FrozenRecord):
+class GroupElement(Record):
     """A word in nucleus states.  == and hash are syntactic (factor tuples);
     semantic equality lives in MultispinalGroup.equal."""
 
@@ -276,15 +277,17 @@ class MultispinalGroup:
 
     # -- nucleus checks -----------------------------------------------------
 
-    def verify_nucleus(self, depth: int) -> "NucleusReport":
-        """Check restriction-closure and contraction of products of pairs.
+    def verify_nucleus(self, depth: int) -> dict:
+        """Check restriction-closure and contraction of products of pairs,
+        and return the contraction fragment of the certificate.
 
         For every pair (g, h) of nucleus states, finds the least d such
         that every restriction of g*h at a word of length d is again a
-        nucleus element (then all longer words follow by closure).  Fails
-        loudly if some pair does not contract within the given depth.
-        Only pairs are within finite reach; contraction of longer
-        products follows from iterating the pair statement.
+        nucleus element (then all longer words follow by closure).  A
+        pair that does not contract within the given depth is listed
+        under "failures", and "pass" is then false.  Only pairs are
+        within finite reach; contraction of longer products follows from
+        iterating the pair statement.
         """
         if depth < 1:
             raise ValueError("depth must be >= 1")
@@ -314,50 +317,16 @@ class MultispinalGroup:
                     frontier = nxt
                     d += 1
                 if frontier:
-                    failures.append((self.state_name(g), self.state_name(h)))
+                    failures.append([self.state_name(g), self.state_name(h)])
                 else:
                     max_depth = max(max_depth, d)
-        return NucleusReport(
-            n=self.ctx.n,
-            state_count=len(states),
-            closure_ok=closure_ok,
-            pairs_checked=pairs,
-            max_contraction_depth=max_depth,
-            depth_limit=depth,
-            failures=failures,
-        )
-
-
-class NucleusReport(Record):
-    __slots__ = (
-        "n", "state_count", "closure_ok", "pairs_checked", "max_contraction_depth", "depth_limit",
-        "failures",
-    )
-
-    def __init__(
-        self, n: int, state_count: int, closure_ok: bool, pairs_checked: int,
-        max_contraction_depth: int, depth_limit: int, failures: list,
-    ) -> None:
-        self.n = n
-        self.state_count = state_count
-        self.closure_ok = closure_ok
-        self.pairs_checked = pairs_checked
-        self.max_contraction_depth = max_contraction_depth
-        self.depth_limit = depth_limit
-        self.failures = failures
-
-    @property
-    def passed(self) -> bool:
-        return self.closure_ok and not self.failures
-
-    def as_dict(self) -> dict:
         return {
-            "n": self.n,
-            "state_count": self.state_count,
-            "closure_ok": self.closure_ok,
-            "pairs_checked": self.pairs_checked,
-            "max_contraction_depth": self.max_contraction_depth,
-            "depth_limit": self.depth_limit,
-            "failures": [list(f) for f in self.failures],
-            "pass": self.passed,
+            "n": self.ctx.n,
+            "state_count": len(states),
+            "closure_ok": closure_ok,
+            "pairs_checked": pairs,
+            "max_contraction_depth": max_depth,
+            "depth_limit": depth,
+            "failures": failures,
+            "pass": closure_ok and not failures,
         }

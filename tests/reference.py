@@ -20,7 +20,6 @@ import functools
 import math
 from fractions import Fraction
 
-from multispinal.exact_linalg import ConditionResult, RConditionReport
 from multispinal.hyperplanes import DesignError
 
 
@@ -264,25 +263,35 @@ def ref_is_right_inverse(W, T_rows) -> bool:
     )
 
 
-def ref_check_R_conditions(W) -> RConditionReport:
+def _ref_condition(passed, counterexample=None, note=""):
+    entry = {"pass": passed}
+    if counterexample is not None:
+        entry["counterexample"] = list(counterexample)
+    if note:
+        entry["note"] = note
+    return entry
+
+
+def ref_check_R_conditions(W) -> dict:
     """Itemized pass/fail for R1-R9 with first-counterexample coordinates,
-    reading W one entry at a time.
+    reading W one entry at a time, in the certificate's shape: name ->
+    {"pass", "counterexample"?, "note"?}.
 
     Coordinates in counterexamples are 0-based (row, column).
     """
     q = W.q
     k = W.k
     nrows, ncols = W.shape
-    rep = RConditionReport()
+    rep = {}
 
     def first_fail(name, gen, note=""):
         for coords in gen:
-            rep.results[name] = ConditionResult(False, coords, note)
+            rep[name] = _ref_condition(False, coords, note)
             return
-        rep.results[name] = ConditionResult(True, None, note)
+        rep[name] = _ref_condition(True, None, note)
 
     if nrows != 2 * q or ncols != 2 * k:
-        rep.results["shape"] = ConditionResult(False, (nrows, ncols), f"expected {2*q}x{2*k}")
+        rep["shape"] = _ref_condition(False, (nrows, ncols), f"expected {2*q}x{2*k}")
         return rep
 
     first_fail(
@@ -294,7 +303,7 @@ def ref_check_R_conditions(W) -> RConditionReport:
         ),
     )
     row2 = sum(W.entry(1, j) for j in range(k))
-    rep.results["R2"] = ConditionResult(
+    rep["R2"] = _ref_condition(
         row2 == q - 1, None if row2 == q - 1 else (1, row2), f"row 2 supports {row2} ones"
     )
     first_fail(
@@ -318,7 +327,7 @@ def ref_check_R_conditions(W) -> RConditionReport:
     positions = [j for j in range(k) if W.entry(1, j)]
     lam = q // 2 - 1
     r5_ok = len(positions) == q - 1 and ref_block_satisfies_r5(positions, k, lam)
-    rep.results["R5"] = ConditionResult(
+    rep["R5"] = _ref_condition(
         r5_ok, None, "all nonzero shifts checked (strong reading)"
     )
     first_fail(

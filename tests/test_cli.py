@@ -185,7 +185,7 @@ def test_lazy_exports_resolve():
     script = """
 import inspect, multispinal
 names = multispinal.__all__
-assert len(names) == len(set(names)) == 45, names
+assert len(names) == len(set(names)) == 43, names
 assert all(hasattr(multispinal, name) for name in names)
 star = {}
 exec("from multispinal import *", star)
@@ -396,6 +396,32 @@ def test_negative_m_exits_2(args):
     res = run_cli(*args)
     assert res.returncode == 2
     assert "must be >= 0" in res.stderr
+
+
+@pytest.mark.parametrize("m_values", [(), (1, 1), (2, 1, 2)])
+def test_certify_rejects_empty_or_repeated_m_values(m_values):
+    # the groupoid section keys its membership by m and reads m_values[0]
+    from multispinal.certify import certify
+
+    with pytest.raises(ValueError, match="m_values must be nonempty and distinct"):
+        certify(3, m_values=m_values)
+
+
+def test_certify_repeated_m_values_exit_2():
+    res = run_cli("certify", "--n", "3", "--m-values", "1", "1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "m_values must be nonempty and distinct" in res.stderr
+
+
+@pytest.mark.parametrize("extra", [("--n", "3"), ("--poly", "x^3+x+1")])
+def test_design_search_q_takes_no_field(extra):
+    # --search-q searches abstract base blocks, so a field option would be
+    # silently ignored
+    res = run_cli("design", "--search-q", "4", *extra)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "takes neither --n nor --poly" in res.stderr
 
 
 def test_groupoid_depth_budget():

@@ -167,7 +167,7 @@ def test_shift_covariance(n):
 def test_verify_design_parameters(n, expected):
     ctx = field_context(n)
     params = verify_design(ctx.trace_zero_mask, ctx.q)
-    assert params.as_tuple() == expected
+    assert params == expected
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -177,7 +177,7 @@ def test_shift_counts_match_the_pair_loop(n):
     ctx = field_context(n)
     planes = build_hyperplanes(ctx)
     expected = (ctx.k, ctx.q - 1, ctx.q // 2 - 1)
-    assert verify_design(ctx.trace_zero_mask, ctx.q).as_tuple() == expected
+    assert verify_design(ctx.trace_zero_mask, ctx.q) == expected
     assert ref_verify_design(planes, n) == expected
     from_shifts = {}
     for d, c in enumerate(shift_intersections(ctx.trace_zero_mask, ctx.k), 1):
@@ -203,7 +203,7 @@ def test_shift_counts_match_the_set_oracle_on_every_subset(q):
         assert block_satisfies_r5(mask, q) == ok
         if ok:
             passed += 1
-            assert verify_design(mask, q).as_tuple() == (k, q - 1, lam)
+            assert verify_design(mask, q) == (k, q - 1, lam)
         else:
             with pytest.raises(DesignError) as err:
                 verify_design(mask, q)

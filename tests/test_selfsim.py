@@ -4,7 +4,7 @@ import random
 import pytest
 
 from multispinal.gf2n import field_context
-from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup, NucleusReport
+from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup
 
 from reference import GRIG_REST, GRIG_SWAPS, RefAutomaton, RefField, grig_act, ref_restriction_period
 
@@ -282,22 +282,40 @@ def test_restriction_period_every_directed_state(n):
 
 def test_verify_nucleus_degree2(g2):
     report = g2.verify_nucleus(8)
-    assert report.passed
-    assert report.state_count == 5
+    assert report["pass"]
+    assert report["state_count"] == 5
     assert {g2.state_name(s) for s in g2.nucleus_states} == {"e", "a", "b1", "b2", "b3"}
+
+
+def test_verify_nucleus_returns_the_contraction_fragment(g2, monkeypatch):
+    # the dict is the certificate's contraction fragment, keys in document
+    # order and "pass" last
+    assert g2.verify_nucleus(8) == {
+        "n": 2, "state_count": 5, "closure_ok": True, "pairs_checked": 25,
+        "max_contraction_depth": 1, "depth_limit": 8, "failures": [], "pass": True,
+    }
+    assert list(g2.verify_nucleus(8)) == [
+        "n", "state_count", "closure_ok", "pairs_checked", "max_contraction_depth", "depth_limit", "failures",
+        "pass",
+    ]
+    group = MultispinalGroup(g2.ctx)
+    monkeypatch.setattr(group, "in_nucleus", lambda g: None)  # no pair ever contracts
+    report = group.verify_nucleus(2)
+    assert report["failures"][:2] == [["e", "e"], ["e", "b1"]] and len(report["failures"]) == 25
+    assert report["closure_ok"] is True and report["pass"] is False
 
 
 def test_verify_nucleus_degree3(g3):
     report = g3.verify_nucleus(16)
-    assert report.passed
-    assert report.state_count == 9
+    assert report["pass"]
+    assert report["state_count"] == 9
 
 
 def test_verify_nucleus_degree4():
     group = MultispinalGroup(field_context(4))
     report = group.verify_nucleus(8)
-    assert report.passed
-    assert report.state_count == 17
+    assert report["pass"]
+    assert report["state_count"] == 17
 
 
 def test_identity_pair_contracts_at_depth_zero(g2):
@@ -311,13 +329,13 @@ def test_verify_nucleus_rejects_bad_depth(g2):
 
 def test_closure_check_sees_a_restriction_outside_the_nucleus(g2, monkeypatch):
     group = MultispinalGroup(g2.ctx)
-    assert group.verify_nucleus(8).closure_ok
+    assert group.verify_nucleus(8)["closure_ok"]
     real = group.restrict_letter_state
     rogue = ("b", 0)  # b(0) is e, never a state of its own
     monkeypatch.setattr(group, "restrict_letter_state", lambda s, ch: rogue if s == STATE_A else real(s, ch))
     report = group.verify_nucleus(8)
-    assert not report.closure_ok
-    assert not report.passed
+    assert not report["closure_ok"]
+    assert not report["pass"]
 
 
 def test_nucleus_states_are_built_once(g3):
@@ -416,17 +434,3 @@ def test_group_element_is_an_immutable_value():
         del g.factors
     with pytest.raises(AttributeError):
         g.other = 1
-
-
-def test_nucleus_report_is_a_mutable_record(g2):
-    report = g2.verify_nucleus(8)
-    same = NucleusReport(
-        n=2, state_count=5, closure_ok=True, pairs_checked=25,
-        max_contraction_depth=report.max_contraction_depth, depth_limit=8, failures=[],
-    )
-    assert report == same
-    assert repr(report).startswith("NucleusReport(n=2, state_count=5, closure_ok=True, pairs_checked=25, ")
-    report.failures = [("a", "a")]
-    assert report != same and not report.passed
-    with pytest.raises(TypeError):
-        hash(report)
