@@ -38,7 +38,7 @@ _EXPORTS = {
         "ONES", "ZERO", "GermPoint", "MembershipMismatch", "RegionPattern", "RegionSearchError",
         "SemigroupTriple", "Tail", "bound_check", "germ_equal", "intersect_witness",
         "is_idempotent", "membership_matrix", "point_in_bisection", "region_pattern",
-        "sample_bound_ratios", "sg_equal", "sg_multiply", "sg_star", "singular_system_certificate",
+        "sample_bound_ratios", "sg_equal", "sg_multiply", "sg_star",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

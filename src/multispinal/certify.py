@@ -98,7 +98,8 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> di
 
 
 def nucleus_section(group: MultispinalGroup, depth: int = 8) -> dict:
-    """Contraction of the nucleus pairs.  Every directed state b(x) has
+    """Contraction of the nucleus pairs, from the classes of the normal
+    form (MultispinalGroup.verify_nucleus).  Every directed state b(x) has
     restriction period k along 1, since b(x)|1 = b(alpha x) and alpha has
     order k, which FieldContext asserts when it builds the power table."""
     section = group.verify_nucleus(depth)
@@ -181,7 +182,6 @@ def certify(
     poly: PrimitivePolynomial | int | str | None = None,
     m_values=(1, 2, 3),
     seed: int = 0,
-    nucleus_depth: int = 8,
 ) -> dict:
     """Run the whole pipeline for one degree and assemble the document.
     seed is echoed into the document and selects nothing; the groupoid
@@ -204,7 +204,7 @@ def certify(
         "field": field_section(ctx),
         "design": design_section(ctx),
         "matrix": matrix,
-        "nucleus": nucleus_section(group, nucleus_depth),
+        "nucleus": nucleus_section(group),
         "groupoid": groupoid_section(group, m_values, W, matrix),
         "bound": bound_section(W, T, matrix),
     }

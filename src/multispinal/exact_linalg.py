@@ -44,13 +44,16 @@ from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
 
 
 class InclusionMatrix(Record):
-    """0/1 matrix with labelled rows and columns; rows stored as bitmasks."""
+    """0/1 matrix with labelled rows and columns; rows stored as bitmasks.
+    Raises ValueError unless there is one row label per row."""
 
     __slots__ = ("q", "rows", "row_labels", "col_labels")
 
     def __init__(
         self, q: int, rows: tuple[int, ...], row_labels: tuple[str, ...], col_labels: tuple[str, ...]
     ) -> None:
+        if len(row_labels) != len(rows):
+            raise ValueError(f"{len(rows)} rows but {len(row_labels)} row labels")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "row_labels", row_labels)

@@ -28,15 +28,17 @@ directed states: each fixes every letter and b(x)|_(1^r) = b(alpha^r x).
 The normal form is syntactic only.  Equality of elements is decided
 semantically by bisimulation: restriction maps a word to a word of the
 same or smaller length, so the reachable pair space is finite and the
-worklist search terminates.  verify_nucleus checks closure and pair
-contraction and returns the certificate's contraction dict.
+worklist search terminates.  verify_nucleus derives closure and pair
+contraction from the classes of the normal form, with no walk, and
+returns the certificate's contraction dict.
 
 The group is finite-state, so the words the walks reach form one finite
 Mealy automaton.  Two insert-only caches on the object are its only
 shared mutable state: the transition memo, (word, letter) ->
 (restricted normal form, output letter), filled lazily on the words the
-walks reach (5.5 * 2^n - 1 entries after a certify run: 703 at n = 7,
-5,631 at n = 10), and the memo of resolved comparisons.  Both are pure
+walks reach, and the memo of resolved comparisons.  After a certify run,
+whose only walks are the 2^n germ walks of groupoid.meet_set, they hold
+3 * 2^(n-1) + 3 and 2^n entries: 195 and 128 at n = 7.  Both are pure
 functions of their keys, so two threads racing on one key only repeat
 work.
 """
@@ -281,51 +283,34 @@ class MultispinalGroup:
         """Check restriction-closure and contraction of products of pairs,
         and return the contraction fragment of the certificate.
 
-        For every pair (g, h) of nucleus states, finds the least d such
-        that every restriction of g*h at a word of length d is again a
-        nucleus element (then all longer words follow by closure).  A
-        pair that does not contract within the given depth is listed
-        under "failures", and "pass" is then false.  Only pairs are
-        within finite reach; contraction of longer products follows from
-        iterating the pair statement.
+        The (k + 2)^2 pairs (g, h) of nucleus states fall into classes by
+        the normal form.  e h, h e, a a and b(x) b(y) are single states
+        as words, so they contract at depth 0.  The 2k pairs a b(x) and
+        b(x) a restrict at the letter c to b(x)|_c and b(x)|_(not c), as
+        a|_c = e: they contract at depth 1 when both one-letter
+        restrictions of b(x) are states, and are listed under "failures"
+        otherwise.  Depth 0 is ruled out for them because b(x) != e for
+        x != 0, which is the joint-kernel identity of the field section.
+        Contraction of longer products follows from iterating the pair
+        statement.  No word is walked, so neither memo is touched.
         """
         if depth < 1:
             raise ValueError("depth must be >= 1")
         states = self.nucleus_states
         state_set = set(states)
-        closure_ok = all(
-            self.restrict_letter_state(s, ch) in state_set for s in states for ch in "01"
-        )
-        max_depth = 0
-        failures = []
-        pairs = 0
-        for g in states:
-            for h in states:
-                pairs += 1
-                frontier = {self.element(g, h).factors}
-                d = 0
-                while frontier and d <= depth:
-                    frontier = {
-                        t for t in frontier if self.in_nucleus(GroupElement(t)) is None
-                    }
-                    if not frontier:
-                        break
-                    nxt = set()
-                    for t in frontier:
-                        for ch in "01":
-                            nxt.add(self._step(t, ch)[0])
-                    frontier = nxt
-                    d += 1
-                if frontier:
-                    failures.append([self.state_name(g), self.state_name(h)])
-                else:
-                    max_depth = max(max_depth, d)
+        leaving = [
+            s for s in states if any(self.restrict_letter_state(s, ch) not in state_set for ch in "01")
+        ]
+        closure_ok = not leaving
+        bad = [self.state_name(s) for s in leaving if s[0] == "b"]
+        failures = [[b, "a"] for b in bad] + [["a", b] for b in bad]
+        class_depth = 1 if self.ctx.joint_kernel_is_trivial() else 0
         return {
             "n": self.ctx.n,
             "state_count": len(states),
             "closure_ok": closure_ok,
-            "pairs_checked": pairs,
-            "max_contraction_depth": max_depth,
+            "pairs_checked": len(states) ** 2,
+            "max_contraction_depth": class_depth if len(bad) < self.ctx.k else 0,
             "depth_limit": depth,
             "failures": failures,
             "pass": closure_ok and not failures,

@@ -447,6 +447,64 @@ class RefAutomaton:
         return True
 
 
+def ref_verify_nucleus(field: RefField, states, depth: int) -> dict:
+    """The contraction fragment of MultispinalGroup.verify_nucleus by the
+    full search over the (k + 2)^2 pairs, on the unreduced words of the
+    reference automaton.  For each pair (g, h) of states, finds the least
+    d <= depth such that every restriction of the word (g, h) at a word
+    of length d equals a state, each equality by bisimulation; a pair
+    with none is a failure.  The likely state is tried first (a for a
+    word that swaps, else b of the XOR of the directed parts), then
+    every state."""
+    auto = _ref_automaton(field)
+    names = {("e",): "e", ("a",): "a"}
+    x = field.from_int(1)
+    for j in range(1, 1 << field.n):
+        x = field.mul(x, field.alpha())
+        names[("b", field.to_int(x))] = f"b{j}"
+    singles = {()} | {(s,) for s in states}
+    closure_ok = all(auto.step((s,), ch)[0] in singles for s in states for ch in "01")
+
+    def is_state(word):
+        if auto.step(word, "0")[1] != "0":
+            guess = ("a",)
+        else:
+            acc = 0
+            for s in word:
+                if s[0] == "b":
+                    acc ^= s[1]
+            guess = ("b", acc) if acc else ("e",)
+        return any(auto.equal(word, (s,)) for s in (guess, *states))
+
+    def contraction_depth(word):
+        frontier = {word}
+        for d in range(depth + 1):
+            frontier = {w for w in frontier if not is_state(w)}
+            if not frontier:
+                return d
+            frontier = {auto.step(w, ch)[0] for w in frontier for ch in "01"}
+        return None
+
+    depths, failures = [], []
+    for g in states:
+        for h in states:
+            d = contraction_depth((g, h))
+            if d is None:
+                failures.append([names[g], names[h]])
+            else:
+                depths.append(d)
+    return {
+        "n": field.n,
+        "state_count": len(states),
+        "closure_ok": closure_ok,
+        "pairs_checked": len(states) ** 2,
+        "max_contraction_depth": max(depths, default=0),
+        "depth_limit": depth,
+        "failures": failures,
+        "pass": closure_ok and not failures,
+    }
+
+
 def ref_sg_multiply(auto: RefAutomaton, s, t):
     """Product of triples (eta, word, mu) in the inverse semigroup, on the
     unreduced words of the reference automaton; None is the zero.  Walks

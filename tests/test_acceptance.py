@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from multispinal.certify import matrix_section
+from multispinal.certify import groupoid_section, matrix_section
 from multispinal.exact_linalg import build_T, build_W, rank_mod_p, rank_over_Q, verify_right_inverse
 from multispinal.gf2n import field_context
 from multispinal.groupoid import (
@@ -28,7 +28,6 @@ from multispinal.groupoid import (
     sg_equal,
     sg_multiply,
     sg_star,
-    singular_system_certificate,
 )
 from multispinal.hyperplanes import extract_base_block, search_base_blocks, shift_block, verify_design
 from multispinal.selfsim import MultispinalGroup
@@ -194,7 +193,9 @@ def test_c8_singular_system():
     for n in range(2, 8):
         W = build_W(ctx(n))
         matrix = matrix_section(ctx(n), W, build_T(ctx(n).q, W))
-        cert = singular_system_certificate(group(n), 1, matrix)
+        section = groupoid_section(group(n), (1,), W, matrix)
+        cert = section["singular_certificate"]
+        assert section["pass"] and cert["germ_verified"]
         assert cert["pass"], cert
         assert cert["right_inverse_identity"]
         assert cert["rank_over_Q"] == 2 ** n == rank_over_Q(W)  # ties to criterion 2

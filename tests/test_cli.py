@@ -185,7 +185,7 @@ def test_lazy_exports_resolve():
     script = """
 import inspect, multispinal
 names = multispinal.__all__
-assert len(names) == len(set(names)) == 43, names
+assert len(names) == len(set(names)) == 42, names
 assert all(hasattr(multispinal, name) for name in names)
 star = {}
 exec("from multispinal import *", star)
@@ -243,9 +243,14 @@ def test_emit_json_rejects_values_json_cannot_hold(tmp_path):
 # optimum, for design --n 8 and --search-q 6 before the design was read
 # from the shift counts of one mask, and for the certify and groupoid
 # documents when every germ row came from 2q walks (witnesses written
-# "1^s 0", the full certificate at every degree); a refactor that keeps
-# the certificates must keep these bytes
+# "1^s 0", the full certificate at every degree); certify --all for
+# n = 2..8 was pinned when the nucleus came to be read from the classes
+# of the normal form; a refactor that keeps the certificates must keep
+# these bytes, and a change that alters a document on purpose updates its
+# pin and says why
 PINNED_DOCUMENTS = {
+    ("certify", "--all", "--n-min", "2", "--n-max", "8"):
+        "12b349ab4c21b1bd0cc574d8a5b6782af5618852c86d54b7fad5b23ac58ec881",
     ("certify", "--all", "--n-min", "2", "--n-max", "4", "--seed", "7"):
         "e8162836410fe993d606243701460b9d7a19922441ebec1ca42b567ae24c718b",
     ("groupoid", "--n", "5", "--m", "2"):

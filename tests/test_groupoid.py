@@ -39,7 +39,6 @@ from multispinal.groupoid import (
     sg_equal,
     sg_multiply,
     sg_star,
-    singular_system_certificate,
 )
 from multispinal.selfsim import STATE_A, GroupElement, MultispinalGroup
 
@@ -532,6 +531,14 @@ def test_check_germ_rows_rejects_W_of_the_wrong_shape(g3, w3):
     check_germ_rows(g3, w3)
 
 
+def test_W_needs_one_label_per_row(w3):
+    # 8 rows, 5 labels and a wrong row 6: check_germ_rows would have
+    # raised IndexError naming row 6, not MembershipMismatch
+    rows = w3.rows[:6] + (w3.rows[6] ^ 1,) + w3.rows[7:]
+    with pytest.raises(ValueError, match="8 rows but 5 row labels"):
+        InclusionMatrix(w3.q, rows, w3.row_labels[:5], w3.col_labels)
+
+
 @pytest.mark.parametrize("n", [3, 7, 8])
 def test_negated_germ_equal_fails_every_m(n, monkeypatch):
     ctx = field_context(n)
@@ -595,7 +602,7 @@ def test_default_search_depth_formula(g2):
 def _singular_certificate(group, m=1):
     W = build_W(group.ctx)
     matrix = matrix_section(group.ctx, W, build_T(group.ctx.q, W))
-    return singular_system_certificate(group, m, matrix), W
+    return groupoid_section(group, (m,), W, matrix)["singular_certificate"], W
 
 
 def test_singular_certificate_degree2(g2):
@@ -614,10 +621,13 @@ def test_singular_certificate_reuses_given_matrices(g3, monkeypatch):
 
     for name in ("rank_over_Q", "verify_right_inverse", "build_W", "build_T"):
         monkeypatch.setattr(exact_linalg, name, no_recheck)
-    cert = singular_system_certificate(g3, 1, matrix)
+    cert = groupoid_section(g3, (1,), W, matrix)["singular_certificate"]
     assert cert["pass"] and cert["rank_over_Q"] == 8
-    failed = singular_system_certificate(g3, 1, {**matrix, "right_inverse_identity": False, "rank_over_Q": None})
+    section = groupoid_section(g3, (1,), W, {**matrix, "right_inverse_identity": False, "rank_over_Q": None})
+    failed = section["singular_certificate"]
     assert failed["pass"] is False and failed["rank_over_Q"] is None
+    assert failed["trivial_solution_only"] is False and failed["germ_verified"] is True
+    assert section["pass"] is False
 
 
 def test_singular_certificate_degree3(g3):
@@ -731,7 +741,7 @@ def test_flipped_W_entry_fails_the_bound_section(g3, w3, i, col):
     assert matrix["right_inverse_identity"] is False and matrix["pass"] is False
     assert matrix["rank_over_Q"] is None
     assert all(r is None or r == "skipped (divides k*q)" for r in matrix["rank_mod_p"].values())
-    cert = singular_system_certificate(g3, 1, matrix)
+    cert = groupoid_section(g3, (1,), bad, matrix)["singular_certificate"]
     assert cert["pass"] is False and cert["trivial_solution_only"] is False
 
 

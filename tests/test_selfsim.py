@@ -4,9 +4,18 @@ import random
 import pytest
 
 from multispinal.gf2n import field_context
+from multispinal.groupoid import meet_set
 from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup
 
-from reference import GRIG_REST, GRIG_SWAPS, RefAutomaton, RefField, grig_act, ref_restriction_period
+from reference import (
+    GRIG_REST,
+    GRIG_SWAPS,
+    RefAutomaton,
+    RefField,
+    grig_act,
+    ref_restriction_period,
+    ref_verify_nucleus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -299,10 +308,41 @@ def test_verify_nucleus_returns_the_contraction_fragment(g2, monkeypatch):
         "pass",
     ]
     group = MultispinalGroup(g2.ctx)
-    monkeypatch.setattr(group, "in_nucleus", lambda g: None)  # no pair ever contracts
+    real = group.restrict_letter_state
+    b1 = ("b", 2)  # alpha
+    rogue = ("b", 0)  # b(0) is e, never a state of its own
+    monkeypatch.setattr(group, "restrict_letter_state", lambda s, ch: rogue if s == b1 and ch == "1" else real(s, ch))
     report = group.verify_nucleus(2)
-    assert report["failures"][:2] == [["e", "e"], ["e", "b1"]] and len(report["failures"]) == 25
-    assert report["closure_ok"] is True and report["pass"] is False
+    # only the two class pairs of b1 leave the nucleus; the other b's still
+    # contract at depth 1
+    assert report["failures"] == [["b1", "a"], ["a", "b1"]]
+    assert report["closure_ok"] is False and report["pass"] is False
+    assert report["pairs_checked"] == 25 and report["max_contraction_depth"] == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_verify_nucleus_matches_the_full_pair_search(n):
+    # the class derivation against the (k + 2)^2 pair search on the
+    # reference automaton's unreduced words, at two depth limits
+    group = MultispinalGroup(field_context(n))
+    field = RefField(tuple((group.ctx.poly.mask >> i) & 1 for i in range(n + 1)))
+    for depth in (1, 8):
+        assert group.verify_nucleus(depth) == ref_verify_nucleus(field, group.nucleus_states, depth)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_verify_nucleus_walks_nothing_and_meet_set_fills_the_memos(n, monkeypatch):
+    # the nucleus reads the classes, so both memos stay empty; the 2^n
+    # germ walks of meet_set then leave 3 * 2^(n-1) + 3 transitions and
+    # 2^n comparisons, the counts a certify run ends with
+    group = MultispinalGroup(field_context(n))
+    with monkeypatch.context() as m:
+        for name in ("_step", "equal", "_bisimilar"):
+            m.setattr(group, name, lambda *_: pytest.fail("verify_nucleus walked a word"))
+        assert group.verify_nucleus(8)["pass"]
+    assert group._step_memo == {} and group._eq_memo == {}
+    meet_set(group)
+    assert (len(group._step_memo), len(group._eq_memo)) == (3 * 2 ** (n - 1) + 3, 2**n)
 
 
 def test_verify_nucleus_degree3(g3):
@@ -320,6 +360,21 @@ def test_verify_nucleus_degree4():
 
 def test_identity_pair_contracts_at_depth_zero(g2):
     assert g2.in_nucleus(g2.multiply(g2.identity, g2.identity)) == STATE_E
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_in_nucleus_matches_the_reference_search(n):
+    # the semantic membership test, on every product of two states and a
+    # few longer words, against every state in the reference automaton
+    group = MultispinalGroup(field_context(n))
+    auto = _ref_automaton(group.ctx)
+    states = group.nucleus_states
+    rng = random.Random(80 + n)
+    words = [(g, h) for g in states for h in states]
+    words += [tuple(rng.choice(states) for _ in range(rng.randrange(3, 7))) for _ in range(40)]
+    for word in words:
+        want = next((s for s in states if auto.equal(word, (s,))), None)
+        assert group.in_nucleus(GroupElement(word)) == want, word
 
 
 def test_verify_nucleus_rejects_bad_depth(g2):
