@@ -323,10 +323,13 @@ class FieldContext:
 
     @cached_property
     def trace_table(self) -> tuple[int, ...]:
-        # The trace is GF(2)-linear, so Tr(x) = parity(x & tau) with
-        # tau = sum of Tr(alpha^i) * 2^i over the n basis elements; only
-        # those n traces are computed by the defining sum of squares.
-        tau = 0
+        # The trace is GF(2)-linear, so only the n traces of the basis
+        # elements 2^i = alpha^i are computed, by the defining sum of
+        # squares.  The table of x < 2^(i+1) is the table of x < 2^i
+        # followed by the same table with x + 2^i in place of x: a copy,
+        # flipped where Tr(2^i) = 1.
+        flip = bytes.maketrans(b"\0\1", b"\1\0")
+        table = b"\0"
         for i in range(self.n):
             acc = t = 1 << i
             for _ in range(self.n - 1):
@@ -334,8 +337,8 @@ class FieldContext:
                 acc ^= t
             if acc not in (0, 1):
                 raise AssertionError(f"trace of alpha^{i} fell outside the prime field")
-            tau |= acc << i
-        return tuple((x & tau).bit_count() & 1 for x in range(self.size))
+            table += table.translate(flip) if acc else table
+        return tuple(table)
 
     @cached_property
     def trace_of_power(self) -> tuple[int, ...]:

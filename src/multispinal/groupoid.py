@@ -36,7 +36,7 @@ from math import lcm
 from ._record import Record
 from .exact_linalg import InclusionMatrix, circulant_rows
 from .gf2n import FieldContext
-from .selfsim import GroupElement, MultispinalGroup
+from .selfsim import STATE_A, GroupElement, MultispinalGroup, _reduce
 
 
 class _Zero:
@@ -93,12 +93,20 @@ class Tail(Record):
 
     def ones_from(self, pos: int) -> int | None:
         """Length of the run of 1s starting at pos; None if it never ends."""
-        i = self.fold(pos) - len(self.prefix)
-        # the rest of the prefix and one whole period, or one whole period
-        # starting at its offset i
-        ahead = self.prefix[i:] + self.period if i < 0 else self.period[i:] + self.period[:i]
-        run = len(ahead) - len(ahead.lstrip("1"))
-        return None if run == len(ahead) else run
+        prefix, period = self.prefix, self.period
+        i, run = self.fold(pos), 0
+        if i < len(prefix):
+            if (z := prefix.find("0", i)) >= 0:
+                return z - i
+            i, run = 0, len(prefix) - i
+        else:
+            i -= len(prefix)
+        # from offset i of the period to its end, then wrapping to its start
+        if (z := period.find("0", i)) >= 0:
+            return run + z - i
+        if (z := period.find("0", 0, i)) >= 0:
+            return run + len(period) - i + z
+        return None
 
 
 ONES = Tail("", "1")
@@ -206,13 +214,17 @@ def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail
     revisited (restriction pair, tail position) state without success can
     never succeed later, so the walk terminates.
 
-    Runs of 1s are crossed in one move while both restrictions are
-    directed states (or e): these fix every letter, and b(x) restricts to
-    b(alpha^r x) along 1^r.  Multiplying by alpha^r is injective, so two
-    such restrictions that differ keep differing along the whole run, and
-    a run that never ends means the germs never meet.  The walk therefore
-    checks equality only where the run stops, at a position that is a
-    function of the state it jumped from; cycle detection still holds.
+    Once both restrictions are single states the walk finishes in one
+    move.  Equal states meet.  If exactly one is a, they never meet: a
+    swaps the letter at pos and the other state fixes it.  Otherwise both
+    are e or directed, which fix every letter, and b(x) restricts to
+    b(alpha^r x) along 1^r and then to a^Tr(alpha^r x) along 1^r 0.
+    Distinct states stay distinct along the run, since b(x) b(y)^-1 =
+    b(x + y) != e for x != y: that is the joint-kernel identity (only 0
+    lies in every ker(Tr o alpha^j)), which holds for every FieldContext
+    because the trace is onto.  So a run of 1s from pos that never ends
+    means the germs never meet, and a run of length r means they meet
+    iff Tr(alpha^r x) = Tr(alpha^r y), with 0 for e.
     """
     ctx = group.ctx
     step = group._step
@@ -221,6 +233,19 @@ def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail
     pos = 0
     seen = set()
     while True:
+        if len(u) <= 1 and len(v) <= 1:
+            u, v = _reduce(u), _reduce(v)
+            if u == v:
+                return True
+            if STATE_A in u + v:
+                return False
+            run = tail.ones_from(pos)
+            if run is None:
+                return False
+            log, tp, k = ctx.discrete_log, ctx.trace_of_power, ctx.k
+            tu = tp[(log[u[0][1]] + run) % k] if u else 0
+            tv = tp[(log[v[0][1]] + run) % k] if v else 0
+            return tu == tv
         if bisimilar(u, v):
             return True
         key = (u, v, tail.fold(pos))
@@ -228,24 +253,11 @@ def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail
             return False
         seen.add(key)
         ch = tail.letter(pos)
-        if ch == "1" and _is_directed(u) and _is_directed(v):
-            run = tail.ones_from(pos)
-            if run is None:
-                return False
-            u = tuple(("b", ctx.pow_alpha(ctx.log(s[1]) + run)) for s in u)
-            v = tuple(("b", ctx.pow_alpha(ctx.log(s[1]) + run)) for s in v)
-            pos += run
-            continue
         u, cu = step(u, ch)
         v, cv = step(v, ch)
         if cu != cv:
             return False
         pos += 1
-
-
-def _is_directed(factors: tuple) -> bool:
-    """The word is e or a single directed state."""
-    return not factors or (len(factors) == 1 and factors[0][0] == "b" and factors[0][1] != 0)
 
 
 def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: GroupElement, m: int) -> bool:

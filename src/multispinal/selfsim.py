@@ -21,26 +21,29 @@ no two neighbouring directed states, so a word alternates between a and
 b(x).  element, multiply and restriction return normal forms, and a
 hand-built word is reduced by the first restriction applied to it.
 Since every generator is an involution, the inverse is the reversed
-word, a normal form again.  The same two facts let a germ walk
-(groupoid.germ_equal) cross a run 1^r in one move while it holds only
-directed states: each fixes every letter and b(x)|_(1^r) = b(alpha^r x).
+word, a normal form again.
 
 The normal form is syntactic only.  Equality of elements is decided
 semantically by bisimulation: restriction maps a word to a word of the
 same or smaller length, so the reachable pair space is finite and the
-worklist search terminates.  verify_nucleus derives closure and pair
-contraction from the classes of the normal form, with no walk, and
-returns the certificate's contraction dict.
+worklist search terminates.  Two single states are compared in closed
+form: distinct states are distinct elements, as a swaps the first
+letter, e and b(x) fix it, and b(x) b(y)^-1 = b(x + y) != e by the
+joint-kernel identity of the field.  The same facts let a germ walk
+(groupoid.germ_equal) finish in one move once both restrictions are
+states.  verify_nucleus derives closure and pair contraction from the
+classes of the normal form, with no walk, and returns the certificate's
+contraction dict.
 
 The group is finite-state, so the words the walks reach form one finite
 Mealy automaton.  Two insert-only caches on the object are its only
 shared mutable state: the transition memo, (word, letter) ->
 (restricted normal form, output letter), filled lazily on the words the
-walks reach, and the memo of resolved comparisons.  After a certify run,
-whose only walks are the 2^n germ walks of groupoid.meet_set, they hold
-3 * 2^(n-1) + 3 and 2^n entries: 195 and 128 at n = 7.  Both are pure
-functions of their keys, so two threads racing on one key only repeat
-work.
+walks reach, and the memo of resolved comparisons of longer words.
+After a certify run, whose only walks are the 2^n germ walks of
+groupoid.meet_set, both are empty: every one of those walks starts on
+two single states.  Both are pure functions of their keys, so two
+threads racing on one key only repeat work.
 """
 
 from __future__ import annotations
@@ -213,9 +216,21 @@ class MultispinalGroup:
         and need no search.  Soundness rests on the action being
         faithful; termination on restriction keeping words inside a
         finite set.
+
+        Two words of at most one factor are decided in closed form: they
+        are equal iff their normal forms are.  a swaps the first letter
+        and e and b(x) fix it, and b(x) b(y)^-1 = b(x + y) != e for
+        x != y, which is the joint-kernel identity (only 0 lies in every
+        ker(Tr o alpha^j); it holds for every FieldContext, as the trace
+        is onto).  For the same reason the search stops at the first
+        pair of distinct single states it reaches, since equal elements
+        have equal restrictions.  Neither case touches the memo, except
+        that such a stop records the root as False.
         """
         if u == v:
             return True
+        if len(u) <= 1 and len(v) <= 1:
+            return _reduce(u) == _reduce(v)
         root = (u, v) if u <= v else (v, u)
         memo = self._eq_memo
         cached = memo.get(root)
@@ -235,6 +250,9 @@ class MultispinalGroup:
                     return False
                 if u2 == v2:
                     continue
+                if len(u2) <= 1 and len(v2) <= 1:  # distinct states, in normal form
+                    memo[root] = False
+                    return False
                 pair = (u2, v2) if u2 <= v2 else (v2, u2)
                 known = memo.get(pair)
                 if known is False:

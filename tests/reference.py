@@ -9,7 +9,8 @@ ranks come from plain Fraction row reduction or GF(2) row-space
 enumeration, R1-R9 are read one matrix entry at a time, the
 right-inverse is a dense Fraction matrix multiplied out entry by entry, the
 degree-2 automaton is a hardcoded transition table, germ equality is
-the plain letter-by-letter walk on unreduced words, restriction periods
+the plain letter-by-letter walk on unreduced words, runs of 1s in a tail
+are read from a copied and stripped slice, restriction periods
 come from stepping that automaton, and region witnesses come from a scan
 over tails.
 """
@@ -558,6 +559,19 @@ def ref_germ_equal(auto: RefAutomaton, u, v, prefix: str, period: str) -> bool:
         if cu != cv:
             return False
         pos += 1
+
+
+def ref_ones_from(prefix: str, period: str, pos: int) -> int | None:
+    """Length of the run of 1s at position pos of prefix . period period
+    ...; None if it never ends.  Copies the rest of the prefix and one
+    whole period, or one whole period rotated to start at pos, and strips
+    the leading 1s."""
+    i = pos - len(prefix)
+    if i >= 0:
+        i %= len(period)
+    ahead = prefix[i:] + period if i < 0 else period[i:] + period[:i]
+    run = len(ahead) - len(ahead.lstrip("1"))
+    return None if run == len(ahead) else run
 
 
 @functools.cache

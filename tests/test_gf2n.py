@@ -187,6 +187,18 @@ def test_trace_matches_reference(n):
         assert ctx.trace(x) == ref.trace(ref.from_int(x))
 
 
+@pytest.mark.parametrize("n", range(2, 15))
+def test_trace_table_is_the_parity_of_the_trace_mask(n):
+    # the doubled table against Tr(x) = parity(x & tau), tau holding the
+    # reference traces of the basis elements 2^i = alpha^i
+    ctx = field_context(n)
+    ref = RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(n + 1)))
+    tau = sum(ref.trace(ref.from_int(1 << i)) << i for i in range(n))
+    table = ctx.trace_table
+    assert type(table) is tuple and all(type(t) is int for t in table)
+    assert table == tuple((x & tau).bit_count() & 1 for x in range(ctx.size))
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_trace_is_additive_surjection_with_half_kernel(n):
     ctx = field_context(n)

@@ -47,6 +47,7 @@ from reference import (
     RefField,
     ref_germ_equal,
     ref_hyperplane_membership,
+    ref_ones_from,
     ref_region_witness,
     ref_sg_multiply,
     t_first_column_abs_sum,
@@ -211,6 +212,19 @@ def test_tail_ones_from():
     assert Tail("1" * 5, "11").ones_from(2) is None
 
 
+def test_tail_ones_from_matches_the_slice_formula():
+    # every tail with a prefix of up to 4 letters and a period of 1 to 4
+    # letters, at every position up to two periods past the prefix
+    words = ["".join(w) for r in range(5) for w in itertools.product("01", repeat=r)]
+    for prefix in words:
+        for period in words:
+            if not period:
+                continue
+            tail = Tail(prefix, period)
+            for pos in range(len(prefix) + 2 * len(period) + 1):
+                assert tail.ones_from(pos) == ref_ones_from(prefix, period, pos), (prefix, period, pos)
+
+
 def test_germ_point_requires_mu_prefix(g2):
     with pytest.raises(ValueError):
         GermPoint(SemigroupTriple("", g2.identity, "0"), ONES)
@@ -285,6 +299,61 @@ def test_germ_equal_matches_reference_walk(n):
         assert got == ref_germ_equal(auto, u, v, tail.prefix, tail.period), (u, v, tail)
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_germ_equal_on_states_matches_reference_walk(n, monkeypatch):
+    # the closed form of two single states: every pair of states and of
+    # the unreduced spellings of e, and two-factor words that restrict to
+    # states after one letter, against the letter-by-letter reference
+    # walk; the tails make the state branch start inside the prefix,
+    # inside the period, on a run that wraps the period, and on an all-1
+    # period
+    ctx = field_context(n)
+    group = MultispinalGroup(ctx)
+    auto = RefAutomaton(ref_field(ctx))
+    states = group.nucleus_states
+    singles = [(), (("b", 0),)] + [(s,) for s in states]
+    rng = random.Random(400 + n)
+    pairs = [(u, v) for u in singles for v in singles]
+    for _ in range(150):
+        u = (rng.choice(states), rng.choice(states))
+        v = rng.choice([(rng.choice(states), rng.choice(states)), rng.choice(singles)])
+        pairs.append((u, v) if rng.random() < 0.5 else (v, u))
+    # b(x) a restricts along 0 to b(alpha x): two directed states at pos 1
+    directed = [s for s in states if s[0] == "b"]
+    products = list(itertools.product(directed, repeat=2))
+    pairs += [((s, STATE_A), (t, STATE_A)) for s, t in (products if n <= 3 else rng.sample(products, 40))]
+    tails = [
+        Tail("110", "01"), Tail("1", "1"), Tail("", "1101"), Tail("0", "011"), Tail("", "0111"),
+        Tail("0", "110"), Tail("", "11"), Tail("0", "1"), Tail("1" * (ctx.k + 1) + "0", "1"),
+        Tail("", "1" * (ctx.k + 2) + "0"), Tail("10", "1011"),
+    ]
+    starts = set()
+    real = Tail.ones_from
+
+    def spy(tail, pos):
+        i = tail.fold(pos) - len(tail.prefix)
+        run = real(tail, pos)
+        if i < 0:
+            starts.add("prefix")
+        elif "0" not in tail.period:
+            starts.add("all-1 period")
+        elif i + run >= len(tail.period):
+            starts.add("wraps the period")
+        else:
+            starts.add("period")
+        return run
+
+    monkeypatch.setattr(Tail, "ones_from", spy)
+    verdicts = set()
+    for tail in tails:
+        for u, v in pairs:
+            got = germ_equal(group, GroupElement(u), GroupElement(v), tail)
+            assert got == ref_germ_equal(auto, u, v, tail.prefix, tail.period), (u, v, tail)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    assert starts == {"prefix", "period", "wraps the period", "all-1 period"}
 
 
 # intersection witnesses ---------------------------------------------------------

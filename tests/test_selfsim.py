@@ -4,7 +4,7 @@ import random
 import pytest
 
 from multispinal.gf2n import field_context
-from multispinal.groupoid import meet_set
+from multispinal.groupoid import SemigroupTriple, Tail, germ_equal, intersect_witness, meet_set, sg_equal, sg_multiply
 from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup
 
 from reference import (
@@ -13,6 +13,7 @@ from reference import (
     RefAutomaton,
     RefField,
     grig_act,
+    ref_germ_equal,
     ref_restriction_period,
     ref_verify_nucleus,
 )
@@ -332,9 +333,9 @@ def test_verify_nucleus_matches_the_full_pair_search(n):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_verify_nucleus_walks_nothing_and_meet_set_fills_the_memos(n, monkeypatch):
-    # the nucleus reads the classes, so both memos stay empty; the 2^n
-    # germ walks of meet_set then leave 3 * 2^(n-1) + 3 transitions and
-    # 2^n comparisons, the counts a certify run ends with
+    # the nucleus reads the classes, so both memos stay empty; each of the
+    # 2^n germ walks of meet_set starts on two single states and finishes
+    # in closed form, so they stay empty after it too, as after a certify run
     group = MultispinalGroup(field_context(n))
     with monkeypatch.context() as m:
         for name in ("_step", "equal", "_bisimilar"):
@@ -342,7 +343,53 @@ def test_verify_nucleus_walks_nothing_and_meet_set_fills_the_memos(n, monkeypatc
         assert group.verify_nucleus(8)["pass"]
     assert group._step_memo == {} and group._eq_memo == {}
     meet_set(group)
-    assert (len(group._step_memo), len(group._eq_memo)) == (3 * 2 ** (n - 1) + 3, 2**n)
+    assert (len(group._step_memo), len(group._eq_memo)) == (0, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_state_pairs_are_decided_in_closed_form(n):
+    # every pair of nucleus states, with the unreduced spellings ("e",),
+    # ("b", 0) and a a, against the reference bisimulation; no pair of
+    # single states is ever written to the comparison memo
+    group = MultispinalGroup(field_context(n))
+    auto = _ref_automaton(group.ctx)
+    words = [(), (("b", 0),), (STATE_A, STATE_A)] + [(s,) for s in group.nucleus_states]
+    for u in words:
+        for v in words:
+            want = auto.equal(u, v)
+            assert group._bisimilar(u, v) == want, (u, v)
+            assert group.equal(GroupElement(u), GroupElement(v)) == want, (u, v)
+    assert not [key for key in group._eq_memo if len(key[0]) <= 1 and len(key[1]) <= 1]
+
+
+def test_query_stream_leaves_no_state_pair_in_the_memo():
+    # a seeded stream of semigroup products, comparisons, witnesses and
+    # germ walks on one group: each equal and germ answer matches the
+    # reference walk, and the search stops at a pair of distinct states
+    # before it is ever recorded
+    group = MultispinalGroup(field_context(5))
+    auto = _ref_automaton(group.ctx)
+    states = group.nucleus_states
+    rng = random.Random(500)
+
+    def word(max_len):
+        return "".join(rng.choice("01") for _ in range(rng.randrange(0, max_len + 1)))
+
+    def element():
+        return group.element(*(rng.choice(states) for _ in range(rng.randrange(0, 5))))
+
+    for _ in range(300):
+        s, t = (SemigroupTriple(word(3), element(), word(3)) for _ in range(2))
+        st = sg_multiply(group, s, t)
+        sg_equal(group, st, sg_multiply(group, st, s))
+        g, h = element(), element()
+        assert group.equal(g, h) == auto.equal(g.factors, h.factors), (g, h)
+        tail = Tail(word(4), word(3) or "1")
+        assert germ_equal(group, g, h, tail) == ref_germ_equal(auto, g.factors, h.factors, tail.prefix, tail.period)
+        x, y = rng.sample(range(group.ctx.size), 2)
+        intersect_witness(group, group.iota(x), group.iota(y), rng.randrange(2 * group.ctx.k))
+    assert group._eq_memo
+    assert not [key for key in group._eq_memo if len(key[0]) <= 1 and len(key[1]) <= 1]
 
 
 def test_verify_nucleus_degree3(g3):
