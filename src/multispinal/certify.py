@@ -68,6 +68,19 @@ def design_section(ctx: FieldContext) -> dict:
 def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> dict:
     """R1-R9, the right-inverse identity and the ranks it decides.
 
+    When R1-R9 pass and T is build_T's T over this W, W T = I is read
+    from them (the base-block theorem).  R1-R5 make W the circulant of
+    its rows 0 and 1: row 0 is the k subgroup columns, and row 1 + r is
+    the base block B rotated by r with its complement mirrored, |B| =
+    q - 1, and B meets each of its k - 1 rotations in c = q/2 - 1 bits.
+    So every row has k ones, row 0 meets each other row in q - 1 ones,
+    and two rows of B at shift d meet in c_d on the subgroup columns and
+    k - 2(q - 1) + c_d on the complements, 2c_d + 1 = q - 1 in all.  With
+    a = 1/k and b = -(q-1)/(kq), (W T)[i][l] = a|W_i & W_l| +
+    b(k - |W_i & W_l|) is a k = 1 on the diagonal and a(q-1) + b q = 0
+    off it.  Any other W or T goes through the Gram identity of
+    verify_right_inverse, which is also the oracle of this reading.
+
     T's entries 1/k and -(q-1)/(kq) have denominators dividing kq, so
     W T = I gives rank 2q over Q and over GF(p) for every prime p not
     dividing kq; the primes that divide kq are reported as skipped.  The
@@ -75,7 +88,9 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> di
     """
     conditions = check_R_conditions(W)
     all_r = all(c["pass"] for c in conditions.values())
-    wt = verify_right_inverse(W, T)
+    q, k = W.q, W.k
+    canonical = T.W is W and (T.a, T.b) == (Fraction(1, k), Fraction(1 - q, k * q))
+    wt = (all_r and canonical) or verify_right_inverse(W, T)
     section = {
         "shape": list(W.shape),
         "R_conditions": conditions,
@@ -97,12 +112,12 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> di
     return section
 
 
-def nucleus_section(group: MultispinalGroup, depth: int = 8) -> dict:
+def nucleus_section(group: MultispinalGroup) -> dict:
     """Contraction of the nucleus pairs, from the classes of the normal
     form (MultispinalGroup.verify_nucleus).  Every directed state b(x) has
     restriction period k along 1, since b(x)|1 = b(alpha x) and alpha has
     order k, which FieldContext asserts when it builds the power table."""
-    section = group.verify_nucleus(depth)
+    section = group.verify_nucleus()
     section["restriction_periods_ok"] = True
     return section
 

@@ -163,7 +163,7 @@ def cmd_nucleus(args) -> int:
 
     ctx = field_context(args.n, args.poly)
     group = MultispinalGroup(ctx)
-    contraction = group.verify_nucleus(args.depth)
+    contraction = group.verify_nucleus()
     states = []
     for s in group.nucleus_states:
         entry = {
@@ -192,24 +192,19 @@ def cmd_nucleus(args) -> int:
 
 def cmd_groupoid(args) -> int:
     from .exact_linalg import build_W
-    from .groupoid import MembershipMismatch, RegionSearchError, check_germ_rows, region_witnesses
+    from .groupoid import MembershipMismatch, check_germ_rows, region_witnesses
     from .selfsim import MultispinalGroup
 
     ctx = field_context(args.n, args.poly)
     group = MultispinalGroup(ctx)
     W = build_W(ctx)
-    doc = {"n": ctx.n, "m": args.m}
+    doc = {"n": ctx.n, "m": args.m, "germ_walks": 2 * ctx.q, "witnesses": region_witnesses(ctx, args.m)}
     try:
-        # the witness budget is checked before the 2q walks
-        doc.update(germ_walks=2 * ctx.q, witnesses=region_witnesses(ctx, args.m, args.depth))
         check_germ_rows(group, W)
         doc["matches_transpose"] = True
         ok = True
     except MembershipMismatch as err:
         doc["matches_transpose"] = False
-        doc["error"] = str(err)
-        ok = False
-    except RegionSearchError as err:
         doc["error"] = str(err)
         ok = False
     doc["pass"] = ok
@@ -265,13 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nucleus", help="automaton states and contraction check")
     add_common(p)
-    p.add_argument("--depth", type=int, default=8)
     p.set_defaults(func=cmd_nucleus)
 
     p = sub.add_parser("groupoid", help="region witnesses and the germ-row check against W")
     add_common(p)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--depth", type=int, help="witness budget: a witness 1^s 0 with s >= depth is a FAIL")
     p.set_defaults(func=cmd_groupoid)
 
     p = sub.add_parser("certify", help="full pipeline with one PASS/FAIL verdict")
@@ -285,14 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
     return parser
-
-
-def _usage_errors() -> tuple[type[Exception], ...]:
-    """ValueError, plus groupoid's RegionSearchError once a subcommand has
-    loaded that module: no other module raises it.  An except clause
-    evaluates this only when an exception reaches it."""
-    groupoid = sys.modules.get(f"{__package__}.groupoid")
-    return (ValueError,) if groupoid is None else (ValueError, groupoid.RegionSearchError)
 
 
 def main(argv=None) -> int:
@@ -311,7 +296,7 @@ def main(argv=None) -> int:
         parser.error(f"certify --all needs --n-min <= --n-max, got {args.n_min} > {args.n_max}")
     try:
         return args.func(args)
-    except _usage_errors() as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

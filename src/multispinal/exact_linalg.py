@@ -20,10 +20,14 @@ conditions:
 circulant_rows writes W, and the W of a base block, from rows 0 and 1
 by R3 and R4.  Any matrix built from a base block by R1-R4 has the
 exact right-inverse T with entries a = 1/k where W is 1 and
-b = -(q-1)/(k(k-q+1)) where W is 0.  T is held as those two values over
-W, and W as its bitmask rows, so R1-R9 are read from the rows by
-rotations and popcounts, into the certificate's R_conditions dict, and
-W T = I is an integer Gram identity in popcounts.  Since k - q + 1 = q,
+b = -(q-1)/(k(k-q+1)) where W is 0: every row has k ones and two
+distinct rows meet in q - 1, by the block's size and shift counts.  T
+is held as those two values over W, and W as its bitmask rows, so R1-R9
+are read from the rows by rotations and popcounts, into the
+certificate's R_conditions dict.  certify reads W T = I from R1-R9 by
+that theorem (certify.matrix_section); verify_right_inverse checks it
+for any W and T as an integer Gram identity in popcounts, and is the
+theorem's oracle in the tests.  Since k - q + 1 = q,
 every denominator of T divides kq, so W T = I certifies full rank 2q
 over the rationals and over GF(p) for every prime p not dividing kq.
 The one rank it leaves open is the GF(2) rank, found by elimination on

@@ -325,16 +325,17 @@ class FieldContext:
     def trace_table(self) -> tuple[int, ...]:
         # The trace is GF(2)-linear, so only the n traces of the basis
         # elements 2^i = alpha^i are computed, by the defining sum of
-        # squares.  The table of x < 2^(i+1) is the table of x < 2^i
-        # followed by the same table with x + 2^i in place of x: a copy,
-        # flipped where Tr(2^i) = 1.
+        # squares read from the power table: (alpha^i)^(2^j) =
+        # alpha^(i 2^j mod k).  The table of x < 2^(i+1) is the table of
+        # x < 2^i followed by the same table with x + 2^i in place of x: a
+        # copy, flipped where Tr(2^i) = 1.
         flip = bytes.maketrans(b"\0\1", b"\1\0")
+        power, k = self.power_table, self.k
         table = b"\0"
         for i in range(self.n):
-            acc = t = 1 << i
-            for _ in range(self.n - 1):
-                t = self.mul(t, t)
-                acc ^= t
+            acc = 0
+            for j in range(self.n):
+                acc ^= power[(i << j) % k]
             if acc not in (0, 1):
                 raise AssertionError(f"trace of alpha^{i} fell outside the prime field")
             table += table.translate(flip) if acc else table

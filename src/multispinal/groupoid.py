@@ -156,9 +156,8 @@ class MembershipMismatch(AssertionError):
 
 
 class RegionSearchError(RuntimeError):
-    """No witness within the search budget: a region's witness lies at or
-    beyond the given depth, or an intersection witness failed its germ
-    check."""
+    """intersect_witness found no witness, or its witness failed the germ
+    check: safety checks that no correct field context trips."""
 
 
 # -- inverse semigroup --------------------------------------------------
@@ -274,11 +273,6 @@ def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: GroupElemen
     return germ_equal(group, t.g, h, point.tail)
 
 
-def default_search_depth(ctx: FieldContext, m: int) -> int:
-    # one full shift-register period past the congruence window, plus the 0
-    return m + 2 * ctx.k + 1
-
-
 def intersect_witness(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, m: int) -> str:
     """A word 1^(m+m') 0 witnessing that U_m(z_g1) and U_m(z_g2) intersect.
 
@@ -318,31 +312,20 @@ def _directed_value(g: GroupElement) -> int:
     return acc
 
 
-def _witness_length(ctx: FieldContext, m: int, j: int, label: str, search_depth: int | None) -> int:
-    """s of the witness 1^s 0 of region label (H_j or its complement):
-    the least s >= m with s = j mod k.  RegionSearchError when s lies at
-    or beyond search_depth (default_search_depth when None)."""
+def _witness_length(ctx: FieldContext, m: int, j: int) -> int:
+    """s of the witness 1^s 0 of H_j and of its complement: the least
+    s >= m with s = j mod k."""
     if m < 0:
         raise ValueError(f"neighbourhood index m must be >= 0, got {m}")
-    if search_depth is None:
-        search_depth = default_search_depth(ctx, m)
-    if search_depth < m + 2:
-        raise ValueError("search depth too small to hold any witness")
-    s = m + (j - m) % ctx.k
-    if s >= search_depth:
-        raise RegionSearchError(
-            f"witness depth budget ran out for K={label} (m={m}): "
-            f"the witness 1^{s} 0 needs a depth above {s}, got {search_depth}"
-        )
-    return s
+    return m + (j - m) % ctx.k
 
 
-def region_witnesses(ctx: FieldContext, m: int, search_depth: int | None = None) -> dict[str, str]:
+def region_witnesses(ctx: FieldContext, m: int) -> dict[str, str]:
     """The witness of each of the 2k regions at m, keyed H0 .. H(k-1),
     H0c .. H(k-1)c and written "1^s 0" for the tail 1^s 0 1^infinity,
     s = m + (j - m) mod k.  The rows of these tails are certified by
     check_germ_rows, which holds at every m."""
-    subgroups = {f"H{j}": f"1^{_witness_length(ctx, m, j, f'H{j}', search_depth)} 0" for j in range(ctx.k)}
+    subgroups = {f"H{j}": f"1^{_witness_length(ctx, m, j)} 0" for j in range(ctx.k)}
     return subgroups | {f"{label}c": w for label, w in subgroups.items()}  # same tails as H_j
 
 
@@ -391,14 +374,7 @@ def check_germ_rows(group: MultispinalGroup, W: InclusionMatrix) -> None:
             raise MembershipMismatch(W.col_labels[(diff & -diff).bit_length() - 1], W.row_labels[i])
 
 
-def region_pattern(
-    group: MultispinalGroup,
-    W: InclusionMatrix,
-    m: int,
-    kind: str,
-    j: int,
-    search_depth: int | None = None,
-) -> RegionPattern:
+def region_pattern(group: MultispinalGroup, W: InclusionMatrix, m: int, kind: str, j: int) -> RegionPattern:
     """The germ point separating one admissible K from the rest, by one
     germ walk per nucleus column: the one-region query, and the oracle
     that check_germ_rows is tested against.
@@ -426,7 +402,7 @@ def region_pattern(
     if W.q != ctx.q:
         raise ValueError(f"W has q={W.q}, the field has q={ctx.q}")
     label = f"H{j}" + ("c" if kind == "Hc" else "")
-    s = _witness_length(ctx, m, j, label, search_depth)
+    s = _witness_length(ctx, m, j)
     order = ctx.canonical_elements()
     col = j if kind == "H" else j + k
     target = tuple(W.entry(i, col) for i in range(len(order)))
@@ -441,22 +417,13 @@ def region_pattern(
     return RegionPattern(kind=kind, j=j, witness="1" * s + "0", membership_row=row, members=members)
 
 
-def membership_matrix(
-    group: MultispinalGroup,
-    W: InclusionMatrix,
-    m: int,
-    search_depth: int | None = None,
-) -> tuple[RegionPattern, ...]:
+def membership_matrix(group: MultispinalGroup, W: InclusionMatrix, m: int) -> tuple[RegionPattern, ...]:
     """The region_pattern of all 2k regions, in the column order of W;
     region_pattern checks each membership row against its column of W,
     so the rows stack into W's transpose.  Raises MembershipMismatch
     naming the offending (row, column) on disagreement.  4kq germ walks:
     the oracle of check_germ_rows, which needs 2q."""
-    return tuple(
-        region_pattern(group, W, m, kind, j, search_depth)
-        for kind in ("H", "Hc")
-        for j in range(group.ctx.k)
-    )
+    return tuple(region_pattern(group, W, m, kind, j) for kind in ("H", "Hc") for j in range(group.ctx.k))
 
 
 # -- singular system and magnitude bound ---------------------------------

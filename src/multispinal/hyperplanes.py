@@ -21,6 +21,8 @@ from itertools import combinations
 from ._record import Record
 from .gf2n import FieldContext
 
+SEARCH_Q_CAP = 10  # C(19, 9) ~ 92k subsets at q = 10, and about 15 times that at q = 12
+
 
 class BaseBlock(Record):
     """A (q-1)-subset of Z_(2q-1) with constant shift-intersection q/2 - 1."""
@@ -147,19 +149,19 @@ def extract_base_block(ctx: FieldContext) -> BaseBlock:
     return BaseBlock(q=ctx.q, positions=frozenset(j for j in range(ctx.k) if (prof >> j) & 1))
 
 
-def search_base_blocks(q: int, max_q: int = 10) -> list[BaseBlock]:
+def search_base_blocks(q: int) -> list[BaseBlock]:
     """Exhaustive search for all valid base blocks of a given even q.
 
     Scans every (q-1)-subset of Z_(2q-1); results come back in
     lexicographic order of sorted positions and are closed under cyclic
-    shift.  Capped at q = 10 by default (C(19,9) ~ 92k subsets).
+    shift.  Raises ValueError above SEARCH_Q_CAP.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     if q % 2 != 0:
         raise ValueError(f"q must be even: q={q} makes lambda = q/2 - 1 not integral")
-    if q > max_q:
-        raise ValueError(f"q={q} exceeds search cap {max_q}")
+    if q > SEARCH_Q_CAP:
+        raise ValueError(f"q={q} exceeds search cap {SEARCH_Q_CAP}")
     # subsets of the bits 1 << p come in the order of subsets of the p
     bits = [1 << p for p in range(2 * q - 1)]
     return [

@@ -297,7 +297,7 @@ class MultispinalGroup:
 
     # -- nucleus checks -----------------------------------------------------
 
-    def verify_nucleus(self, depth: int) -> dict:
+    def verify_nucleus(self) -> dict:
         """Check restriction-closure and contraction of products of pairs,
         and return the contraction fragment of the certificate.
 
@@ -312,8 +312,6 @@ class MultispinalGroup:
         Contraction of longer products follows from iterating the pair
         statement.  No word is walked, so neither memo is touched.
         """
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
         states = self.nucleus_states
         state_set = set(states)
         leaving = [
@@ -329,7 +327,6 @@ class MultispinalGroup:
             "closure_ok": closure_ok,
             "pairs_checked": len(states) ** 2,
             "max_contraction_depth": class_depth if len(bad) < self.ctx.k else 0,
-            "depth_limit": depth,
             "failures": failures,
             "pass": closure_ok and not failures,
         }

@@ -500,7 +500,6 @@ def ref_verify_nucleus(field: RefField, states, depth: int) -> dict:
         "closure_ok": closure_ok,
         "pairs_checked": len(states) ** 2,
         "max_contraction_depth": max(depths, default=0),
-        "depth_limit": depth,
         "failures": failures,
         "pass": closure_ok and not failures,
     }

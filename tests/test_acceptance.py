@@ -143,8 +143,8 @@ def test_c5_rank_mod_p():
 
 @criterion("C6 nucleus and recursion")
 def test_c6_nucleus():
-    for n, depth in ((2, 8), (3, 16), (4, 8)):
-        report = group(n).verify_nucleus(depth)
+    for n in (2, 3, 4):
+        report = group(n).verify_nucleus()
         assert report["pass"], report["failures"]
     g = group(2)
     b, c, d = g.iota(2), g.iota(3), g.iota(1)

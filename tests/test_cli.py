@@ -203,12 +203,10 @@ print("ok")
     assert run_python(script) == "ok"
 
 
-def test_region_search_error_exits_2(monkeypatch, capsys):
-    # main names no RegionSearchError at import, yet must still map one to 2;
-    # any other unexpected exception propagates
+def test_value_error_exits_2_and_other_errors_propagate(monkeypatch, capsys):
+    # a ValueError is a usage error; any other unexpected exception propagates
     import multispinal.certify as certify_module
     from multispinal import cli
-    from multispinal.groupoid import RegionSearchError
 
     def raising(error):
         def certify(*args, **kwargs):
@@ -216,11 +214,11 @@ def test_region_search_error_exits_2(monkeypatch, capsys):
 
         return certify
 
-    monkeypatch.setattr(certify_module, "certify", raising(RegionSearchError("no witness at m=1")))
+    monkeypatch.setattr(certify_module, "certify", raising(ValueError("bad input")))
     assert cli.main(["certify", "--n", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: no witness at m=1\n"
+    assert captured.err == "error: bad input\n"
     monkeypatch.setattr(certify_module, "certify", raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
         cli.main(["certify", "--n", "3"])
@@ -245,14 +243,15 @@ def test_emit_json_rejects_values_json_cannot_hold(tmp_path):
 # documents when every germ row came from 2q walks (witnesses written
 # "1^s 0", the full certificate at every degree); certify --all for
 # n = 2..8 was pinned when the nucleus came to be read from the classes
-# of the normal form; a refactor that keeps the certificates must keep
-# these bytes, and a change that alters a document on purpose updates its
+# of the normal form; the three certify pins were renewed when the
+# nucleus dropped its inert "depth_limit" key, their only change; a
+# refactor that keeps the certificates must keep these bytes, and a change that alters a document on purpose updates its
 # pin and says why
 PINNED_DOCUMENTS = {
     ("certify", "--all", "--n-min", "2", "--n-max", "8"):
-        "12b349ab4c21b1bd0cc574d8a5b6782af5618852c86d54b7fad5b23ac58ec881",
+        "d633c7c1d9115ef7723fea7d2c20a7384854aad4b493f8551cf9c6f4f2c3b0af",
     ("certify", "--all", "--n-min", "2", "--n-max", "4", "--seed", "7"):
-        "e8162836410fe993d606243701460b9d7a19922441ebec1ca42b567ae24c718b",
+        "0c71f1263758851ed31fce1141e19239b860f166f573f2ae0feb1184e2af15ef",
     ("groupoid", "--n", "5", "--m", "2"):
         "e6c167b9de5a2127a624f990ad19f35037338ff488f9ccdf77380bf718d37ea2",
     ("groupoid", "--n", "7", "--m", "1"):
@@ -262,7 +261,7 @@ PINNED_DOCUMENTS = {
     ("matrix", "--n", "3"):
         "320551aa30ba70251de30f98b5a3d3e417319acc11288599133a8fb163cd053f",
     ("certify", "--n", "8"):
-        "3900f53b66e1834cfaa4f870736c86d56b4bd5ac5a5b9add8887ddfa668d706a",
+        "19847cda80da179ab174824dd551b3c8cd96c87ecfa1a75163636070d89334d4",
     ("design", "--n", "8"):
         "03e03df199f5038260eb76bb3bb81aa3a9edac4872c16e0fcd866e228edcb2bd",
     ("design", "--search-q", "6"):
@@ -362,7 +361,7 @@ def test_field_output():
 
 
 def test_nucleus_output():
-    res = run_cli("nucleus", "--n", "2", "--depth", "8")
+    res = run_cli("nucleus", "--n", "2")
     doc = json.loads(res.stdout)
     assert res.returncode == 0
     names = {s["name"]: s for s in doc["states"]}
@@ -389,9 +388,16 @@ def test_groupoid_certificate():
 
 
 def test_groupoid_has_no_verify_flag():
-    res = run_cli("groupoid", "--n", "2", "--m", "1", "--verify")
-    assert res.returncode == 2
-    assert res.stdout == ""
+    # nor a budget: each region's witness is the closed form 1^s 0
+    for args in (
+        ("groupoid", "--n", "2", "--m", "1", "--verify"),
+        ("nucleus", "--n", "3", "--depth", "8"),
+        ("groupoid", "--n", "3", "--m", "1", "--depth", "9"),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        assert "unrecognized arguments" in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -429,16 +435,14 @@ def test_design_search_q_takes_no_field(extra):
     assert "takes neither --n nor --poly" in res.stderr
 
 
-def test_groupoid_depth_budget():
-    # H0 at m = 3 in degree 5 needs the witness 1^31 0
-    res = run_cli("groupoid", "--n", "5", "--m", "3", "--depth", "9")
-    assert res.returncode == 1
-    doc = json.loads(res.stdout)
-    assert doc["pass"] is False
-    assert "depth budget ran out" in doc["error"] and "1^31 0" in doc["error"]
-    res = run_cli("groupoid", "--n", "3", "--m", "1", "--depth", "9")
+@pytest.mark.parametrize("n, m, h0", [(5, 3, "1^31 0"), (3, 0, "1^0 0"), (3, 1, "1^7 0")])
+def test_groupoid_witnesses_have_no_budget(n, m, h0):
+    # H0 at m = 3 in degree 5 needs the witness 1^31 0, and m = 0 the
+    # tail 0 1^infinity: both PASS
+    res = run_cli("groupoid", "--n", str(n), "--m", str(m))
     assert res.returncode == 0
-    assert json.loads(res.stdout)["witnesses"]["H0"] == "1^7 0"
+    doc = json.loads(res.stdout)
+    assert doc["pass"] is True and doc["witnesses"]["H0"] == h0
 
 
 def test_certify_reports_wrong_germ_rows_as_fail(monkeypatch, tmp_path):

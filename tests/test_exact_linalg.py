@@ -17,7 +17,7 @@ from multispinal.exact_linalg import (
     verify_right_inverse,
 )
 from multispinal.gf2n import field_context
-from multispinal.hyperplanes import BaseBlock, extract_base_block
+from multispinal.hyperplanes import BaseBlock, extract_base_block, search_base_blocks
 
 from reference import (
     RefField,
@@ -316,6 +316,84 @@ def test_certify_runs_no_rational_or_odd_prime_elimination(monkeypatch):
     assert doc["verdict"] == "PASS"
     assert calls == [("rank_mod_p", 2)]
     assert doc["sections"]["matrix"]["rank_mod_p"] == {"5": 32, "7": 32, "11": 32, "13": 32}
+
+
+# W T = I from the base-block theorem ------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certify_reads_W_T_from_the_R_conditions(n, monkeypatch):
+    # the certify path runs no Gram check: R1-R9 and build_T's T decide it
+    import multispinal.certify as certify_module
+
+    monkeypatch.setattr(certify_module, "verify_right_inverse", lambda W, T: pytest.fail("Gram check ran"))
+    doc = certify_module.certify(n)
+    assert doc["verdict"] == "PASS"
+    assert doc["sections"]["matrix"]["right_inverse_identity"] is True
+
+
+def _gram_spy(monkeypatch):
+    import multispinal.certify as certify_module
+
+    calls = []
+
+    def spy(W, T):
+        calls.append(W)
+        return verify_right_inverse(W, T)
+
+    monkeypatch.setattr(certify_module, "verify_right_inverse", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_theorem_verdict_equals_the_gram_on_field_matrices(n):
+    ctx = field_context(n)
+    W = build_W(ctx)
+    T = build_T(ctx.q, W)
+    assert all(c["pass"] for c in check_R_conditions(W).values())
+    assert verify_right_inverse(W, T) is True
+    assert matrix_section(ctx, W, T)["right_inverse_identity"] is True
+
+
+@pytest.mark.parametrize("q, count", [(2, 3), (4, 14), (6, 22), (8, 30)])
+def test_theorem_premise_gives_the_gram_on_every_base_block(q, count):
+    # every block the search finds passes R1-R9, and build_T's T is then a
+    # right inverse by the Gram identity, as the theorem says
+    blocks = search_base_blocks(q)
+    assert len(blocks) == count
+    for block in blocks:
+        W = build_W_general(block)
+        assert all(c["pass"] for c in check_R_conditions(W).values()), block
+        assert verify_right_inverse(W, build_T(q, W)), block
+
+
+def test_swapped_rows_fail_R3_and_keep_the_right_inverse(f8, monkeypatch):
+    # rows 1 and 2 swapped: R3 fails, so the section takes the Gram path,
+    # and T over the same swapped W is still a right inverse
+    W = build_W(f8)
+    rows = list(W.rows)
+    rows[1], rows[2] = rows[2], rows[1]
+    bad = InclusionMatrix(q=W.q, rows=tuple(rows), row_labels=W.row_labels, col_labels=W.col_labels)
+    calls = _gram_spy(monkeypatch)
+    section = matrix_section(f8, bad, build_T(f8.q, bad))
+    assert section["R_conditions"]["R3"]["pass"] is False
+    assert section["right_inverse_identity"] is True and calls == [bad]
+
+
+def test_a_T_other_than_build_T_takes_the_gram_path(f8, monkeypatch):
+    k, q = f8.k, f8.q
+    W = build_W(f8)
+    calls = _gram_spy(monkeypatch)
+    # the right W with a wrong b is not a right inverse
+    section = matrix_section(f8, W, RightInverse(W, Fraction(1, k), Fraction(-1, k * q)))
+    assert section["all_R_pass"] is True and section["right_inverse_identity"] is False
+    assert section["pass"] is False and section["rank_over_Q"] is None
+    # build_T's values over an equal but distinct W: checked, and true
+    assert matrix_section(f8, W, build_T(q, build_W(f8)))["right_inverse_identity"] is True
+    assert len(calls) == 2
+    # build_T's T over this very W: read from the R conditions
+    assert matrix_section(f8, W, build_T(q, W))["right_inverse_identity"] is True
+    assert len(calls) == 2
 
 
 # R-condition report --------------------------------------------------------

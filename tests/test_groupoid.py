@@ -20,12 +20,10 @@ from multispinal.groupoid import (
     ZERO,
     GermPoint,
     MembershipMismatch,
-    RegionSearchError,
     SemigroupTriple,
     Tail,
     bound_check,
     check_germ_rows,
-    default_search_depth,
     germ_equal,
     germ_rows,
     intersect_witness,
@@ -487,7 +485,7 @@ def test_region_pattern_matches_reference_scan(n):
     W = build_W(ctx)
     k = ctx.k
     for m in sorted({0, 1, 2, 3, k, k + 1}):
-        depth = default_search_depth(ctx, m)
+        depth = m + 2 * k + 1  # one shift-register period past the congruence window, plus the 0
         for kind in ("H", "Hc"):
             for j in range(k):
                 p = region_pattern(group, W, m, kind, j)
@@ -515,7 +513,7 @@ def test_germ_rows_and_witnesses_match_the_oracles(n):
         witnesses = section["membership"][str(m)]["witnesses"]
         assert witnesses == region_witnesses(ctx, m)
         assert list(witnesses) == list(W.col_labels)
-        depth = default_search_depth(ctx, m)
+        depth = m + 2 * k + 1
         for p in patterns:
             s = len(p.witness) - 1
             assert witnesses[p.label] == f"1^{s} 0"
@@ -533,19 +531,6 @@ def test_negative_m_is_rejected(g2, w2):
         membership_matrix(g2, w2, -2)
     with pytest.raises(ValueError):
         intersect_witness(g2, g2.iota(2), g2.iota(1), -1)
-
-
-def test_region_pattern_depth_budget(g3, w3):
-    # H0 at m = 3 needs 1^7 0, so depth 7 is one short and depth 8 suffices
-    with pytest.raises(RegionSearchError, match="depth budget ran out.*1\\^7 0"):
-        region_pattern(g3, w3, 3, "H", 0, search_depth=7)
-    assert region_pattern(g3, w3, 3, "H", 0, search_depth=8).witness == "1" * 7 + "0"
-    with pytest.raises(RegionSearchError, match="K=H0 \\(m=3\\).*1\\^7 0"):
-        region_witnesses(g3.ctx, 3, search_depth=7)
-    # the regions' witnesses run up to 1^9 0 at m = 3, so all fit in depth 10
-    with pytest.raises(RegionSearchError, match="K=H2 \\(m=3\\).*1\\^9 0"):
-        region_witnesses(g3.ctx, 3, search_depth=9)
-    assert region_witnesses(g3.ctx, 3, search_depth=10)["H0c"] == "1^7 0"
 
 
 def test_region_pattern_names_first_wrong_column(g3, w3, monkeypatch):
@@ -659,10 +644,6 @@ def test_monotone_neighborhoods(g3):
         for l, m in ((5, 2), (4, 1), (3, 3)):
             if point_in_bisection(g3, point, g3.iota(h), l):
                 assert point_in_bisection(g3, point, g3.iota(h), m)
-
-
-def test_default_search_depth_formula(g2):
-    assert default_search_depth(g2.ctx, 4) == 4 + 2 * 3 + 1
 
 
 # singular system and bound --------------------------------------------------------

@@ -291,7 +291,7 @@ def test_restriction_period_every_directed_state(n):
 
 
 def test_verify_nucleus_degree2(g2):
-    report = g2.verify_nucleus(8)
+    report = g2.verify_nucleus()
     assert report["pass"]
     assert report["state_count"] == 5
     assert {g2.state_name(s) for s in g2.nucleus_states} == {"e", "a", "b1", "b2", "b3"}
@@ -300,20 +300,19 @@ def test_verify_nucleus_degree2(g2):
 def test_verify_nucleus_returns_the_contraction_fragment(g2, monkeypatch):
     # the dict is the certificate's contraction fragment, keys in document
     # order and "pass" last
-    assert g2.verify_nucleus(8) == {
+    assert g2.verify_nucleus() == {
         "n": 2, "state_count": 5, "closure_ok": True, "pairs_checked": 25,
-        "max_contraction_depth": 1, "depth_limit": 8, "failures": [], "pass": True,
+        "max_contraction_depth": 1, "failures": [], "pass": True,
     }
-    assert list(g2.verify_nucleus(8)) == [
-        "n", "state_count", "closure_ok", "pairs_checked", "max_contraction_depth", "depth_limit", "failures",
-        "pass",
+    assert list(g2.verify_nucleus()) == [
+        "n", "state_count", "closure_ok", "pairs_checked", "max_contraction_depth", "failures", "pass",
     ]
     group = MultispinalGroup(g2.ctx)
     real = group.restrict_letter_state
     b1 = ("b", 2)  # alpha
     rogue = ("b", 0)  # b(0) is e, never a state of its own
     monkeypatch.setattr(group, "restrict_letter_state", lambda s, ch: rogue if s == b1 and ch == "1" else real(s, ch))
-    report = group.verify_nucleus(2)
+    report = group.verify_nucleus()
     # only the two class pairs of b1 leave the nucleus; the other b's still
     # contract at depth 1
     assert report["failures"] == [["b1", "a"], ["a", "b1"]]
@@ -324,11 +323,12 @@ def test_verify_nucleus_returns_the_contraction_fragment(g2, monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_verify_nucleus_matches_the_full_pair_search(n):
     # the class derivation against the (k + 2)^2 pair search on the
-    # reference automaton's unreduced words, at two depth limits
+    # reference automaton's unreduced words, at two depth limits of the
+    # search: every pair contracts by depth 1, so both agree with the classes
     group = MultispinalGroup(field_context(n))
     field = RefField(tuple((group.ctx.poly.mask >> i) & 1 for i in range(n + 1)))
     for depth in (1, 8):
-        assert group.verify_nucleus(depth) == ref_verify_nucleus(field, group.nucleus_states, depth)
+        assert group.verify_nucleus() == ref_verify_nucleus(field, group.nucleus_states, depth)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -340,7 +340,7 @@ def test_verify_nucleus_walks_nothing_and_meet_set_fills_the_memos(n, monkeypatc
     with monkeypatch.context() as m:
         for name in ("_step", "equal", "_bisimilar"):
             m.setattr(group, name, lambda *_: pytest.fail("verify_nucleus walked a word"))
-        assert group.verify_nucleus(8)["pass"]
+        assert group.verify_nucleus()["pass"]
     assert group._step_memo == {} and group._eq_memo == {}
     meet_set(group)
     assert (len(group._step_memo), len(group._eq_memo)) == (0, 0)
@@ -393,14 +393,14 @@ def test_query_stream_leaves_no_state_pair_in_the_memo():
 
 
 def test_verify_nucleus_degree3(g3):
-    report = g3.verify_nucleus(16)
+    report = g3.verify_nucleus()
     assert report["pass"]
     assert report["state_count"] == 9
 
 
 def test_verify_nucleus_degree4():
     group = MultispinalGroup(field_context(4))
-    report = group.verify_nucleus(8)
+    report = group.verify_nucleus()
     assert report["pass"]
     assert report["state_count"] == 17
 
@@ -424,18 +424,13 @@ def test_in_nucleus_matches_the_reference_search(n):
         assert group.in_nucleus(GroupElement(word)) == want, word
 
 
-def test_verify_nucleus_rejects_bad_depth(g2):
-    with pytest.raises(ValueError):
-        g2.verify_nucleus(0)
-
-
 def test_closure_check_sees_a_restriction_outside_the_nucleus(g2, monkeypatch):
     group = MultispinalGroup(g2.ctx)
-    assert group.verify_nucleus(8)["closure_ok"]
+    assert group.verify_nucleus()["closure_ok"]
     real = group.restrict_letter_state
     rogue = ("b", 0)  # b(0) is e, never a state of its own
     monkeypatch.setattr(group, "restrict_letter_state", lambda s, ch: rogue if s == STATE_A else real(s, ch))
-    report = group.verify_nucleus(8)
+    report = group.verify_nucleus()
     assert not report["closure_ok"]
     assert not report["pass"]
 
