@@ -65,11 +65,11 @@ def design_section(ctx: FieldContext) -> dict:
         }
 
 
-def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> dict:
-    """R1-R9, the right-inverse identity and the ranks it decides.
+def right_inverse_identity(W: InclusionMatrix, T: RightInverse, all_r: bool) -> bool:
+    """W T = I, for the matrix section and the matrix subcommand.
 
-    When R1-R9 pass and T is build_T's T over this W, W T = I is read
-    from them (the base-block theorem).  R1-R5 make W the circulant of
+    When R1-R9 pass (all_r) and T is build_T's T over this W, W T = I is
+    read from them (the base-block theorem).  R1-R5 make W the circulant of
     its rows 0 and 1: row 0 is the k subgroup columns, and row 1 + r is
     the base block B rotated by r with its complement mirrored, |B| =
     q - 1, and B meets each of its k - 1 rotations in c = q/2 - 1 bits.
@@ -80,6 +80,15 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> di
     b(k - |W_i & W_l|) is a k = 1 on the diagonal and a(q-1) + b q = 0
     off it.  Any other W or T goes through the Gram identity of
     verify_right_inverse, which is also the oracle of this reading.
+    """
+    q, k = W.q, W.k
+    canonical = T.W is W and (T.a, T.b) == (Fraction(1, k), Fraction(1 - q, k * q))
+    return (all_r and canonical) or verify_right_inverse(W, T)
+
+
+def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> dict:
+    """R1-R9, the right-inverse identity (right_inverse_identity) and the
+    ranks it decides.
 
     T's entries 1/k and -(q-1)/(kq) have denominators dividing kq, so
     W T = I gives rank 2q over Q and over GF(p) for every prime p not
@@ -88,9 +97,7 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> di
     """
     conditions = check_R_conditions(W)
     all_r = all(c["pass"] for c in conditions.values())
-    q, k = W.q, W.k
-    canonical = T.W is W and (T.a, T.b) == (Fraction(1, k), Fraction(1 - q, k * q))
-    wt = (all_r and canonical) or verify_right_inverse(W, T)
+    wt = right_inverse_identity(W, T, all_r)
     section = {
         "shape": list(W.shape),
         "R_conditions": conditions,

@@ -114,7 +114,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    from .exact_linalg import build_T, build_W, check_R_conditions, rank_mod_p, rank_over_Q, verify_right_inverse
+    from .certify import right_inverse_identity
+    from .exact_linalg import build_T, build_W, check_R_conditions, rank_mod_p, rank_over_Q
 
     ctx = field_context(args.n, args.poly)
     W = build_W(ctx)
@@ -126,6 +127,7 @@ def cmd_matrix(args) -> int:
         return 0
     T = build_T(ctx.q, W)
     conditions = check_R_conditions(W)
+    all_r = all(c["pass"] for c in conditions.values())
     doc = {
         "n": ctx.n,
         "q": ctx.q,
@@ -134,9 +136,9 @@ def cmd_matrix(args) -> int:
         "col_labels": list(W.col_labels),
         "W": W.to_lists(),
         "R_conditions": conditions,
-        "all_R_pass": all(c["pass"] for c in conditions.values()),
+        "all_R_pass": all_r,
         "T": T.to_strings(),
-        "right_inverse_identity": verify_right_inverse(W, T),
+        "right_inverse_identity": right_inverse_identity(W, T, all_r),
     }
     ok = doc["all_R_pass"] and doc["right_inverse_identity"]
     if args.rank_field:

@@ -24,8 +24,9 @@ b = -(q-1)/(k(k-q+1)) where W is 0: every row has k ones and two
 distinct rows meet in q - 1, by the block's size and shift counts.  T
 is held as those two values over W, and W as its bitmask rows, so R1-R9
 are read from the rows by rotations and popcounts, into the
-certificate's R_conditions dict.  certify reads W T = I from R1-R9 by
-that theorem (certify.matrix_section); verify_right_inverse checks it
+certificate's R_conditions dict.  certify and the matrix subcommand
+read W T = I from R1-R9 by that theorem
+(certify.right_inverse_identity); verify_right_inverse checks it
 for any W and T as an integer Gram identity in popcounts, and is the
 theorem's oracle in the tests.  Since k - q + 1 = q,
 every denominator of T divides kq, so W T = I certifies full rank 2q

@@ -33,10 +33,10 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 
-from ._record import Record
+from ._record import Record, slot_setters
 from .exact_linalg import InclusionMatrix, circulant_rows
 from .gf2n import FieldContext
-from .selfsim import STATE_A, GroupElement, MultispinalGroup, _reduce
+from .selfsim import STATE_A, GroupElement, MultispinalGroup, _join, _reduce
 
 
 class _Zero:
@@ -60,9 +60,12 @@ class SemigroupTriple(Record):
     __slots__ = ("eta", "g", "mu")
 
     def __init__(self, eta: str, g: GroupElement, mu: str) -> None:
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "mu", mu)
+        _set_eta(self, eta)
+        _set_g(self, g)
+        _set_mu(self, mu)
+
+
+_set_eta, _set_g, _set_mu = slot_setters(SemigroupTriple)
 
 
 class Tail(Record):
@@ -74,8 +77,8 @@ class Tail(Record):
         # the bad letters are what is left after deleting each 0 and 1 (bytes: fast on long prefixes)
         if not period or (prefix + period).encode().translate(None, b"01"):
             raise ValueError(f"a tail is 0/1 words with a nonempty period, got {prefix!r}, {period!r}")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "period", period)
+        _set_prefix(self, prefix)
+        _set_period(self, period)
 
     def letter(self, i: int) -> str:
         if i < len(self.prefix):
@@ -109,6 +112,7 @@ class Tail(Record):
         return None
 
 
+_set_prefix, _set_period = slot_setters(Tail)
 ONES = Tail("", "1")
 
 
@@ -163,6 +167,18 @@ class RegionSearchError(RuntimeError):
 # -- inverse semigroup --------------------------------------------------
 
 
+def _times(group: MultispinalGroup, g: GroupElement, u: tuple, h: GroupElement, v: tuple) -> GroupElement:
+    """The element u v, u a word of g and v a word of h: g or h itself
+    when the other side is empty and the word is its own, else the seam
+    join of the two normal forms, the group's identity when they cancel."""
+    if not v:
+        return g if u is g.factors else GroupElement(u)
+    if not u:
+        return h if v is h.factors else GroupElement(v)
+    w = _join(u, v)
+    return GroupElement(w) if w else group.identity
+
+
 def sg_multiply(group: MultispinalGroup, s, t):
     """Product in the inverse semigroup; Zero absorbs."""
     if s is ZERO or t is ZERO:
@@ -173,10 +189,10 @@ def sg_multiply(group: MultispinalGroup, s, t):
     # the inverse of a word is the reversed word
     if gamma.startswith(mu):
         image, rest = group._walk(g.factors, gamma[len(mu):])
-        return SemigroupTriple(eta + image, group.element(*rest, *h.factors), nu)
+        return SemigroupTriple(eta + image, _times(group, g, rest, h, h.factors), nu)
     if mu.startswith(gamma):
         image, rest = group._walk(h.factors[::-1], mu[len(gamma):])
-        return SemigroupTriple(eta, group.element(*g.factors, *rest[::-1]), nu + image)
+        return SemigroupTriple(eta, _times(group, g, g.factors, h, rest[::-1]), nu + image)
     return ZERO
 
 
@@ -188,10 +204,14 @@ def sg_star(group: MultispinalGroup, s):
 
 
 def sg_equal(group: MultispinalGroup, s, t) -> bool:
-    """Semantic equality: words match and group parts are bisimilar."""
+    """Semantic equality: words match and group parts are the same word
+    or bisimilar."""
+    if s is t:
+        return True
     if s is ZERO or t is ZERO:
-        return s is t
-    return s.eta == t.eta and s.mu == t.mu and group.equal(s.g, t.g)
+        return False
+    g, h = s.g, t.g
+    return s.eta == t.eta and s.mu == t.mu and (g.factors == h.factors or group.equal(g, h))
 
 
 def is_idempotent(group: MultispinalGroup, s) -> bool:

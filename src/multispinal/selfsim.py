@@ -20,8 +20,11 @@ is additive).  Words are therefore kept in normal form: no e, no a a,
 no two neighbouring directed states, so a word alternates between a and
 b(x).  element, multiply and restriction return normal forms, and a
 hand-built word is reduced by the first restriction applied to it.
-Since every generator is an involution, the inverse is the reversed
-word, a normal form again.
+The product of two normal forms is rewritten only at the seam (_join):
+a a cancels inward, and a merged b(x + y) sits between two a's, so the
+cascade stops there.  Since every generator is an involution, the
+inverse is the reversed word, a normal form again, and a word of at
+most one factor is its own inverse.
 
 The normal form is syntactic only.  Equality of elements is decided
 semantically by bisimulation: restriction maps a word to a word of the
@@ -36,10 +39,12 @@ classes of the normal form, with no walk, and returns the certificate's
 contraction dict.
 
 The group is finite-state, so the words the walks reach form one finite
-Mealy automaton.  Two insert-only caches on the object are its only
-shared mutable state: the transition memo, (word, letter) ->
-(restricted normal form, output letter), filled lazily on the words the
-walks reach, and the memo of resolved comparisons of longer words.
+Mealy automaton.  A word of at most one factor is a state, stepped in
+closed form from restrict_letter_state.  Two insert-only caches on the
+object are its only shared mutable state: the transition memo, (word,
+letter) -> (restricted normal form, output letter), filled lazily on
+the words of two or more factors that the walks reach, and the memo of
+resolved comparisons of longer words.
 After a certify run, whose only walks are the 2^n germ walks of
 groupoid.meet_set, both are empty: every one of those walks starts on
 two single states.  Both are pure functions of their keys, so two
@@ -51,7 +56,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 
-from ._record import Record
+from ._record import Record, slot_setters
 from .gf2n import FieldContext
 
 STATE_E = ("e",)
@@ -83,6 +88,27 @@ def _reduce(states) -> tuple:
     return tuple(out)
 
 
+def _join(u: tuple, v: tuple) -> tuple:
+    """Normal form of the product of two normal forms u and v, equal to
+    _reduce(u + v).
+
+    Only the seam can be rewritten: a a = e cancels and exposes the next
+    pair, b(x) b(y) = b(x + y) cancels when x = y and otherwise leaves a
+    b that sits between two a's, so the cascade stops there.  A word not
+    in normal form may come back unreduced, still a word for the same
+    element, since every rewrite is a group identity."""
+    i, j = len(u), 0
+    while i and j < len(v):
+        x, y = u[i - 1], v[j]
+        if x[0] != y[0]:
+            break
+        i -= 1
+        j += 1
+        if x[0] == "b" and x[1] != y[1]:
+            return u[:i] + (("b", x[1] ^ y[1]),) + v[j:]
+    return u[:i] + v[j:]
+
+
 class GroupElement(Record):
     """A word in nucleus states.  == and hash are syntactic (factor tuples);
     semantic equality lives in MultispinalGroup.equal."""
@@ -90,10 +116,13 @@ class GroupElement(Record):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple) -> None:
-        object.__setattr__(self, "factors", factors)
+        _set_factors(self, factors)
 
     def __len__(self) -> int:
         return len(self.factors)
+
+
+(_set_factors,) = slot_setters(GroupElement)
 
 
 class MultispinalGroup:
@@ -141,23 +170,32 @@ class MultispinalGroup:
     def iota(self, x: int) -> GroupElement:
         """Embedding of the additive group: field element -> directed state."""
         self.ctx._check(x)
-        return self.element(directed_state(x))
+        return GroupElement((("b", x),) if x else ())
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
         return GroupElement(_reduce(g.factors + h.factors))
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        # every nucleus state is an involution, so reversing suffices
-        return GroupElement(tuple(reversed(g.factors)))
+        # every nucleus state is an involution, so reversing suffices,
+        # and a word of at most one factor is its own inverse
+        return g if len(g.factors) <= 1 else GroupElement(g.factors[::-1])
 
     def _step(self, factors: tuple, ch: str) -> tuple[tuple, str]:
         """Restrict a word along one letter; also return the output letter.
 
         The rightmost factor touches the letter first.  Accepts any word,
-        reduced or not, and returns the restriction in normal form.  Each
-        (word, letter) transition is computed once per group and then
+        reduced or not, and returns the restriction in normal form.  A
+        word of at most one factor is stepped in closed form, from
+        restrict_letter_state and the swap of a; each (word, letter)
+        transition of a longer word is computed once per group and then
         read from the transition memo.
         """
+        if len(factors) <= 1:
+            if not factors:
+                return factors, ch
+            s = factors[0]
+            r = self.restrict_letter_state(s, ch)
+            return (() if r == STATE_E else (r,)), (_SWAP[ch] if s == STATE_A else ch)
         key = (factors, ch)
         hit = self._step_memo.get(key)
         if hit is not None:
@@ -183,6 +221,8 @@ class MultispinalGroup:
     def _walk(self, factors: tuple, word: str) -> tuple[str, tuple]:
         """(image of word, restriction along word) of a factor tuple, in
         one pass over the word."""
+        if not word or not factors:
+            return word, factors  # the identity fixes every word
         step = self._step
         out = []
         for ch in word:

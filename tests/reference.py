@@ -524,6 +524,25 @@ def ref_sg_multiply(auto: RefAutomaton, s, t):
     return None
 
 
+def ref_sg_multiply_full_reduction(group, s, t):
+    """sg_multiply with the whole group part of the product brought to
+    normal form: the restriction along eps is taken by the library's walk,
+    then the word rest h (or g rest) is reduced from scratch by
+    group.element, not joined at the seam.  Returns the library's
+    SemigroupTriple or ZERO, to be compared under sg_equal."""
+    from multispinal.groupoid import ZERO, SemigroupTriple
+
+    if s is ZERO or t is ZERO:
+        return ZERO
+    if t.eta.startswith(s.mu):
+        image, rest = group._walk(s.g.factors, t.eta[len(s.mu):])
+        return SemigroupTriple(s.eta + image, group.element(*rest, *t.g.factors), t.mu)
+    if s.mu.startswith(t.eta):
+        image, rest = group._walk(t.g.factors[::-1], s.mu[len(t.eta):])
+        return SemigroupTriple(s.eta, group.element(*s.g.factors, *rest[::-1]), t.mu + image)
+    return ZERO
+
+
 def ref_restriction_period(auto: RefAutomaton, x: int) -> int:
     """Least p >= 1 with b(x) restricted along 1^p equal to b(x), by
     single restriction steps of the reference automaton (the identity,

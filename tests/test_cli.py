@@ -92,6 +92,20 @@ def test_matrix_csv_golden():
     assert len(lines) == 5
 
 
+def test_matrix_reads_W_T_from_the_R_conditions(monkeypatch, capsys):
+    # matrix decides W T = I the way certify does: build_T's T over a W
+    # that passes R1-R9 needs no Gram check, so a failing one goes unseen
+    import multispinal.certify as certify_module
+    import multispinal.exact_linalg as linalg_module
+    from multispinal import cli
+
+    for module in (certify_module, linalg_module):
+        monkeypatch.setattr(module, "verify_right_inverse", lambda W, T: False)
+    assert cli.main(["matrix", "--n", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_R_pass"] is True and doc["right_inverse_identity"] is True
+
+
 def test_design_search_q_odd_exits_2():
     res = run_cli("design", "--search-q", "3")
     assert res.returncode == 2

@@ -22,3 +22,13 @@ def test_degree_reports_every_section_memory_and_verdict():
     assert all(s >= 0 for s in result["seconds"].values())
     assert result["total_s"] >= sum(result["seconds"].values()) - 1e-3
     assert result["vm_hwm_mb"] is None or result["vm_hwm_mb"] > 0
+
+
+def test_query_pass_reports_loop_time_and_memo_sizes(monkeypatch):
+    # the pass reads perfbench/ and tests/ relative to the checkout's root
+    monkeypatch.chdir(ROOT)
+    result = _ladder().query_pass(count=20, repeats=2)
+    assert list(result) == ["n", "seed", "requests", "best_loop_s", "step_memo", "eq_memo", "failed"]
+    assert (result["n"], result["requests"], result["failed"]) == (7, 20, 0)
+    assert result["best_loop_s"] > 0
+    assert result["step_memo"] >= 0 and result["eq_memo"] >= 0

@@ -4,8 +4,17 @@ import random
 import pytest
 
 from multispinal.gf2n import field_context
-from multispinal.groupoid import SemigroupTriple, Tail, germ_equal, intersect_witness, meet_set, sg_equal, sg_multiply
-from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup
+from multispinal.groupoid import (
+    SemigroupTriple,
+    Tail,
+    germ_equal,
+    intersect_witness,
+    meet_set,
+    sg_equal,
+    sg_multiply,
+    sg_star,
+)
+from multispinal.selfsim import STATE_A, STATE_E, GroupElement, MultispinalGroup, _join, _reduce
 
 from reference import (
     GRIG_REST,
@@ -332,7 +341,7 @@ def test_verify_nucleus_matches_the_full_pair_search(n):
 
 
 @pytest.mark.parametrize("n", range(2, 10))
-def test_verify_nucleus_walks_nothing_and_meet_set_fills_the_memos(n, monkeypatch):
+def test_verify_nucleus_and_meet_set_leave_both_memos_empty(n, monkeypatch):
     # the nucleus reads the classes, so both memos stay empty; each of the
     # 2^n germ walks of meet_set starts on two single states and finishes
     # in closed form, so they stay empty after it too, as after a certify run
@@ -445,7 +454,9 @@ def test_nucleus_states_are_built_once(g3):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_memoised_step_matches_reference_automaton(n):
-    # every word of up to 3 nucleus states, as built and in normal form
+    # every word of up to 3 nucleus states, as built and in normal form;
+    # a word of at most one factor is a state, stepped in closed form
+    # without a memo entry, and only longer words are memoised
     group = MultispinalGroup(field_context(n))
     auto = _ref_automaton(group.ctx)
     states = group.nucleus_states
@@ -459,8 +470,66 @@ def test_memoised_step_matches_reference_automaton(n):
             assert first[1] == ref_out, (word, ch)
             assert is_normal(first[0]), (word, ch)
             assert auto.equal(first[0], ref_rest), (word, ch)
-            assert group._step(word, ch) is first  # the repeat is read from the memo
-    assert len(group._step_memo) == 2 * len(words)
+            if len(word) >= 2:
+                assert group._step(word, ch) is first  # the repeat is read from the memo
+            else:
+                assert group._step(word, ch) == first
+            assert ((word, ch) in group._step_memo) == (len(word) >= 2), (word, ch)
+    assert len(group._step_memo) == 2 * len([w for w in words if len(w) >= 2])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_factor_step_is_the_closed_form(n):
+    # every state, with the unreduced spellings ("e",) and ("b", 0), and
+    # the empty word, against the reference automaton; none is memoised
+    group = MultispinalGroup(field_context(n))
+    auto = _ref_automaton(group.ctx)
+    for word in [(), (STATE_E,), (("b", 0),)] + [(s,) for s in group.nucleus_states]:
+        for ch in "01":
+            rest, out = group._step(word, ch)
+            ref_rest, ref_out = auto.step(word, ch)
+            assert out == ref_out, (word, ch)
+            assert is_normal(rest) and len(rest) <= 1, (word, ch)
+            assert auto.equal(rest, ref_rest), (word, ch)
+    assert group._step_memo == {}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_join_is_the_normal_form_of_the_product(n):
+    # every pair of normal words of up to 4 factors
+    group = MultispinalGroup(field_context(n))
+    letters = [s for s in group.nucleus_states if s != STATE_E]
+    normal = [w for r in range(5) for w in itertools.product(letters, repeat=r) if is_normal(w)]
+    for u in normal:
+        for v in normal:
+            assert _join(u, v) == _reduce(u + v), (u, v)
+
+
+def test_query_stream_memoises_only_words_of_two_or_more_factors():
+    # 2,000 requests at n = 7 of the kinds a long-lived group serves: an
+    # inverse-semigroup axiom bundle, a witness and a germ walk
+    group = MultispinalGroup(field_context(7))
+    states = group.nucleus_states
+    rng = random.Random(700)
+
+    def word(max_len):
+        return "".join(rng.choice("01") for _ in range(rng.randrange(0, max_len + 1)))
+
+    def element():
+        return group.element(*(rng.choice(states) for _ in range(rng.randrange(0, 3))))
+
+    for _ in range(2000):
+        s, t = (SemigroupTriple(word(6), element(), word(6)) for _ in range(2))
+        star = sg_star(group, s)
+        assert sg_equal(group, sg_star(group, star), s)
+        assert sg_equal(group, sg_multiply(group, sg_multiply(group, s, star), s), s)
+        e1, e2 = sg_multiply(group, s, star), sg_multiply(group, t, sg_star(group, t))
+        assert sg_equal(group, sg_multiply(group, e1, e2), sg_multiply(group, e2, e1))
+        x, y = rng.sample(range(group.ctx.size), 2)
+        intersect_witness(group, group.iota(x), group.iota(y), rng.randrange(2 * group.ctx.k))
+        germ_equal(group, element(), element(), Tail(word(6), word(3) or "1"))
+    assert group._step_memo
+    assert not [key for key in group._step_memo if len(key[0]) <= 1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -13,12 +13,16 @@ The ladder stops at the first degree whose child takes longer than
 BUDGET_S (it is killed there) or does not PASS; past the largest degree
 a field context supports, the child fails with a ValueError.
 
-The record also holds the wall time of `certify --all --n-min 2
---n-max 8` and of the tier-1 suite, the line count of src/ from
-perfbench/run.py's src_lines, the load average and the commit.  It is
-appended to the "runs" list of --out, so one file can hold a run at a
-parent commit and one at its change, taken back to back on one host.  The
-ladder is a trajectory, not a gate.
+The record also holds the query path: one seeded pass of the
+benchmark's semigroup_queries loop (perfbench/workloads.run_queries,
+imported from DIR and left as it is), run QUERY_REPEATS times in one
+child on a fresh group each time, with the best loop time and the sizes
+of the group's transition and comparison memos after a pass; the wall
+time of `certify --all --n-min 2 --n-max 8` and of the tier-1 suite;
+the line count of src/ from perfbench/run.py's src_lines; the load
+average and the commit.  It is appended to the "runs" list of --out, so
+one file can hold a run at a parent commit and one at its change, taken
+back to back on one host.  The ladder is a trajectory, not a gate.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from pathlib import Path
 ADDRESS_SPACE_LIMIT = 1 << 30
 BUDGET_S = 120.0
 N_MIN = 6
+QUERY_REPEATS = 5
+QUERY_SEED = 1  # the benchmark seed whose pass is timed
 SOURCE_DATE_EPOCH = "1700000000"
 
 
@@ -82,6 +88,38 @@ def degree(n: int) -> dict:
         "total_s": round(time.perf_counter() - start, 4),
         "vm_hwm_mb": _vm_hwm_mb(),
         "verdict": "PASS" if all(s["pass"] for s in sections.values()) else "FAIL",
+    }
+
+
+def query_pass(count: int | None = None, repeats: int = QUERY_REPEATS) -> dict:
+    """The seed-QUERY_SEED semigroup_queries pass, count requests (the
+    pass's own count by default), repeated in this process; run from the
+    root of the checkout, whose perfbench/workloads.py it loads.  Returns
+    the best loop time, both memo sizes and the pass's failures."""
+    import importlib.util
+
+    from multispinal.gf2n import field_context
+    from multispinal.selfsim import MultispinalGroup
+
+    spec = importlib.util.spec_from_file_location("ladder_workloads", Path("perfbench") / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    queries = workloads.WORKLOADS["semigroup_queries"].pass_spec(QUERY_SEED)["queries"]
+    count = queries["count"] if count is None else count
+    ctx = field_context(workloads.QUERY_N)
+    loops = []
+    for _ in range(repeats):
+        group = MultispinalGroup(ctx)
+        result = workloads.run_queries(group, ctx, queries["seed"], count, time.perf_counter)
+        loops.append(result["loop_s"])
+    return {
+        "n": workloads.QUERY_N,
+        "seed": QUERY_SEED,
+        "requests": count,
+        "best_loop_s": round(min(loops), 4),
+        "step_memo": len(group._step_memo),
+        "eq_memo": len(group._eq_memo),
+        "failed": len(result["errors"]),
     }
 
 
@@ -145,6 +183,9 @@ def record(root: Path, label: str) -> dict:
     lines_script = "import json, sys; sys.path.insert(0, 'perfbench'); import run; print(json.dumps(run.src_lines()))"
     src = json.loads(subprocess.run([sys.executable, "-c", lines_script], cwd=root, capture_output=True,
                                     text=True, check=True).stdout)
+    _, proc = _timed_run([sys.executable, str(Path(__file__).resolve()), "--queries"], root, 600)
+    lines = proc.stdout.strip().splitlines()
+    queries = json.loads(lines[-1]) if lines else {"error": proc.stderr[-500:]}
     rungs = ladder(root)
     return {
         "label": label,
@@ -155,6 +196,7 @@ def record(root: Path, label: str) -> dict:
         "certify_all_2_8": {"wall_s": sweep_s, "exit": sweep.returncode},
         "tier1": {"wall_s": tier1_s, "exit": tier1.returncode, "summary": tier1.stdout.strip().splitlines()[-1:]},
         "src_lines": src,
+        "queries": queries,
         "budget_s": BUDGET_S,
         "degrees": rungs,
     }
@@ -163,12 +205,16 @@ def record(root: Path, label: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--queries", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--out", help="JSON file whose runs list the record is appended to")
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]))
     parser.add_argument("--label", default="run")
     args = parser.parse_args(argv)
     if args.child is not None:
         return _child(args.child)
+    if args.queries:
+        print(json.dumps(query_pass()))
+        return 0
     if not args.out:
         parser.error("--out is required")
     out = Path(args.out)
