@@ -43,7 +43,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 
-from ._record import Record
+from ._record import Record, slot_setters
 from .gf2n import FieldContext
 from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
 
@@ -59,10 +59,10 @@ class InclusionMatrix(Record):
     ) -> None:
         if len(row_labels) != len(rows):
             raise ValueError(f"{len(rows)} rows but {len(row_labels)} row labels")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "row_labels", row_labels)
-        object.__setattr__(self, "col_labels", col_labels)
+        _set_q(self, q)
+        _set_rows(self, rows)
+        _set_row_labels(self, row_labels)
+        _set_col_labels(self, col_labels)
 
     @property
     def k(self) -> int:
@@ -78,6 +78,9 @@ class InclusionMatrix(Record):
     def to_lists(self) -> list[list[int]]:
         ncols = len(self.col_labels)
         return [[(r >> j) & 1 for j in range(ncols)] for r in self.rows]
+
+
+_set_q, _set_rows, _set_row_labels, _set_col_labels = slot_setters(InclusionMatrix)
 
 
 def _col_labels(k: int) -> tuple[str, ...]:
@@ -130,9 +133,9 @@ class RightInverse(Record):
     __slots__ = ("W", "a", "b")
 
     def __init__(self, W: InclusionMatrix, a: Fraction, b: Fraction) -> None:
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_W(self, W)
+        _set_a(self, a)
+        _set_b(self, b)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -150,6 +153,9 @@ class RightInverse(Record):
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
+
+
+_set_W, _set_a, _set_b = slot_setters(RightInverse)
 
 
 def build_T(q: int, W: InclusionMatrix) -> RightInverse:

@@ -10,23 +10,9 @@ map Tr(x) = x + x^2 + ... + x^(2^(n-1)) is an additive surjection onto
 A word-sized bitmask supports degrees up to 63; table-backed contexts
 (power table, discrete log) are capped at degree 20.
 
-Default primitive polynomials, one per degree (bit k = coefficient of x^k):
-
-    n=2  : x^2 + x + 1                 0x7
-    n=3  : x^3 + x + 1                 0xB
-    n=4  : x^4 + x + 1                 0x13
-    n=5  : x^5 + x^2 + 1               0x25
-    n=6  : x^6 + x + 1                 0x43
-    n=7  : x^7 + x^3 + 1               0x89
-    n=8  : x^8 + x^4 + x^3 + x^2 + 1   0x11D
-    n=9  : x^9 + x^4 + 1               0x211
-    n=10 : x^10 + x^3 + 1              0x409
-    n=11 : x^11 + x^2 + 1              0x805
-    n=12 : x^12 + x^6 + x^4 + x + 1    0x1053
-    n=13 : x^13 + x^4 + x^3 + x + 1    0x201B
-    n=14 : x^14 + x^10 + x^6 + x + 1   0x4443
-    n=15 : x^15 + x + 1                0x8003
-    n=16 : x^16 + x^12 + x^3 + x + 1   0x1100B
+DEFAULT_POLYS holds one stock primitive polynomial per degree 2..20
+(bit k = coefficient of x^k; PrimitivePolynomial.text writes it out).
+From n = 17 on, each is the least primitive mask of its degree.
 """
 
 from __future__ import annotations
@@ -50,6 +36,10 @@ DEFAULT_POLYS: dict[int, int] = {
     14: 0x4443,
     15: 0x8003,
     16: 0x1100B,
+    17: 0x20009,
+    18: 0x40027,
+    19: 0x80027,
+    20: 0x100009,
 }
 
 # Table-backed contexts keep 2^n - 1 powers plus a full trace table in
@@ -135,7 +125,7 @@ class PrimitivePolynomial:
 
 
 def default_poly(n: int) -> PrimitivePolynomial:
-    """Stock primitive polynomial of degree n (n = 2..16)."""
+    """Stock primitive polynomial of degree n (n = 2..20)."""
     if n not in DEFAULT_POLYS:
         raise ValueError(f"no default primitive polynomial for degree {n}")
     return PrimitivePolynomial(DEFAULT_POLYS[n])

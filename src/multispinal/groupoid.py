@@ -122,8 +122,11 @@ class GermPoint(Record):
     def __init__(self, triple: SemigroupTriple, tail: Tail) -> None:
         if any(tail.letter(i) != ch for i, ch in enumerate(triple.mu)):
             raise ValueError("mu must be a prefix of the tail")
-        object.__setattr__(self, "triple", triple)
-        object.__setattr__(self, "tail", tail)
+        _set_triple(self, triple)
+        _set_tail(self, tail)
+
+
+_set_triple, _set_tail = slot_setters(GermPoint)
 
 
 class RegionPattern(Record):
@@ -139,15 +142,18 @@ class RegionPattern(Record):
     def __init__(
         self, kind: str, j: int, witness: str, membership_row: tuple[int, ...], members: tuple[int, ...]
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "membership_row", membership_row)
-        object.__setattr__(self, "members", members)
+        _set_kind(self, kind)
+        _set_j(self, j)
+        _set_witness(self, witness)
+        _set_membership_row(self, membership_row)
+        _set_members(self, members)
 
     @property
     def label(self) -> str:
         return f"H{self.j}" + ("c" if self.kind == "Hc" else "")
+
+
+_set_kind, _set_j, _set_witness, _set_membership_row, _set_members = slot_setters(RegionPattern)
 
 
 class MembershipMismatch(AssertionError):

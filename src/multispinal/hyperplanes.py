@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ._record import Record
+from ._record import Record, slot_setters
 from .gf2n import FieldContext
 
 SEARCH_Q_CAP = 10  # C(19, 9) ~ 92k subsets at q = 10, and about 15 times that at q = 12
@@ -30,8 +30,8 @@ class BaseBlock(Record):
     __slots__ = ("q", "positions")
 
     def __init__(self, q: int, positions: frozenset[int]) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "positions", positions)
+        _set_q(self, q)
+        _set_positions(self, positions)
 
     @property
     def k(self) -> int:
@@ -39,6 +39,9 @@ class BaseBlock(Record):
 
     def sorted_positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.positions))
+
+
+_set_q, _set_positions = slot_setters(BaseBlock)
 
 
 class DesignError(ValueError):

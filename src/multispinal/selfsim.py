@@ -38,17 +38,18 @@ states.  verify_nucleus derives closure and pair contraction from the
 classes of the normal form, with no walk, and returns the certificate's
 contraction dict.
 
-The group is finite-state, so the words the walks reach form one finite
-Mealy automaton.  A word of at most one factor is a state, stepped in
-closed form from restrict_letter_state.  Two insert-only caches on the
-object are its only shared mutable state: the transition memo, (word,
-letter) -> (restricted normal form, output letter), filled lazily on
-the words of two or more factors that the walks reach, and the memo of
-resolved comparisons of longer words.
-After a certify run, whose only walks are the 2^n germ walks of
-groupoid.meet_set, both are empty: every one of those walks starts on
-two single states.  Both are pure functions of their keys, so two
-threads racing on one key only repeat work.
+Restriction along a whole word w is read in closed form, one factor at
+a time (_walk): by (g h)|w = g|h(w) h|w the factors go right to left,
+each reading the image made by the factors to its right.  a swaps w[0]
+and restricts to e.  b(x) restricts to b(alpha^r x) along 1^r and to
+a^Tr(alpha^r x) along the next 0, so with r the index of the first 0 it
+restricts to b(alpha^|w| x) when w has no 0, fixes w and restricts to e
+when Tr(alpha^r x) = 0, and otherwise, as a, swaps w[r + 1] or, when w
+ends at r, restricts to a.  The one cache on the object is the
+insert-only memo of resolved comparisons of longer words; a certify
+run, whose only walks are the 2^n germ walks of groupoid.meet_set, each
+starting on two single states, leaves it empty.  It is a pure function
+of its keys, so two threads racing on one key only repeat work.
 """
 
 from __future__ import annotations
@@ -132,7 +133,6 @@ class MultispinalGroup:
         self.ctx = ctx
         self.identity = GroupElement(())
         self.gen_a = GroupElement((STATE_A,))
-        self._step_memo: dict = {}
         self._eq_memo: dict = {}
 
     # -- states ---------------------------------------------------------
@@ -181,64 +181,50 @@ class MultispinalGroup:
         return g if len(g.factors) <= 1 else GroupElement(g.factors[::-1])
 
     def _step(self, factors: tuple, ch: str) -> tuple[tuple, str]:
-        """Restrict a word along one letter; also return the output letter.
-
-        The rightmost factor touches the letter first.  Accepts any word,
-        reduced or not, and returns the restriction in normal form.  A
-        word of at most one factor is stepped in closed form, from
-        restrict_letter_state and the swap of a; each (word, letter)
-        transition of a longer word is computed once per group and then
-        read from the transition memo.
-        """
-        if len(factors) <= 1:
-            if not factors:
-                return factors, ch
-            s = factors[0]
-            r = self.restrict_letter_state(s, ch)
-            return (() if r == STATE_E else (r,)), (_SWAP[ch] if s == STATE_A else ch)
-        key = (factors, ch)
-        hit = self._step_memo.get(key)
-        if hit is not None:
-            return hit
-        mul_alpha = self.ctx.mul_alpha
-        trace = self.ctx.trace_table
-        restricted = []
-        c = ch
-        for s in reversed(factors):
-            kind = s[0]
-            if kind == "a":
-                c = _SWAP[c]
-            elif kind == "b":
-                if c == "1":
-                    restricted.append(("b", mul_alpha(s[1])))
-                elif trace[s[1]]:
-                    restricted.append(STATE_A)
-        # the restricted word is built right to left; the normal form of
-        # the reversed word is the reverse of the normal form
-        hit = self._step_memo[key] = (_reduce(restricted)[::-1], c)
-        return hit
+        """(restriction along ch, output letter): the one-letter case of
+        _walk, for any word, with the restriction in normal form."""
+        image, rest = self._walk(factors, ch)
+        return rest, image
 
     def _walk(self, factors: tuple, word: str) -> tuple[str, tuple]:
-        """(image of word, restriction along word) of a factor tuple, in
-        one pass over the word."""
+        """(image of word, restriction along word) of a factor tuple.
+
+        Walks the factors right to left, each state along the whole word
+        in closed form (module docstring), and reduces the collected
+        restrictions once.  Accepts any word, reduced or not; along a
+        nonempty word the restriction is in normal form.
+        """
         if not word or not factors:
             return word, factors  # the identity fixes every word
-        step = self._step
-        out = []
-        for ch in word:
-            factors, c = step(factors, ch)
-            out.append(c)
-        return "".join(out), factors
+        ctx = self.ctx
+        log, tp, k = ctx.discrete_log, ctx.trace_of_power, ctx.k
+        end = len(word) - 1
+        rest = []
+        for s in reversed(factors):
+            if s[0] == "a":
+                word = _SWAP[word[0]] + word[1:]
+            elif s[0] == "b" and s[1]:
+                r = word.find("0")
+                if r < 0:
+                    rest.append(("b", ctx.power_table[(log[s[1]] + end + 1) % k]))
+                elif tp[(log[s[1]] + r) % k]:
+                    if r < end:
+                        word = word[: r + 1] + _SWAP[word[r + 1]] + word[r + 2 :]
+                    else:
+                        rest.append(STATE_A)
+        # the restriction is collected right to left; the normal form of
+        # the reversed word is the reverse of the normal form
+        return word, _reduce(rest)[::-1]
 
     def act(self, g: GroupElement, word: str) -> str:
         """Image of a finite word; length-preserving."""
         return self._walk(g.factors, word)[0]
 
     def act_letter(self, g: GroupElement, ch: str) -> str:
-        return self._step(g.factors, ch)[1]
+        return self._walk(g.factors, ch)[0]
 
     def restrict(self, g: GroupElement, word: str) -> GroupElement:
-        """g|_word, composed letter by letter."""
+        """g|_word."""
         return GroupElement(self._walk(g.factors, word)[1])
 
     # -- semantic equality ------------------------------------------------
@@ -350,7 +336,7 @@ class MultispinalGroup:
         otherwise.  Depth 0 is ruled out for them because b(x) != e for
         x != 0, which is the joint-kernel identity of the field section.
         Contraction of longer products follows from iterating the pair
-        statement.  No word is walked, so neither memo is touched.
+        statement.  No word is walked, so the memo is not touched.
         """
         states = self.nucleus_states
         state_set = set(states)

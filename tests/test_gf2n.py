@@ -83,6 +83,16 @@ def test_all_default_polys_primitive():
         assert is_primitive(p), f"default poly for n={n} not primitive"
 
 
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_stock_poly_from_degree_17_is_the_least_primitive_mask(n):
+    # the least odd mask of degree n that is_primitive accepts, and the
+    # context it gives with no polynomial named
+    least = next(m for m in range((1 << n) + 1, 1 << (n + 1), 2) if is_primitive(PrimitivePolynomial(m)))
+    assert DEFAULT_POLYS[n] == least
+    ctx = field_context(n)
+    assert (ctx.n, ctx.poly.mask, len(ctx.power_table)) == (n, least, (1 << n) - 1)
+
+
 def test_context_rejects_non_primitive():
     with pytest.raises(ValueError):
         FieldContext(PrimitivePolynomial.parse("x^2+1"))

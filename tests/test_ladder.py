@@ -28,7 +28,7 @@ def test_query_pass_reports_loop_time_and_memo_sizes(monkeypatch):
     # the pass reads perfbench/ and tests/ relative to the checkout's root
     monkeypatch.chdir(ROOT)
     result = _ladder().query_pass(count=20, repeats=2)
-    assert list(result) == ["n", "seed", "requests", "best_loop_s", "step_memo", "eq_memo", "failed"]
+    assert list(result) == ["n", "seed", "requests", "best_loop_s", "eq_memo", "failed"]
     assert (result["n"], result["requests"], result["failed"]) == (7, 20, 0)
     assert result["best_loop_s"] > 0
-    assert result["step_memo"] >= 0 and result["eq_memo"] >= 0
+    assert result["eq_memo"] >= 0

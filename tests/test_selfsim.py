@@ -342,17 +342,17 @@ def test_verify_nucleus_matches_the_full_pair_search(n):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_verify_nucleus_and_meet_set_leave_both_memos_empty(n, monkeypatch):
-    # the nucleus reads the classes, so both memos stay empty; each of the
+    # the nucleus reads the classes, so the memo stays empty; each of the
     # 2^n germ walks of meet_set starts on two single states and finishes
-    # in closed form, so they stay empty after it too, as after a certify run
+    # in closed form, so it stays empty after it too, as after a certify run
     group = MultispinalGroup(field_context(n))
     with monkeypatch.context() as m:
         for name in ("_step", "equal", "_bisimilar"):
             m.setattr(group, name, lambda *_: pytest.fail("verify_nucleus walked a word"))
         assert group.verify_nucleus()["pass"]
-    assert group._step_memo == {} and group._eq_memo == {}
+    assert group._eq_memo == {}
     meet_set(group)
-    assert (len(group._step_memo), len(group._eq_memo)) == (0, 0)
+    assert len(group._eq_memo) == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -449,14 +449,12 @@ def test_nucleus_states_are_built_once(g3):
     assert len(g3.nucleus_states) == g3.ctx.k + 2
 
 
-# transition memo and the fused walk --------------------------------------------
+# the closed-form walk ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_memoised_step_matches_reference_automaton(n):
-    # every word of up to 3 nucleus states, as built and in normal form;
-    # a word of at most one factor is a state, stepped in closed form
-    # without a memo entry, and only longer words are memoised
+def test_step_matches_reference_automaton(n):
+    # every word of up to 3 nucleus states, as built and in normal form
     group = MultispinalGroup(field_context(n))
     auto = _ref_automaton(group.ctx)
     states = group.nucleus_states
@@ -464,24 +462,18 @@ def test_memoised_step_matches_reference_automaton(n):
     words = dict.fromkeys(raw + [group.element(*w).factors for w in raw])
     for word in words:
         for ch in "01":
-            assert (word, ch) not in group._step_memo
             first = group._step(word, ch)
             ref_rest, ref_out = auto.step(word, ch)
             assert first[1] == ref_out, (word, ch)
             assert is_normal(first[0]), (word, ch)
             assert auto.equal(first[0], ref_rest), (word, ch)
-            if len(word) >= 2:
-                assert group._step(word, ch) is first  # the repeat is read from the memo
-            else:
-                assert group._step(word, ch) == first
-            assert ((word, ch) in group._step_memo) == (len(word) >= 2), (word, ch)
-    assert len(group._step_memo) == 2 * len([w for w in words if len(w) >= 2])
+            assert group._step(word, ch) == first
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_one_factor_step_is_the_closed_form(n):
     # every state, with the unreduced spellings ("e",) and ("b", 0), and
-    # the empty word, against the reference automaton; none is memoised
+    # the empty word, against the reference automaton
     group = MultispinalGroup(field_context(n))
     auto = _ref_automaton(group.ctx)
     for word in [(), (STATE_E,), (("b", 0),)] + [(s,) for s in group.nucleus_states]:
@@ -491,7 +483,6 @@ def test_one_factor_step_is_the_closed_form(n):
             assert out == ref_out, (word, ch)
             assert is_normal(rest) and len(rest) <= 1, (word, ch)
             assert auto.equal(rest, ref_rest), (word, ch)
-    assert group._step_memo == {}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -505,7 +496,7 @@ def test_join_is_the_normal_form_of_the_product(n):
             assert _join(u, v) == _reduce(u + v), (u, v)
 
 
-def test_query_stream_memoises_only_words_of_two_or_more_factors():
+def test_query_stream_on_one_group():
     # 2,000 requests at n = 7 of the kinds a long-lived group serves: an
     # inverse-semigroup axiom bundle, a witness and a germ walk
     group = MultispinalGroup(field_context(7))
@@ -528,8 +519,34 @@ def test_query_stream_memoises_only_words_of_two_or_more_factors():
         x, y = rng.sample(range(group.ctx.size), 2)
         intersect_witness(group, group.iota(x), group.iota(y), rng.randrange(2 * group.ctx.k))
         germ_equal(group, element(), element(), Tail(word(6), word(3) or "1"))
-    assert group._step_memo
-    assert not [key for key in group._step_memo if len(key[0]) <= 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_closed_form_walk_matches_the_reference_automaton(n):
+    # random words of up to 6 factors, with the unreduced spellings
+    # ("e",), ("b", 0) and a a, along words of up to 10 letters: the image
+    # exactly, and the restriction as an element and in normal form, for
+    # _walk and for _step letter by letter
+    group = MultispinalGroup(field_context(n))
+    auto = _ref_automaton(group.ctx)
+    states = group.nucleus_states + (STATE_E, ("b", 0))
+    rng = random.Random(250 + n)
+    for _ in range(400):
+        factors = tuple(rng.choice(states) for _ in range(rng.randrange(0, 7)))
+        if rng.random() < 0.25:
+            i = rng.randrange(len(factors) + 1)
+            factors = factors[:i] + (STATE_A, STATE_A) + factors[i:]
+        word = "".join(rng.choice("01") for _ in range(rng.randrange(1, 11)))
+        image, rest = group._walk(factors, word)
+        assert image == auto.act(factors, word), (factors, word)
+        assert is_normal(rest) and auto.equal(rest, auto.restrict(factors, word)), (factors, word)
+        u, letters = factors, []
+        for ch in word:
+            want_rest, want_out = auto.step(u, ch)
+            u, out = group._step(u, ch)
+            assert out == want_out and is_normal(u) and auto.equal(u, want_rest), (factors, word, ch)
+            letters.append(out)
+        assert "".join(letters) == image and auto.equal(u, rest), (factors, word)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -549,8 +566,9 @@ def test_fused_walk_is_act_and_restrict(n):
 
 
 def test_shared_memos_under_threads():
-    # both memos are insert-only and pure in their keys: threads racing on
-    # one group get the answers of a group of their own
+    # the comparison memo is insert-only and pure in its keys, and the walk
+    # keeps no state: threads racing on one group get the answers of a
+    # group of their own
     import sys
     import threading
 
