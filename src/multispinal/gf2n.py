@@ -18,6 +18,7 @@ From n = 17 on, each is the least primitive mask of its degree.
 from __future__ import annotations
 
 import re
+import sys
 from functools import cached_property
 
 DEFAULT_POLYS: dict[int, int] = {
@@ -45,8 +46,6 @@ DEFAULT_POLYS: dict[int, int] = {
 # Table-backed contexts keep 2^n - 1 powers plus a full trace table in
 # memory; beyond this degree use the raw polynomial helpers instead.
 MAX_CONTEXT_DEGREE = 20
-
-_TERM_RE = re.compile(r"^(?:1|x|x\^(\d+))$")
 
 
 class PrimitivePolynomial:
@@ -109,7 +108,7 @@ class PrimitivePolynomial:
             return cls(int(s, 10))
         mask = 0
         for term in s.lower().split("+"):
-            m = _TERM_RE.match(term)
+            m = re.fullmatch(r"1|x|x\^(\d+)", term)
             if not m:
                 raise ValueError(f"bad polynomial term {term!r} in {spec!r}")
             if term == "1":
@@ -183,47 +182,63 @@ def _factor(m: int) -> list[int]:
     return primes
 
 
-def _is_irreducible(mask: int) -> bool:
-    """Trial reduction by every monic polynomial of degree 1..n//2."""
-    n = mask.bit_length() - 1
-    if mask & 1 == 0:  # x divides
-        return False
-    for d in range(1, n // 2 + 1):
-        for cand in range(1 << d, 1 << (d + 1)):
-            if _pmod(mask, cand) == 0:
-                return False
-    return True
-
-
 def is_primitive(poly: PrimitivePolynomial) -> bool:
-    """True iff poly is irreducible and its root generates GF(2^n)^*.
+    """True iff the root x of poly generates GF(2^n)^*, k = 2^n - 1.
 
-    The order check verifies x^((2^n-1)/p) != 1 mod poly for every prime
-    p dividing 2^n - 1 (factored by trial division; fine up to n ~ 30).
-    Degrees below 2 are rejected outright: the group construction needs
-    n >= 2.
+    Decided by the order test alone: x^k = 1 and x^(k/p) != 1 mod poly
+    for every prime p dividing k (factored by trial division; fine up to
+    n ~ 30).  That is enough: if x has order k, the ring GF(2)[x]/(poly)
+    has 2^n elements of which k are units, so every nonzero element is
+    a unit, the ring is a field and poly is irreducible.  Degrees below
+    2 are rejected outright: the group construction needs n >= 2.
     """
     n = poly.degree
     if n < 2:
         raise ValueError(f"degree {n} < 2: primitivity check requires n >= 2")
-    if not _is_irreducible(poly.mask):
-        return False
     order = (1 << n) - 1
     if _ppowmod(2, order, poly.mask) != 1:
         return False
-    for p in _factor(order):
-        if _ppowmod(2, order // p, poly.mask) == 1:
-            return False
-    return True
+    return all(_ppowmod(2, order // p, poly.mask) != 1 for p in _factor(order))
+
+
+def _alpha_powers(mask: int, n: int) -> tuple[int, ...]:
+    """alpha^0 .. alpha^(2^n - 2) by bit-sliced doubling (see FieldContext)."""
+    k = (1 << n) - 1
+    width, fmt = (16, "H") if n <= 16 else (32, "I")
+    # packed holds alpha^0 .. alpha^(length - 1), one per width-bit slot,
+    # ones a 1 in bit 0 of each of those slots, last alpha^(length - 1)
+    packed = ones = length = last = 1
+    while length <= k:
+        block, x = 0, last
+        for i in range(n):
+            x = (x << 1) ^ (mask if x >> (n - 1) else 0)  # alpha^(length + i)
+            block ^= ((packed >> i) & ones) * x
+        shift = length * width
+        packed |= block << shift
+        ones |= ones << shift
+        last = block >> shift - width
+        length *= 2
+    # 2^n slots; the last one, alpha^k, is dropped
+    words = memoryview(packed.to_bytes(length * width // 8, sys.byteorder)).cast(fmt)
+    # big-endian bytes put the last slot first
+    return tuple((words if sys.byteorder == "little" else words[::-1])[:k])
 
 
 class FieldContext:
     """GF(2^n) with a fixed primitive polynomial.
 
-    Carries the full power table alpha^0 .. alpha^(2^n - 2), its inverse
-    (discrete log) and a lazily built trace table.  Immutable after
-    construction; every operation is a pure function of its arguments, so
-    a context may be shared freely across threads.
+    Carries the full power table alpha^0 .. alpha^(2^n - 2), and builds
+    its inverse (the discrete log) and the trace table on first use.
+    Immutable after construction; every operation is a pure function of
+    its arguments, so a context may be shared freely across threads.
+
+    The power table is built by doubling.  Multiplication by alpha^L is
+    GF(2)-linear, so alpha^L x = XOR of alpha^(L+i) over the set bits
+    x_i of x.  With alpha^0 .. alpha^(L-1) packed in one int, one per
+    16-bit slot (32-bit past n = 16), the next L powers are the XOR over
+    i < n of (bit i of every slot) * alpha^(L+i): n big-int steps per
+    doubling and n doublings in all.  Construction still checks that the
+    k entries are distinct and that alpha^k = 1.
 
     Raises ValueError if the polynomial is not primitive: every
     downstream construction in this package needs primitivity, so a
@@ -253,16 +268,10 @@ class FieldContext:
         self._mask = poly.mask
         self._top = 1 << n
 
-        power_table = [1]
-        x = 1
-        for _ in range(self.k - 1):
-            x = self.mul_alpha(x)
-            power_table.append(x)
-        self.power_table: tuple[int, ...] = tuple(power_table)
-        self.discrete_log: dict[int, int] = {v: i for i, v in enumerate(power_table)}
-        if len(self.discrete_log) != self.k:
+        self.power_table: tuple[int, ...] = _alpha_powers(poly.mask, n)
+        if len(set(self.power_table)) != self.k:
             raise AssertionError("power table entries are not distinct")
-        if self.mul_alpha(power_table[-1]) != 1:
+        if self.mul_alpha(self.power_table[-1]) != 1:
             raise AssertionError("alpha^(2^n - 1) != 1")
 
     # -- element operations -------------------------------------------
@@ -310,6 +319,11 @@ class FieldContext:
         """Tr(x) = x + x^2 + ... + x^(2^(n-1)), a value in {0, 1}."""
         self._check(x)
         return self.trace_table[x]
+
+    @cached_property
+    def discrete_log(self) -> dict[int, int]:
+        """The exponent t of each nonzero x = alpha^t."""
+        return dict(zip(self.power_table, range(self.k)))
 
     @cached_property
     def trace_table(self) -> tuple[int, ...]:

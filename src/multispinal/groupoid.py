@@ -379,10 +379,13 @@ def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> Iterator[int]:
     a complement (x0 outside H_j) the entry is 1 - [alpha^j x in G]: the
     complement columns mirror the subgroup columns.
     """
-    k = ctx.k
+    k, power = ctx.k, ctx.power_table
     # W's canonical order 0, alpha^1, ..., alpha^k = 1; bit j of the row
-    # of alpha is [alpha^(j + 1) in G]
-    row1 = sum(1 << j for j in range(k) if ctx.power_table[(j + 1) % k] in meet)
+    # of alpha is [alpha^(j + 1) in G].  One base-2 parse of the digits,
+    # highest bit (alpha^k = 1) first: linear in k, where a sum of k
+    # single-bit ints would be quadratic
+    digits = bytes([x in meet for x in power[:1] + power[:0:-1]])
+    row1 = int(digits.translate(bytes.maketrans(b"\0\1", b"01")), 2)
     return circulant_rows((1 << k) - 1 if 0 in meet else 0, row1, k)
 
 

@@ -2,7 +2,8 @@
 
 Deliberately different representations and algorithms from the library:
 field elements are coefficient tuples reduced by schoolbook long
-division, the joint kernel is confirmed by a loop over every nonzero
+division, primitivity is trial division plus a walk over the powers of
+x, the joint kernel is confirmed by a loop over every nonzero
 element, the design is checked point by point and pair by pair over
 explicit subgroup masks, the shift condition R5 by set membership, matrix
 ranks come from plain Fraction row reduction or GF(2) row-space
@@ -75,6 +76,27 @@ class RefField:
             acc = self.add(acc, t)
         assert all(c == 0 for c in acc[1:])
         return acc[0]
+
+
+def _ref_poly_mod(a: int, m: int) -> int:
+    """Remainder of a modulo m in GF(2)[x], masks as coefficient vectors."""
+    while a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
+    return a
+
+
+def ref_is_primitive(mask: int) -> bool:
+    """Primitivity the long way: irreducible by trial division by every
+    polynomial of degree 1 .. n/2, and then the order of x found by
+    stepping x, x^2, x^3, ... until it returns to 1."""
+    n = mask.bit_length() - 1
+    if any(_ref_poly_mod(mask, d) == 0 for d in range(2, 1 << (n // 2 + 1))):
+        return False
+    x, order = 2, 1
+    while x != 1:
+        x = _ref_poly_mod(x << 1, mask)
+        order += 1
+    return order == (1 << n) - 1
 
 
 REF_F4 = RefField((1, 1, 1))        # x^2 + x + 1

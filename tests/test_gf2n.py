@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from multispinal import gf2n
 from multispinal.gf2n import (
     DEFAULT_POLYS,
     FieldContext,
@@ -11,7 +12,14 @@ from multispinal.gf2n import (
     is_primitive,
 )
 
-from reference import REF_F4, REF_F8, RefField, ref_joint_kernel_is_trivial, ref_trace_zero_mask
+from reference import (
+    REF_F4,
+    REF_F8,
+    RefField,
+    ref_is_primitive,
+    ref_joint_kernel_is_trivial,
+    ref_trace_zero_mask,
+)
 
 # the stock polynomials of degree 2..10 and every primitive polynomial of
 # degree <= 6 (masks 0b100 .. 0b1111111)
@@ -91,6 +99,14 @@ def test_stock_poly_from_degree_17_is_the_least_primitive_mask(n):
     assert DEFAULT_POLYS[n] == least
     ctx = field_context(n)
     assert (ctx.n, ctx.poly.mask, len(ctx.power_table)) == (n, least, (1 << n) - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_order_test_alone_matches_the_trial_division_oracle(n):
+    # every mask of degree n, reducible ones included: an order of 2^n - 1
+    # already makes GF(2)[x]/(f) a field
+    masks = range(1 << n, 1 << (n + 1))
+    assert [m for m in masks if is_primitive(PrimitivePolynomial(m))] == [m for m in masks if ref_is_primitive(m)]
 
 
 def test_context_rejects_non_primitive():
@@ -227,11 +243,51 @@ def test_trace_is_additive_surjection_with_half_kernel(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_power_table_and_discrete_log(n):
     ctx = field_context(n)
+    assert "discrete_log" not in vars(ctx)  # built on first use
     assert len(set(ctx.power_table)) == ctx.k
     assert 0 not in ctx.power_table
+    assert type(ctx.discrete_log) is dict and len(ctx.discrete_log) == ctx.k
     for t, v in enumerate(ctx.power_table):
         assert ctx.discrete_log[v] == t
     assert ctx.mul_alpha(ctx.power_table[-1]) == 1
+
+
+# the seeded polynomials of the benchmark's field documents
+SWEEP_POLYS = (0x1EE3, 0x369B, 0x6F29)
+
+
+@pytest.mark.parametrize("mask", [DEFAULT_POLYS[n] for n in range(2, 17)] + list(SWEEP_POLYS), ids=hex)
+def test_doubled_power_table_matches_the_reference_powers(mask):
+    ctx = FieldContext(mask)
+    ref = RefField(tuple((mask >> i) & 1 for i in range(ctx.n + 1)))
+    alpha, power = ref.alpha(), ref.from_int(1)
+    want = []
+    for _ in range(ctx.k):
+        want.append(ref.to_int(power))
+        power = ref.mul(power, alpha)
+    assert type(ctx.power_table) is tuple and ctx.power_table == tuple(want)
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_doubled_power_table_matches_the_shift_register_past_degree_16(n):
+    ctx = field_context(n)
+    x, want = 1, [1]
+    for _ in range(ctx.k - 1):
+        x = ctx.mul_alpha(x)
+        want.append(x)
+    assert ctx.power_table == tuple(want)
+
+
+def test_context_rejects_a_power_table_with_a_repeated_entry(monkeypatch):
+    def repeated(mask, n):
+        table = list(build(mask, n))
+        table[-1] = table[0]
+        return tuple(table)
+
+    build = gf2n._alpha_powers
+    monkeypatch.setattr(gf2n, "_alpha_powers", repeated)
+    with pytest.raises(AssertionError, match="power table entries are not distinct"):
+        FieldContext(DEFAULT_POLYS[5])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

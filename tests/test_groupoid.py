@@ -534,6 +534,21 @@ def test_region_pattern_matches_reference_scan(n):
                 assert (p.witness, p.membership_row) == ref_region_witness(field, m, kind, j, depth)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_germ_rows_parse_row_1_as_the_bit_sum(n):
+    # the parsed row of alpha against the sum of single bits, for the
+    # meet set of the walks and for random sets with and without 0
+    ctx = field_context(n)
+    k = ctx.k
+    rng = random.Random(n)
+    meets = [meet_set(MultispinalGroup(ctx))]
+    meets += [frozenset(x for x in ctx.elements() if rng.random() < 0.5) for _ in range(4)]
+    for meet in meets:
+        row1 = sum(1 << j for j in range(k) if ctx.power_table[(j + 1) % k] in meet)
+        want = exact_linalg.circulant_rows((1 << k) - 1 if 0 in meet else 0, row1, k)
+        assert list(itertools.islice(germ_rows(ctx, meet), 2)) == list(itertools.islice(want, 2))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_germ_rows_and_witnesses_match_the_oracles(n):
     # the 2q-walk certificate against 2k region_pattern rows of 2q walks

@@ -1,6 +1,10 @@
 """The per-degree step of tools/ladder.py, run in process."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,3 +36,34 @@ def test_query_pass_reports_loop_time_and_memo_sizes(monkeypatch):
     assert (result["n"], result["requests"], result["failed"]) == (7, 20, 0)
     assert result["best_loop_s"] > 0
     assert result["eq_memo"] >= 0
+
+
+def test_context_reports_the_table_build_alone():
+    result = _ladder().context(8)
+    assert list(result) == ["n", "seconds", "vm_hwm_mb"]
+    assert result["n"] == 8 and result["seconds"] >= 0
+    assert result["vm_hwm_mb"] is None or result["vm_hwm_mb"] > 0
+
+
+def test_contexts_run_one_child_per_degree_up_to_the_cap(monkeypatch):
+    # the children are stood in for: each run reports the degree it was given
+    ladder = _ladder()
+
+    def run(argv, root, timeout):
+        n = int(argv[argv.index("--context") + 1])
+        return 0.5, subprocess.CompletedProcess(argv, 0, stdout=json.dumps({"n": n}) + "\n", stderr="")
+
+    monkeypatch.setattr(ladder, "_timed_run", run)
+    costs = ladder.contexts(ROOT, ladder.CONTEXT_N_MAX - 2)
+    assert costs == [{"n": n, "wall_s": 0.5} for n in range(ladder.CONTEXT_N_MAX - 2, ladder.CONTEXT_N_MAX + 1)]
+    assert ladder.contexts(ROOT, ladder.CONTEXT_N_MAX + 1) == []
+
+
+def test_context_child_prints_its_cost():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ladder.py"), "--context", "5"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["n"] == 5

@@ -11,7 +11,11 @@ verdict.  It limits its address space to 1 GiB, so a degree that needs
 more fails with a MemoryError instead of taking the machine's memory.
 The ladder stops at the first degree whose child takes longer than
 BUDGET_S (it is killed there) or does not PASS; past the largest degree
-a field context supports, the child fails with a ValueError.
+a field context supports, the child fails with a ValueError.  From the
+degree where it stopped (the next one, if that still passed) up to
+CONTEXT_N_MAX, a fresh child per degree times field_context(n) alone and
+reports its peak memory, so the field's table cost is tracked past the
+certificate's reach.
 
 The record also holds the query path: one seeded pass of the
 benchmark's semigroup_queries loop (perfbench/workloads.run_queries,
@@ -38,6 +42,7 @@ from pathlib import Path
 
 ADDRESS_SPACE_LIMIT = 1 << 30
 BUDGET_S = 120.0
+CONTEXT_N_MAX = 20  # gf2n.MAX_CONTEXT_DEGREE
 N_MIN = 6
 QUERY_REPEATS = 5
 QUERY_SEED = 1  # the benchmark seed whose pass is timed
@@ -91,6 +96,16 @@ def degree(n: int) -> dict:
     }
 
 
+def context(n: int) -> dict:
+    """Build the degree-n field context alone, in this process, and
+    return its seconds and the peak memory."""
+    from multispinal.gf2n import field_context
+
+    t = time.perf_counter()
+    field_context(n)
+    return {"n": n, "seconds": round(time.perf_counter() - t, 4), "vm_hwm_mb": _vm_hwm_mb()}
+
+
 def query_pass(count: int | None = None, repeats: int = QUERY_REPEATS) -> dict:
     """The seed-QUERY_SEED semigroup_queries pass, count requests (the
     pass's own count by default), repeated in this process; run from the
@@ -123,16 +138,16 @@ def query_pass(count: int | None = None, repeats: int = QUERY_REPEATS) -> dict:
     }
 
 
-def _child(n: int) -> int:
+def _child(n: int, step=degree) -> int:
     import resource
 
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
     try:
-        result = degree(n)
+        result = step(n)
     except MemoryError:
         result = {"n": n, "error": "MemoryError", "vm_hwm_mb": _vm_hwm_mb(), "verdict": None}
     print(json.dumps(result))
-    return 0 if result["verdict"] == "PASS" else 1
+    return 0 if result.get("verdict", "PASS") == "PASS" else 1
 
 
 def _env(root: Path) -> dict:
@@ -148,23 +163,33 @@ def _timed_run(argv: list[str], root: Path, timeout: float) -> tuple[float, subp
     return round(time.perf_counter() - t, 3), proc
 
 
+def _spawn(flag: str, n: int, root: Path) -> dict:
+    """Run this script as a child with flag n and return its result line,
+    with its wall time, or the error that stopped it."""
+    argv = [sys.executable, str(Path(__file__).resolve()), flag, str(n)]
+    try:
+        wall, proc = _timed_run(argv, root, BUDGET_S)
+    except subprocess.TimeoutExpired:
+        return {"n": n, "error": f"over the {BUDGET_S:g} s budget", "verdict": None}
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {"n": n, "error": proc.stderr[-500:], "verdict": None}
+    result["wall_s"] = wall
+    print(json.dumps(result), file=sys.stderr)
+    return result
+
+
 def ladder(root: Path) -> list[dict]:
     rungs = []
     for n in itertools.count(N_MIN):
-        argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(n)]
-        try:
-            wall, proc = _timed_run(argv, root, BUDGET_S)
-        except subprocess.TimeoutExpired:
-            rungs.append({"n": n, "error": f"over the {BUDGET_S:g} s budget", "verdict": None})
-            break
-        lines = proc.stdout.strip().splitlines()
-        rung = json.loads(lines[-1]) if lines else {"n": n, "error": proc.stderr[-500:], "verdict": None}
-        rung["wall_s"] = wall
-        rungs.append(rung)
-        print(json.dumps(rung), file=sys.stderr)
-        if rung["verdict"] != "PASS" or wall > BUDGET_S:
+        rungs.append(_spawn("--child", n, root))
+        if rungs[-1]["verdict"] != "PASS" or rungs[-1]["wall_s"] > BUDGET_S:
             break
     return rungs
+
+
+def contexts(root: Path, first: int) -> list[dict]:
+    """context(n) for n = first .. CONTEXT_N_MAX, one fresh child each."""
+    return [_spawn("--context", n, root) for n in range(first, CONTEXT_N_MAX + 1)]
 
 
 def record(root: Path, label: str) -> dict:
@@ -187,6 +212,7 @@ def record(root: Path, label: str) -> dict:
     lines = proc.stdout.strip().splitlines()
     queries = json.loads(lines[-1]) if lines else {"error": proc.stderr[-500:]}
     rungs = ladder(root)
+    stop = rungs[-1]
     return {
         "label": label,
         "commit": commit,
@@ -199,12 +225,14 @@ def record(root: Path, label: str) -> dict:
         "queries": queries,
         "budget_s": BUDGET_S,
         "degrees": rungs,
+        "contexts": contexts(root, stop["n"] + (stop["verdict"] == "PASS")),
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--context", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--queries", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--out", help="JSON file whose runs list the record is appended to")
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]))
@@ -212,6 +240,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.child is not None:
         return _child(args.child)
+    if args.context is not None:
+        return _child(args.context, context)
     if args.queries:
         print(json.dumps(query_pass()))
         return 0
