@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._record import Record, slot_setters
-from .gf2n import FieldContext
+from .gf2n import FieldContext, _factor
 from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
 
 
@@ -245,14 +245,7 @@ def rank_over_Q(M) -> int:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and _factor(p) == [p]
 
 
 def _rank_f2(masks) -> int:

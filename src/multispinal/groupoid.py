@@ -86,7 +86,8 @@ class Tail(Record):
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def fold(self, i: int) -> int:
-        """Canonical position index for cycle detection."""
+        """Canonical position index: i within the prefix, else the
+        prefix length plus i's offset into the period."""
         if i < len(self.prefix):
             return i
         return len(self.prefix) + (i - len(self.prefix)) % len(self.period)
@@ -211,7 +212,7 @@ def sg_star(group: MultispinalGroup, s):
 
 def sg_equal(group: MultispinalGroup, s, t) -> bool:
     """Semantic equality: words match and group parts are the same word
-    or bisimilar."""
+    or equal elements."""
     if s is t:
         return True
     if s is ZERO or t is ZERO:
@@ -233,11 +234,14 @@ def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail
     """Whether [(empty, g1, empty), tail] and [(empty, g2, empty), tail]
     are the same germ.
 
-    Walks the tail keeping the pair of restrictions; succeeds at the first
-    prefix where the restrictions are equal (the acted prefixes must have
-    agreed the whole way, by the prefix property of the action).  A
-    revisited (restriction pair, tail position) state without success can
-    never succeed later, so the walk terminates.
+    Walks the tail keeping the pair of restrictions while either has
+    more than one factor, and fails at the first letter the two act on
+    differently.  The walk terminates by contraction: each step cuts a
+    word of L >= 2 factors to at most ceil(L / 2) (selfsim module
+    docstring), so no pair recurs.
+    Stopping only at single states loses no early success, because equal
+    elements act alike and restrict to equal elements, so a pair that
+    meets reaches equal single states.
 
     Once both restrictions are single states the walk finishes in one
     move.  Equal states meet.  If exactly one is a, they never meet: a
@@ -251,38 +255,29 @@ def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail
     means the germs never meet, and a run of length r means they meet
     iff Tr(alpha^r x) = Tr(alpha^r y), with 0 for e.
     """
-    ctx = group.ctx
     step = group._step
-    bisimilar = group._bisimilar
     u, v = g1.factors, g2.factors
     pos = 0
-    seen = set()
-    while True:
-        if len(u) <= 1 and len(v) <= 1:
-            u, v = _reduce(u), _reduce(v)
-            if u == v:
-                return True
-            if STATE_A in u + v:
-                return False
-            run = tail.ones_from(pos)
-            if run is None:
-                return False
-            log, tp, k = ctx.discrete_log, ctx.trace_of_power, ctx.k
-            tu = tp[(log[u[0][1]] + run) % k] if u else 0
-            tv = tp[(log[v[0][1]] + run) % k] if v else 0
-            return tu == tv
-        if bisimilar(u, v):
-            return True
-        key = (u, v, tail.fold(pos))
-        if key in seen:
-            return False
-        seen.add(key)
+    while len(u) > 1 or len(v) > 1:
         ch = tail.letter(pos)
         u, cu = step(u, ch)
         v, cv = step(v, ch)
         if cu != cv:
             return False
         pos += 1
+    u, v = _reduce(u), _reduce(v)
+    if u == v:
+        return True
+    if STATE_A in u + v:
+        return False
+    run = tail.ones_from(pos)
+    if run is None:
+        return False
+    ctx = group.ctx
+    log, tp, k = ctx.discrete_log, ctx.trace_of_power, ctx.k
+    tu = tp[(log[u[0][1]] + run) % k] if u else 0
+    tv = tp[(log[v[0][1]] + run) % k] if v else 0
+    return tu == tv
 
 
 def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: GroupElement, m: int) -> bool:

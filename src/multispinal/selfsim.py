@@ -27,16 +27,21 @@ inverse is the reversed word, a normal form again, and a word of at
 most one factor is its own inverse.
 
 The normal form is syntactic only.  Equality of elements is decided
-semantically by bisimulation: restriction maps a word to a word of the
-same or smaller length, so the reachable pair space is finite and the
-worklist search terminates.  Two single states are compared in closed
+semantically by contraction: g = h iff the normal form of g h^-1 is
+trivial, and a word of L >= 2 factors is trivial iff it fixes the first
+letter and both of its one-letter restrictions are.  Those are shorter:
+a normal form alternates a and b(x), so at most floor((L + 1) / 2) of
+its factors are directed, and only they survive a one-letter
+restriction, as a|_c = e.  (A word not in normal form obeys the same
+bound, counting its runs of directed states between a's, each of which
+restricts to one state.)  Two single states are compared in closed
 form: distinct states are distinct elements, as a swaps the first
 letter, e and b(x) fix it, and b(x) b(y)^-1 = b(x + y) != e by the
 joint-kernel identity of the field.  The same facts let a germ walk
 (groupoid.germ_equal) finish in one move once both restrictions are
 states.  verify_nucleus derives closure and pair contraction from the
 classes of the normal form, with no walk, and returns the certificate's
-contraction dict.
+contraction dict.  The group holds no mutable state.
 
 Restriction along a whole word w is read in closed form, one factor at
 a time (_walk): by (g h)|w = g|h(w) h|w the factors go right to left,
@@ -45,16 +50,11 @@ and restricts to e.  b(x) restricts to b(alpha^r x) along 1^r and to
 a^Tr(alpha^r x) along the next 0, so with r the index of the first 0 it
 restricts to b(alpha^|w| x) when w has no 0, fixes w and restricts to e
 when Tr(alpha^r x) = 0, and otherwise, as a, swaps w[r + 1] or, when w
-ends at r, restricts to a.  The one cache on the object is the
-insert-only memo of resolved comparisons of longer words; a certify
-run, whose only walks are the 2^n germ walks of groupoid.meet_set, each
-starting on two single states, leaves it empty.  It is a pure function
-of its keys, so two threads racing on one key only repeat work.
+ends at r, restricts to a.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 
 from ._record import Record, slot_setters
@@ -129,11 +129,12 @@ class GroupElement(Record):
 class MultispinalGroup:
     """Automaton, action, restriction and decidable equality for one field."""
 
+    _eq_memo = ()  # no memo: kept empty because perfbench/tracer.py reads it as selfsim.memo_entries
+
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
         self.identity = GroupElement(())
         self.gen_a = GroupElement((STATE_A,))
-        self._eq_memo: dict = {}
 
     # -- states ---------------------------------------------------------
 
@@ -230,66 +231,28 @@ class MultispinalGroup:
     # -- semantic equality ------------------------------------------------
 
     def equal(self, g: GroupElement, h: GroupElement) -> bool:
-        """True iff g and h act identically on every finite word."""
-        return self._bisimilar(g.factors, h.factors)
+        """True iff g and h act identically on every finite word.
 
-    def _bisimilar(self, u: tuple, v: tuple) -> bool:
-        """equal on factor tuples, so that walks holding tuples need not
-        wrap them.
+        Decided by contraction: g = h iff g h^-1 = e, and h^-1 is h
+        reversed, since every state is an involution."""
+        u, v = g.factors, h.factors
+        return u == v or self._trivial(_reduce(u + v[::-1]))
 
-        Coinductive check: breadth-first search over pairs of words,
-        failing on the first output mismatch; identical words are equal
-        and need no search.  Soundness rests on the action being
-        faithful; termination on restriction keeping words inside a
-        finite set.
+    def _trivial(self, w: tuple) -> bool:
+        """Whether the word w, in normal form, is the identity.
 
-        Two words of at most one factor are decided in closed form: they
-        are equal iff their normal forms are.  a swaps the first letter
-        and e and b(x) fix it, and b(x) b(y)^-1 = b(x + y) != e for
-        x != y, which is the joint-kernel identity (only 0 lies in every
-        ker(Tr o alpha^j); it holds for every FieldContext, as the trace
-        is onto).  For the same reason the search stops at the first
-        pair of distinct single states it reaches, since equal elements
-        have equal restrictions.  Neither case touches the memo, except
-        that such a stop records the root as False.
-        """
-        if u == v:
-            return True
-        if len(u) <= 1 and len(v) <= 1:
-            return _reduce(u) == _reduce(v)
-        root = (u, v) if u <= v else (v, u)
-        memo = self._eq_memo
-        cached = memo.get(root)
-        if cached is not None:
-            return cached
-        step = self._step
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            u, v = queue.popleft()
-            for ch in "01":
-                u2, cu = step(u, ch)
-                v2, cv = step(v, ch)
-                if cu != cv:
-                    memo[root] = False
-                    memo.setdefault((u, v), False)  # (u, v) is normalized in the queue
-                    return False
-                if u2 == v2:
-                    continue
-                if len(u2) <= 1 and len(v2) <= 1:  # distinct states, in normal form
-                    memo[root] = False
-                    return False
-                pair = (u2, v2) if u2 <= v2 else (v2, u2)
-                known = memo.get(pair)
-                if known is False:
-                    memo[root] = False
-                    return False
-                if known is None and pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-        for pair in seen:
-            memo[pair] = True
-        return True
+        A word of at most two factors is trivial iff it is empty: a and
+        the two-factor words a b(x) and b(x) a swap the first letter, and
+        b(x) != e for x != 0 by the joint-kernel identity (only 0 lies in
+        every ker(Tr o alpha^j); it holds for every FieldContext, as the
+        trace is onto).  A longer word is trivial iff it fixes the first
+        letter and both one-letter restrictions are trivial; each has at
+        most floor((L + 1) / 2) of its L factors (module docstring), so
+        the recursion is at most log2 L deep."""
+        if len(w) <= 2:
+            return not w
+        rest, image = self._step(w, "0")
+        return image == "0" and self._trivial(rest) and self._trivial(self._step(w, "1")[0])
 
     def in_nucleus(self, g: GroupElement):
         """The nucleus state g is equal to, or None.
@@ -336,7 +299,7 @@ class MultispinalGroup:
         otherwise.  Depth 0 is ruled out for them because b(x) != e for
         x != 0, which is the joint-kernel identity of the field section.
         Contraction of longer products follows from iterating the pair
-        statement.  No word is walked, so the memo is not touched.
+        statement.  No word is walked.
         """
         states = self.nucleus_states
         state_set = set(states)

@@ -7,6 +7,7 @@ from multispinal.certify import matrix_section
 from multispinal.exact_linalg import (
     InclusionMatrix,
     RightInverse,
+    _is_prime,
     build_T,
     build_W,
     build_W_general,
@@ -16,7 +17,7 @@ from multispinal.exact_linalg import (
     rank_over_Q,
     verify_right_inverse,
 )
-from multispinal.gf2n import field_context
+from multispinal.gf2n import _factor, field_context
 from multispinal.hyperplanes import BaseBlock, extract_base_block, search_base_blocks
 
 from reference import (
@@ -263,6 +264,15 @@ def test_rank_mod_p_identity():
 def test_rank_mod_p_rejects_composite(f4):
     with pytest.raises(ValueError):
         rank_mod_p(build_W(f4), 6)
+
+
+def test_primality_is_read_from_the_field_factorizer():
+    # _is_prime reuses gf2n._factor; both agree with trial division by
+    # every smaller number
+    for p in range(-2, 500):
+        want = p >= 2 and all(p % d for d in range(2, p))
+        assert _is_prime(p) == want, p
+        assert (p >= 2 and _factor(p) == [p]) == want, p
 
 
 def test_rank_mod_p_agrees_with_rowspace_oracle():

@@ -341,41 +341,38 @@ def test_verify_nucleus_matches_the_full_pair_search(n):
 
 
 @pytest.mark.parametrize("n", range(2, 10))
-def test_verify_nucleus_and_meet_set_leave_both_memos_empty(n, monkeypatch):
-    # the nucleus reads the classes, so the memo stays empty; each of the
-    # 2^n germ walks of meet_set starts on two single states and finishes
-    # in closed form, so it stays empty after it too, as after a certify run
+def test_verify_nucleus_and_meet_set_walk_no_word(n, monkeypatch):
+    # the nucleus reads the classes; each of the 2^n germ walks of
+    # meet_set starts on two single states and finishes in closed form
     group = MultispinalGroup(field_context(n))
     with monkeypatch.context() as m:
-        for name in ("_step", "equal", "_bisimilar"):
+        for name in ("_step", "equal", "_trivial"):
             m.setattr(group, name, lambda *_: pytest.fail("verify_nucleus walked a word"))
         assert group.verify_nucleus()["pass"]
-    assert group._eq_memo == {}
-    meet_set(group)
-    assert len(group._eq_memo) == 0
+    with monkeypatch.context() as m:
+        m.setattr(group, "_step", lambda *_: pytest.fail("meet_set walked a word"))
+        meet_set(group)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_state_pairs_are_decided_in_closed_form(n):
+def test_state_pairs_are_decided_in_closed_form(n, monkeypatch):
     # every pair of nucleus states, with the unreduced spellings ("e",),
     # ("b", 0) and a a, against the reference bisimulation; no pair of
-    # single states is ever written to the comparison memo
+    # single states is walked
     group = MultispinalGroup(field_context(n))
     auto = _ref_automaton(group.ctx)
     words = [(), (("b", 0),), (STATE_A, STATE_A)] + [(s,) for s in group.nucleus_states]
+    monkeypatch.setattr(group, "_step", lambda *_: pytest.fail("a pair of states was walked"))
     for u in words:
         for v in words:
             want = auto.equal(u, v)
-            assert group._bisimilar(u, v) == want, (u, v)
             assert group.equal(GroupElement(u), GroupElement(v)) == want, (u, v)
-    assert not [key for key in group._eq_memo if len(key[0]) <= 1 and len(key[1]) <= 1]
 
 
-def test_query_stream_leaves_no_state_pair_in_the_memo():
+def test_query_stream_matches_the_reference():
     # a seeded stream of semigroup products, comparisons, witnesses and
     # germ walks on one group: each equal and germ answer matches the
-    # reference walk, and the search stops at a pair of distinct states
-    # before it is ever recorded
+    # reference walk
     group = MultispinalGroup(field_context(5))
     auto = _ref_automaton(group.ctx)
     states = group.nucleus_states
@@ -397,8 +394,76 @@ def test_query_stream_leaves_no_state_pair_in_the_memo():
         assert germ_equal(group, g, h, tail) == ref_germ_equal(auto, g.factors, h.factors, tail.prefix, tail.period)
         x, y = rng.sample(range(group.ctx.size), 2)
         intersect_witness(group, group.iota(x), group.iota(y), rng.randrange(2 * group.ctx.k))
-    assert group._eq_memo
-    assert not [key for key in group._eq_memo if len(key[0]) <= 1 and len(key[1]) <= 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_one_letter_restriction_at_most_halves_a_normal_form(n):
+    # the contraction that bounds equal and germ_equal: a normal form of
+    # L >= 2 factors has at most floor((L + 1) / 2) directed factors, and
+    # only they survive a one-letter restriction
+    group = MultispinalGroup(field_context(n))
+    directed = [s for s in group.nucleus_states if s[0] == "b"]
+    rng = random.Random(80 + n)
+    for _ in range(400):
+        length = rng.randrange(2, 12)
+        first = rng.randrange(2)
+        w = tuple(STATE_A if (i + first) % 2 else rng.choice(directed) for i in range(length))
+        assert is_normal(w)
+        for ch in "01":
+            assert len(group._step(w, ch)[0]) <= (length + 1) // 2, (w, ch)
+
+
+def _respell(rng, factors, directed, limit):
+    """An unreduced word of at most limit factors for the same element:
+    identities a a, b(x) b(x), e and b(0) inserted, and directed states
+    split as b(y) b(x + y)."""
+    out = list(factors)
+    while len(out) + 2 <= limit and rng.randrange(4):
+        i = rng.randrange(len(out) + 1)
+        x = rng.choice(directed)
+        move = rng.randrange(4)
+        if move == 0:
+            out[i:i] = [STATE_A, STATE_A]
+        elif move == 1:
+            out[i:i] = [x, x]
+        elif move == 2:
+            out[i:i] = [rng.choice([STATE_E, ("b", 0)])]
+        elif i < len(out) and out[i][0] == "b":
+            out[i : i + 1] = [x, ("b", x[1] ^ out[i][1])]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_equal_and_germ_equal_match_the_reference_on_long_words(n):
+    # unreduced words of up to 11 factors, half of the pairs two
+    # spellings of one element, against the reference automaton, which
+    # never reduces a word
+    group = MultispinalGroup(field_context(n))
+    auto = _ref_automaton(group.ctx)
+    states = group.nucleus_states
+    directed = [s for s in states if s[0] == "b"]
+    rng = random.Random(90 + n)
+    # with Tr x = 0 and Tr y = 1, w = (b(x) a b(y) a)^2 is (e, (b(alpha x) a)^2):
+    # it fixes the first letter and only its restriction along 0 is
+    # trivial, and a w a is the mirror; (a b(x))^4 = e, so the normal form
+    # b(x) (a b(x))^3 is a, whose restrictions are both trivial.  Random
+    # words seldom are any of these
+    trace = group.ctx.trace
+    x = next(s for s in directed if not trace(s[1]))
+    y = next(s for s in directed if trace(s[1]))
+    rigid = (x, STATE_A, y, STATE_A) * 2
+    swap = (x, STATE_A) * 3 + (x,)
+    pairs = [(rigid, ()), ((STATE_A,) + rigid + (STATE_A,), ()), (swap, ()), (swap, (STATE_A,))]
+    for _ in range(600):
+        u = tuple(rng.choice(states) for _ in range(rng.randrange(0, 12)))
+        v = _respell(rng, u, directed, 11) if rng.randrange(2) else tuple(rng.choice(states) for _ in range(rng.randrange(0, 12)))
+        pairs.append((u, v))
+    for u, v in pairs:
+        g, h = GroupElement(u), GroupElement(v)
+        assert group.equal(g, h) == auto.equal(u, v), (u, v)
+        prefix = "".join(rng.choice("01") for _ in range(rng.randrange(0, 5)))
+        period = "".join(rng.choice("01") for _ in range(rng.randrange(1, 4)))
+        assert germ_equal(group, g, h, Tail(prefix, period)) == ref_germ_equal(auto, u, v, prefix, period), (u, v)
 
 
 def test_verify_nucleus_degree3(g3):
@@ -565,10 +630,9 @@ def test_fused_walk_is_act_and_restrict(n):
             assert auto.equal(rest, auto.restrict(g.factors, w)), (g, w)
 
 
-def test_shared_memos_under_threads():
-    # the comparison memo is insert-only and pure in its keys, and the walk
-    # keeps no state: threads racing on one group get the answers of a
-    # group of their own
+def test_threads_sharing_one_group_get_its_answers():
+    # the group keeps no mutable state: threads racing on one group get
+    # the answers of a group of their own
     import sys
     import threading
 

@@ -20,8 +20,7 @@ certificate's reach.
 The record also holds the query path: one seeded pass of the
 benchmark's semigroup_queries loop (perfbench/workloads.run_queries,
 imported from DIR and left as it is), run QUERY_REPEATS times in one
-child on a fresh group each time, with the best loop time and the size
-of the group's comparison memo after a pass; the wall
+child on a fresh group each time, with the best loop time; the wall
 time of `certify --all --n-min 2 --n-max 8` and of the tier-1 suite;
 the line count of src/ from perfbench/run.py's src_lines; the load
 average and the commit.  It is appended to the "runs" list of --out, so
@@ -110,8 +109,7 @@ def query_pass(count: int | None = None, repeats: int = QUERY_REPEATS) -> dict:
     """The seed-QUERY_SEED semigroup_queries pass, count requests (the
     pass's own count by default), repeated in this process; run from the
     root of the checkout, whose perfbench/workloads.py it loads.  Returns
-    the best loop time, the comparison memo's size and the pass's
-    failures."""
+    the best loop time and the pass's failures."""
     import importlib.util
 
     from multispinal.gf2n import field_context
@@ -133,7 +131,6 @@ def query_pass(count: int | None = None, repeats: int = QUERY_REPEATS) -> dict:
         "seed": QUERY_SEED,
         "requests": count,
         "best_loop_s": round(min(loops), 4),
-        "eq_memo": len(group._eq_memo),
         "failed": len(result["errors"]),
     }
 
