@@ -5,7 +5,7 @@ Submodules:
     gf2n          GF(2^n) arithmetic from a primitive polynomial
     hyperplanes   index-2 subgroups, the 2-design, base blocks
     exact_linalg  inclusion matrix W, right-inverse T, exact ranks
-    selfsim       nucleus automaton, action, bisimulation equality
+    selfsim       nucleus automaton, action, equality by contraction
     groupoid      inverse semigroup, germs, region searches, bounds
     certify       full pipeline emitting one certificate document
     cli           command-line frontend
