@@ -69,10 +69,11 @@ def right_inverse_identity(W: InclusionMatrix, T: RightInverse, all_r: bool) -> 
     """W T = I, for the matrix section and the matrix subcommand.
 
     When R1-R9 pass (all_r) and T is build_T's T over this W, W T = I is
-    read from them (the base-block theorem).  R1-R5 make W the circulant of
-    its rows 0 and 1: row 0 is the k subgroup columns, and row 1 + r is
-    the base block B rotated by r with its complement mirrored, |B| =
-    q - 1, and B meets each of its k - 1 rotations in c = q/2 - 1 bits.
+    read from them (the base-block theorem).  W is the circulant of its
+    rows 0 and 1 by construction (R3, R4), and R1, R2 and R5 make row 0
+    the k subgroup columns and row 1 + r the base block B rotated by r
+    with its complement mirrored, |B| = q - 1, where B meets each of its
+    k - 1 rotations in c = q/2 - 1 bits.
     So every row has k ones, row 0 meets each other row in q - 1 ones,
     and two rows of B at shift d meet in c_d on the subgroup columns and
     k - 2(q - 1) + c_d on the complements, 2c_d + 1 = q - 1 in all.  With
@@ -213,12 +214,13 @@ def certify(
         raise ValueError(f"m_values must be nonempty and distinct, got {list(m_values)}")
     ctx = field_context(n, poly)
     group = MultispinalGroup(ctx)
-    # W and T are built once, W as bitmask rows and T as its two values
-    # over W; the matrix section certifies W T = I and the ranks it
-    # implies in popcounts, the groupoid section checks every germ row
-    # against W from 2q germ walks and reads its rank certificate from the
-    # matrix section, and the bound section reads its two certificates
-    # from W, column 0 of T and the matrix section's verdicts
+    # W and T are built once, W as its rows 0 and 1 and T as its two
+    # values over W, and no section expands W: the matrix section reads
+    # R1-R9 from the two rows in closed form and W T = I from them, and
+    # takes the GF(2) rank on rows streamed one at a time; the groupoid
+    # section compares the germ rows 0 and 1 from 2q germ walks with W's
+    # and reads its rank certificate from the matrix section; the bound
+    # section reads row 0 of W, column 0 of T and the matrix verdicts
     W = build_W(ctx)
     T = build_T(ctx.q, W)
     matrix = matrix_section(ctx, W, T)

@@ -17,24 +17,31 @@ conditions:
     R8  every row sums to k
     R9  every column sums to q
 
-circulant_rows writes W, and the W of a base block, from rows 0 and 1
-by R3 and R4.  Any matrix built from a base block by R1-R4 has the
-exact right-inverse T with entries a = 1/k where W is 1 and
-b = -(q-1)/(k(k-q+1)) where W is 0: every row has k ones and two
-distinct rows meet in q - 1, by the block's size and shift counts.  T
-is held as those two values over W, and W as its bitmask rows, so R1-R9
-are read from the rows by rotations and popcounts, into the
-certificate's R_conditions dict.  certify and the matrix subcommand
-read W T = I from R1-R9 by that theorem
-(certify.right_inverse_identity); verify_right_inverse checks it
-for any W and T as an integer Gram identity in popcounts, and is the
-theorem's oracle in the tests.  Since k - q + 1 = q,
-every denominator of T divides kq, so W T = I certifies full rank 2q
-over the rationals and over GF(p) for every prime p not dividing kq.
-The one rank it leaves open is the GF(2) rank, found by elimination on
-the bitmask rows.  Rank over the rationals by fraction-free (Bareiss)
-elimination and over an odd GF(p) by ordinary elimination stay available
-as independent checks; all arithmetic on any pass/fail path is exact.
+The subgroups are the rotations of one cyclic difference set, so W is
+a circulant, and InclusionMatrix holds it as the subgroup halves (k bits
+each) of its rows 0 and 1; circulant_rows writes the 2q rows from them
+by R3 and R4, and only on request.  R3, R4 and R8 hold by construction,
+and check_R_conditions reads the rest as closed forms in the two rows,
+into the certificate's R_conditions dict: R1 is row 0, R2, R6 and R7
+are |row 1| (and row 0), R5 is the k - 1 shift counts of row 1, and
+column j sums to [j in row 0] + |row 1| (R9).
+
+Any matrix built from a base block by R1-R4 has the exact right-inverse
+T with entries a = 1/k where W is 1 and b = -(q-1)/(k(k-q+1)) where W is
+0: every row has k ones and two distinct rows meet in q - 1, by the
+block's size and shift counts.  T is held as those two values over W.
+certify and the matrix subcommand read W T = I from R1-R9 by that
+theorem (certify.right_inverse_identity); verify_right_inverse checks
+it for any W and T as an integer Gram identity in popcounts of the
+expanded rows, and is the theorem's oracle in the tests.  Since
+k - q + 1 = q, every denominator of T divides kq, so W T = I certifies
+full rank 2q over the rationals and over GF(p) for every prime p not
+dividing kq.  The one rank it leaves open is the GF(2) rank, found by
+elimination on the rows as circulant_rows streams them: the basis holds
+at most rank-many rows, n + 1 for the field's W, so no 2q x 2k matrix is
+held.  Rank over the rationals by fraction-free (Bareiss) elimination
+and over GF(p) by ordinary elimination stay available as independent
+checks; all arithmetic on any pass/fail path is exact.
 """
 
 from __future__ import annotations
@@ -49,20 +56,22 @@ from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
 
 
 class InclusionMatrix(Record):
-    """0/1 matrix with labelled rows and columns; rows stored as bitmasks.
-    Raises ValueError unless there is one row label per row."""
+    """The circulant 0/1 matrix W of a base block, held as q, the subgroup
+    halves row0 and row1 (k bits each) of its rows 0 and 1, and one label
+    per row.  Raises ValueError unless there are 2q row labels and both
+    rows fit in k bits."""
 
-    __slots__ = ("q", "rows", "row_labels", "col_labels")
+    __slots__ = ("q", "row0", "row1", "row_labels")
 
-    def __init__(
-        self, q: int, rows: tuple[int, ...], row_labels: tuple[str, ...], col_labels: tuple[str, ...]
-    ) -> None:
-        if len(row_labels) != len(rows):
-            raise ValueError(f"{len(rows)} rows but {len(row_labels)} row labels")
+    def __init__(self, q: int, row0: int, row1: int, row_labels: tuple[str, ...]) -> None:
+        if len(row_labels) != 2 * q:
+            raise ValueError(f"{2 * q} rows but {len(row_labels)} row labels")
+        if (row0 | row1) >> (2 * q - 1):
+            raise ValueError(f"rows 0 and 1 must fit in {2 * q - 1} bits")
         _set_q(self, q)
-        _set_rows(self, rows)
+        _set_row0(self, row0)
+        _set_row1(self, row1)
         _set_row_labels(self, row_labels)
-        _set_col_labels(self, col_labels)
 
     @property
     def k(self) -> int:
@@ -70,17 +79,31 @@ class InclusionMatrix(Record):
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.col_labels))
+        return (2 * self.q, 2 * self.k)
+
+    @property
+    def col_labels(self) -> tuple[str, ...]:
+        return _col_labels(self.k)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """The 2q bitmask rows of 2k bits, built on each read."""
+        return tuple(circulant_rows(self.row0, self.row1, self.k))
 
     def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
+        """W[i][j] in O(1): bit j mod k of row 0, or of row 1 rotated down
+        by i - 1 places, flipped on the complement columns."""
+        k = self.k
+        c = j % k
+        bit = self.row0 >> c if i == 0 else self.row1 >> (c + i - 1) % k
+        return (bit & 1) ^ (j >= k)
 
     def to_lists(self) -> list[list[int]]:
-        ncols = len(self.col_labels)
-        return [[(r >> j) & 1 for j in range(ncols)] for r in self.rows]
+        width = 2 * self.k
+        return [[(r >> j) & 1 for j in range(width)] for r in self.rows]
 
 
-_set_q, _set_rows, _set_row_labels, _set_col_labels = slot_setters(InclusionMatrix)
+_set_q, _set_row0, _set_row1, _set_row_labels = slot_setters(InclusionMatrix)
 
 
 def _col_labels(k: int) -> tuple[str, ...]:
@@ -106,21 +129,18 @@ def build_W(ctx: FieldContext) -> InclusionMatrix:
     of the zero-trace mask is set, so the row of alpha^i is the row of
     alpha rotated down by i - 1 places."""
     k = ctx.k
-    rows = tuple(circulant_rows((1 << k) - 1, membership_profile(ctx, ctx.pow_alpha(1)), k))
     row_labels = ("0",) + tuple(f"a^{i}" for i in range(1, k + 1))
-    return InclusionMatrix(q=ctx.q, rows=rows, row_labels=row_labels, col_labels=_col_labels(k))
+    return InclusionMatrix(ctx.q, (1 << k) - 1, membership_profile(ctx, ctx.pow_alpha(1)), row_labels)
 
 
 def build_W_general(block: BaseBlock) -> InclusionMatrix:
     """Matrix built purely from a base block by the rules R1-R4."""
     q = block.q
-    k = block.k
     seed = sum(1 << p for p in block.positions)
     if not block_satisfies_r5(seed, q):
         raise ValueError("base block violates the shift-intersection condition (R5)")
-    rows = tuple(circulant_rows((1 << k) - 1, seed, k))  # R1: row 0 is in every subgroup
     row_labels = ("0",) + tuple(f"r{i}" for i in range(1, 2 * q))
-    return InclusionMatrix(q=q, rows=rows, row_labels=row_labels, col_labels=_col_labels(k))
+    return InclusionMatrix(q, (1 << block.k) - 1, seed, row_labels)  # R1: row 0 is in every subgroup
 
 
 class RightInverse(Record):
@@ -148,8 +168,8 @@ class RightInverse(Record):
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense Fraction view, built on each read."""
-        a, b = self.a, self.b
-        return tuple(tuple(a if (r >> j) & 1 else b for r in self.W.rows) for j in range(self.shape[0]))
+        a, b, rows = self.a, self.b, self.W.rows
+        return tuple(tuple(a if (r >> j) & 1 else b for r in rows) for j in range(self.shape[0]))
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
@@ -268,12 +288,13 @@ def rank_mod_p(M, p: int) -> int:
 
     Non-integer rational entries are scaled row-wise; a row whose
     denominator vanishes mod p is rejected (the reduction is undefined).
-    An InclusionMatrix is reduced mod 2 on its bitmask rows as stored.
+    An InclusionMatrix is reduced mod 2 on its bitmask rows, streamed
+    from circulant_rows.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2 and isinstance(M, InclusionMatrix):
-        return _rank_f2(M.rows)
+        return _rank_f2(circulant_rows(M.row0, M.row1, M.k))
     rows = _as_fraction_rows(M)
     if not rows:
         return 0
@@ -284,9 +305,6 @@ def rank_mod_p(M, p: int) -> int:
             raise ValueError(f"entry denominator divisible by {p}; reduction undefined")
         dinv = pow(d % p, -1, p)
         mat.append([int(x * d) * dinv % p for x in r])
-    if p == 2:
-        return _rank_f2(sum(1 << j for j, v in enumerate(r) if v) for r in mat)
-
     nrows, ncols = len(mat), len(mat[0])
     rank = 0
     for col in range(ncols):
@@ -325,64 +343,35 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _first_fail(violations) -> dict:
-    """The entry of a condition from its violations in order: the first is the counterexample."""
-    first = next(violations, None)
-    return _condition(first is None, first)
-
-
 def check_R_conditions(W: InclusionMatrix) -> dict[str, dict]:
     """Itemized pass/fail for R1-R9 with first-counterexample coordinates,
     as the certificate prints them: name -> {"pass", "counterexample"?,
-    "note"?}, or the single entry "shape" when W has the wrong shape.
+    "note"?}.
 
     Coordinates in counterexamples are 0-based (row, column), the first
-    in row-major order.  Every condition is read from the bitmask rows:
-    a row's first k columns are its low k bits and the last k its next k.
+    in row-major order of the expanded W.  Each condition is a closed form
+    in rows 0 and 1.  R3, R4 and R8 hold by construction.  Every row
+    below row 0 has |row 1| subgroup ones and k - |row 1| complement
+    ones, so R6 and R7 first fail at row 0 if it misses a subgroup, else
+    at row 1 if |row 1| != q - 1.  Subgroup column j sums to
+    [j in row 0] + |row 1| and its complement to 2q minus that, so the
+    columns off q (R9) are those row 0 misses when |row 1| = q - 1, those
+    it holds when |row 1| = q, and all of them otherwise.
     """
-    q = W.q
-    k = W.k
-    if W.shape != (2 * q, 2 * k):
-        return {"shape": _condition(False, list(W.shape), f"expected {2*q}x{2*k}")}
-
-    low_k = (1 << k) - 1
-    first = [r & low_k for r in W.rows]
-    second = [(r >> k) & low_k for r in W.rows]
-    r1 = (first[0] ^ low_k) | (second[0] << k)
-    row2 = first[1].bit_count()
-    # R9, bit-sliced: plane p holds bit p of every column's count, so a
-    # row is added by one ripple-carry pass over the planes; the columns
-    # whose count is off are those where some plane disagrees with q
-    full = (1 << 2 * k) - 1
-    planes = [0] * (2 * q).bit_length()
-    for carry in W.rows:
-        carry &= full
-        for p, plane in enumerate(planes):
-            planes[p], carry = plane ^ carry, plane & carry
-            if not carry:
-                break
-    off = 0
-    for p, plane in enumerate(planes):
-        off |= plane ^ (full if (q >> p) & 1 else 0)
+    q, k = W.q, W.k
+    full = (1 << k) - 1
+    miss0 = W.row0 ^ full
+    ones = W.row1.bit_count()
+    bad_row = [0] if miss0 else None if ones == q - 1 else [1]
+    off = miss0 if ones == q - 1 else W.row0 if ones == q else full
     return {
-        "R1": _condition(not r1, [0, _low_bit(r1)] if r1 else None),
-        "R2": _condition(
-            row2 == q - 1, None if row2 == q - 1 else [1, row2], f"row 2 supports {row2} ones"
-        ),
-        # R3: row i+1 is row i rotated down one place, bit j <- bit (j+1) mod k
-        "R3": _first_fail(
-            [i + 1, _low_bit(d)]
-            for i in range(1, 2 * q - 1)
-            if (d := first[i + 1] ^ ((first[i] >> 1) | ((first[i] & 1) << (k - 1))))
-        ),
-        "R4": _first_fail(
-            [i, _low_bit(d) + k] for i in range(1, 2 * q) if (d := second[i] ^ first[i] ^ low_k)
-        ),
-        "R5": _condition(
-            block_satisfies_r5(first[1], q), None, "all nonzero shifts checked (strong reading)"
-        ),
-        "R6": _first_fail([i] for i in range(2 * q) if first[i].bit_count() != (k if i == 0 else q - 1)),
-        "R7": _first_fail([i] for i in range(2 * q) if second[i].bit_count() != (0 if i == 0 else q)),
-        "R8": _first_fail([i] for i in range(2 * q) if W.rows[i].bit_count() != k),
+        "R1": _condition(not miss0, [0, _low_bit(miss0)] if miss0 else None),
+        "R2": _condition(ones == q - 1, None if ones == q - 1 else [1, ones], f"row 2 supports {ones} ones"),
+        "R3": _condition(True),
+        "R4": _condition(True),
+        "R5": _condition(block_satisfies_r5(W.row1, q), None, "all nonzero shifts checked (strong reading)"),
+        "R6": _condition(bad_row is None, bad_row),
+        "R7": _condition(bad_row is None, bad_row),
+        "R8": _condition(True),
         "R9": _condition(not off, [_low_bit(off)] if off else None),
     }

@@ -29,12 +29,11 @@ least |c_e| * q / (2q - 1)).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 
 from ._record import Record, slot_setters
-from .exact_linalg import InclusionMatrix, circulant_rows
+from .exact_linalg import InclusionMatrix
 from .gf2n import FieldContext
 from .selfsim import STATE_A, GroupElement, MultispinalGroup, _join, _reduce
 
@@ -358,10 +357,11 @@ def meet_set(group: MultispinalGroup) -> frozenset[int]:
     return frozenset(w for w in group.ctx.elements() if germ_equal(group, group.iota(w), e, tail))
 
 
-def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> Iterator[int]:
-    """The germ membership of every region over every element, as bitmask
-    rows in the layout of W, yielded one at a time: bit j (K = H_j) and
-    bit j + k (its complement) of the row of element x.
+def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> tuple[int, int]:
+    """The germ membership of every region over every element, in the
+    form InclusionMatrix holds W: the subgroup halves (k bits each) of
+    the rows of 0 and of alpha, from which circulant_rows writes the row
+    of every element (bit j for K = H_j, bit j + k for its complement).
 
     Region K with witness 1^s 0 holds x iff iota(x) meets iota(x0) along
     1^s 0 1^infinity, x0 the first member of K.  By the germ law that is
@@ -372,28 +372,30 @@ def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> Iterator[int]:
     exponent mask of G rotated by i, and the row of 0 is [0 in G] on
     every subgroup.  Once those match W, G is the hyperplane H_0, so for
     a complement (x0 outside H_j) the entry is 1 - [alpha^j x in G]: the
-    complement columns mirror the subgroup columns.
+    complement columns mirror the subgroup columns.  So the rows of 0 and
+    alpha fix the rest, as they fix W.
     """
-    k, power = ctx.k, ctx.power_table
+    power = ctx.power_table
     # W's canonical order 0, alpha^1, ..., alpha^k = 1; bit j of the row
     # of alpha is [alpha^(j + 1) in G].  One base-2 parse of the digits,
     # highest bit (alpha^k = 1) first: linear in k, where a sum of k
     # single-bit ints would be quadratic
     digits = bytes([x in meet for x in power[:1] + power[:0:-1]])
     row1 = int(digits.translate(bytes.maketrans(b"\0\1", b"01")), 2)
-    return circulant_rows((1 << k) - 1 if 0 in meet else 0, row1, k)
+    return ((1 << ctx.k) - 1 if 0 in meet else 0, row1)
 
 
 def check_germ_rows(group: MultispinalGroup, W: InclusionMatrix) -> None:
     """Certify that the germ rows of all 2k regions stack into W's
     transpose, from the 2q walks of meet_set; the rows do not depend on
-    m.  Compares germ_rows with W one row at a time and raises
-    MembershipMismatch naming the region of the lowest differing bit of
-    the first differing row, and that row's element."""
-    q, k = group.ctx.q, group.ctx.k
-    if W.q != q or W.shape != (2 * q, 2 * k):
-        raise ValueError(f"W has q={W.q}, shape {W.shape}; the field has q={q}, shape {(2 * q, 2 * k)}")
-    for i, (got, want) in enumerate(zip(germ_rows(group.ctx, meet_set(group)), W.rows)):
+    m.  Both are circulants of their rows 0 and 1, so this compares the
+    two pairs, and raises MembershipMismatch naming the region of the
+    lowest differing bit of row 0, else of row 1, and that row's element:
+    the first differing entry of the expanded rows."""
+    q = group.ctx.q
+    if W.q != q:
+        raise ValueError(f"W has q={W.q}; the field has q={q}")
+    for i, (got, want) in enumerate(zip(germ_rows(group.ctx, meet_set(group)), (W.row0, W.row1))):
         if diff := got ^ want:
             raise MembershipMismatch(W.col_labels[(diff & -diff).bit_length() - 1], W.row_labels[i])
 

@@ -297,15 +297,18 @@ def _ref_condition(passed, counterexample=None, note=""):
 
 def ref_check_R_conditions(W) -> dict:
     """Itemized pass/fail for R1-R9 with first-counterexample coordinates,
-    reading W one entry at a time, in the certificate's shape: name ->
-    {"pass", "counterexample"?, "note"?}.
+    reading the expanded rows of W one entry at a time, in the
+    certificate's shape: name -> {"pass", "counterexample"?, "note"?}.
 
     Coordinates in counterexamples are 0-based (row, column).
     """
     q = W.q
     k = W.k
-    nrows, ncols = W.shape
+    grid = W.to_lists()
     rep = {}
+
+    def entry(i, j):
+        return grid[i][j]
 
     def first_fail(name, gen, note=""):
         for coords in gen:
@@ -313,19 +316,15 @@ def ref_check_R_conditions(W) -> dict:
             return
         rep[name] = _ref_condition(True, None, note)
 
-    if nrows != 2 * q or ncols != 2 * k:
-        rep["shape"] = _ref_condition(False, (nrows, ncols), f"expected {2*q}x{2*k}")
-        return rep
-
     first_fail(
         "R1",
         (
             (0, j)
             for j in range(2 * k)
-            if W.entry(0, j) != (1 if j < k else 0)
+            if entry(0, j) != (1 if j < k else 0)
         ),
     )
-    row2 = sum(W.entry(1, j) for j in range(k))
+    row2 = sum(entry(1, j) for j in range(k))
     rep["R2"] = _ref_condition(
         row2 == q - 1, None if row2 == q - 1 else (1, row2), f"row 2 supports {row2} ones"
     )
@@ -335,7 +334,7 @@ def ref_check_R_conditions(W) -> dict:
             (i + 1, j)
             for i in range(1, 2 * q - 1)
             for j in range(k)
-            if W.entry(i + 1, j) != W.entry(i, (j + 1) % k)
+            if entry(i + 1, j) != entry(i, (j + 1) % k)
         ),
     )
     first_fail(
@@ -344,10 +343,10 @@ def ref_check_R_conditions(W) -> dict:
             (i, j + k)
             for i in range(1, 2 * q)
             for j in range(k)
-            if W.entry(i, j + k) != 1 - W.entry(i, j)
+            if entry(i, j + k) != 1 - entry(i, j)
         ),
     )
-    positions = [j for j in range(k) if W.entry(1, j)]
+    positions = [j for j in range(k) if entry(1, j)]
     lam = q // 2 - 1
     r5_ok = len(positions) == q - 1 and ref_block_satisfies_r5(positions, k, lam)
     rep["R5"] = _ref_condition(
@@ -358,7 +357,7 @@ def ref_check_R_conditions(W) -> dict:
         (
             (i,)
             for i in range(2 * q)
-            if sum(W.entry(i, j) for j in range(k)) != (k if i == 0 else q - 1)
+            if sum(entry(i, j) for j in range(k)) != (k if i == 0 else q - 1)
         ),
     )
     first_fail(
@@ -366,19 +365,19 @@ def ref_check_R_conditions(W) -> dict:
         (
             (i,)
             for i in range(2 * q)
-            if sum(W.entry(i, j) for j in range(k, 2 * k)) != (0 if i == 0 else q)
+            if sum(entry(i, j) for j in range(k, 2 * k)) != (0 if i == 0 else q)
         ),
     )
     first_fail(
         "R8",
-        ((i,) for i in range(2 * q) if W.rows[i].bit_count() != k),
+        ((i,) for i in range(2 * q) if sum(grid[i]) != k),
     )
     first_fail(
         "R9",
         (
             (j,)
             for j in range(2 * k)
-            if sum(W.entry(i, j) for i in range(2 * q)) != q
+            if sum(entry(i, j) for i in range(2 * q)) != q
         ),
     )
     return rep

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from multispinal.certify import groupoid_section, matrix_section
-from multispinal.exact_linalg import build_T, build_W, rank_mod_p, rank_over_Q, verify_right_inverse
+from multispinal.exact_linalg import build_T, build_W, circulant_rows, rank_mod_p, rank_over_Q, verify_right_inverse
 from multispinal.gf2n import field_context
 from multispinal.groupoid import (
     SemigroupTriple,
@@ -182,7 +182,7 @@ def test_c7_membership_matrices():
                     Tail(pattern.witness, "1"),
                 )
             # the 2q-walk certificate gives the same stack
-            rows = tuple(germ_rows(ctx(n), meet_set(group(n))))
+            rows = tuple(circulant_rows(*germ_rows(ctx(n), meet_set(group(n))), ctx(n).k))
             assert stacked == tuple(tuple((r >> col) & 1 for r in rows) for col in range(2 * ctx(n).k))
         check_germ_rows(group(n), W)
     assert time.monotonic() - t0 < 60.0

@@ -545,8 +545,7 @@ def test_germ_rows_parse_row_1_as_the_bit_sum(n):
     meets += [frozenset(x for x in ctx.elements() if rng.random() < 0.5) for _ in range(4)]
     for meet in meets:
         row1 = sum(1 << j for j in range(k) if ctx.power_table[(j + 1) % k] in meet)
-        want = exact_linalg.circulant_rows((1 << k) - 1 if 0 in meet else 0, row1, k)
-        assert list(itertools.islice(germ_rows(ctx, meet), 2)) == list(itertools.islice(want, 2))
+        assert germ_rows(ctx, meet) == ((1 << k) - 1 if 0 in meet else 0, row1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -558,7 +557,9 @@ def test_germ_rows_and_witnesses_match_the_oracles(n):
     field = ref_field(ctx)
     W = build_W(ctx)
     k = ctx.k
-    rows = tuple(germ_rows(ctx, meet_set(group)))
+    pair = germ_rows(ctx, meet_set(group))
+    assert pair == (W.row0, W.row1)
+    rows = tuple(exact_linalg.circulant_rows(*pair, k))
     assert rows == W.rows
     matrix = matrix_section(ctx, W, build_T(ctx.q, W))
     for m in sorted({0, 1, 2, 3, k, k + 1}):
@@ -604,50 +605,59 @@ def test_region_pattern_names_first_wrong_column(g3, w3, monkeypatch):
 
 
 def _flip(W, i, col):
-    rows = tuple(r ^ (1 << col) if r_i == i else r for r_i, r in enumerate(W.rows))
-    return InclusionMatrix(q=W.q, rows=rows, row_labels=W.row_labels, col_labels=W.col_labels)
+    """W with entry (i, col) flipped where it is generated: in bit col mod k
+    of row 0 (i = 0), or in the bit of row 1 that rotates into row i, so
+    every entry that bit generates flips with it."""
+    k = W.k
+    if i == 0:
+        return InclusionMatrix(W.q, W.row0 ^ 1 << col % k, W.row1, W.row_labels)
+    return InclusionMatrix(W.q, W.row0, W.row1 ^ 1 << (col % k + i - 1) % k, W.row_labels)
 
 
 @pytest.mark.parametrize("i, kind, j", [(0, "H", 2), (3, "H", 5), (7, "Hc", 4), (7, "H", 0)])
 def test_flipped_W_entry_is_named(g3, w3, i, kind, j):
-    # the germ rows are right and W is wrong in one entry: the 2q-walk
-    # check and the per-region oracles must all name that region and row
-    col = j if kind == "H" else j + g3.ctx.k
+    # the germ rows are right and W is wrong from bit b of row g on: the
+    # 2q-walk check names the lowest wrong bit of the first wrong row, and
+    # the per-region oracles name the first wrong entry of the columns
+    # they read.  Column j's first wrong row is i.  A flip in row 1
+    # reaches every column, so the column-by-column sweep stops at H0, in
+    # row b + 1
+    k = g3.ctx.k
+    col = j if kind == "H" else j + k
     bad = _flip(w3, i, col)
+    assert bad.entry(i, col) != w3.entry(i, col)
     label = f"H{j}" + ("c" if kind == "Hc" else "")
+    g, b = (0, j) if i == 0 else (1, (j + i - 1) % k)
+    sweep = (f"H{j}", w3.row_labels[0]) if i == 0 else ("H0", w3.row_labels[b + 1])
     calls = (
-        lambda: check_germ_rows(g3, bad),
-        lambda: region_pattern(g3, bad, 1, kind, j),
-        lambda: membership_matrix(g3, bad, 1),
+        (lambda: check_germ_rows(g3, bad), (f"H{b}", w3.row_labels[g])),
+        (lambda: region_pattern(g3, bad, 1, kind, j), (label, w3.row_labels[i])),
+        (lambda: membership_matrix(g3, bad, 1), sweep),
     )
-    for call in calls:
+    for call, named in calls:
         with pytest.raises(MembershipMismatch) as err:
             call()
-        assert (err.value.row_label, err.value.col_label) == (label, w3.row_labels[i])
+        assert (err.value.row_label, err.value.col_label) == named
     section = groupoid_section(g3, (1, 2), bad, matrix_section(g3.ctx, bad, build_T(bad.q, bad)))
-    error = f"membership mismatch at row {label}, column {w3.row_labels[i]}"
+    error = f"membership mismatch at row H{b}, column {w3.row_labels[g]}"
     assert all(e == {"matches_transpose": False, "error": error} for e in section["membership"].values())
     assert section["pass"] is False
 
 
-def test_check_germ_rows_rejects_W_of_the_wrong_shape(g3, w3):
-    # a W missing rows, or holding extra ones, must not pass on the rows
-    # it shares with the germ rows
-    truncated = InclusionMatrix(w3.q, w3.rows[:5], w3.row_labels[:5], w3.col_labels)
-    extended = InclusionMatrix(w3.q, w3.rows + (w3.rows[1],), w3.row_labels + ("r8",), w3.col_labels)
-    narrow = InclusionMatrix(w3.q, w3.rows, w3.row_labels, w3.col_labels[:-1])
-    for bad in (truncated, extended, narrow):
-        with pytest.raises(ValueError, match="W has q=4, shape"):
-            check_germ_rows(g3, bad)
+def test_check_germ_rows_rejects_W_of_another_degree(g3, w2, w3):
+    # a degree-2 W must not pass on the bits it shares with the germ rows
+    with pytest.raises(ValueError, match="W has q=2; the field has q=4"):
+        check_germ_rows(g3, w2)
     check_germ_rows(g3, w3)
 
 
 def test_W_needs_one_label_per_row(w3):
-    # 8 rows, 5 labels and a wrong row 6: check_germ_rows would have
-    # raised IndexError naming row 6, not MembershipMismatch
-    rows = w3.rows[:6] + (w3.rows[6] ^ 1,) + w3.rows[7:]
+    # 8 rows, 5 labels and a wrong row 1: a mismatch in rows 5 .. 7 would
+    # have no label to name
     with pytest.raises(ValueError, match="8 rows but 5 row labels"):
-        InclusionMatrix(w3.q, rows, w3.row_labels[:5], w3.col_labels)
+        InclusionMatrix(w3.q, w3.row0, w3.row1 ^ 1, w3.row_labels[:5])
+    with pytest.raises(ValueError, match="must fit in 7 bits"):
+        InclusionMatrix(w3.q, w3.row0, w3.row1 | 1 << 7, w3.row_labels)
 
 
 @pytest.mark.parametrize("n", [3, 7, 8])
@@ -837,8 +847,8 @@ def test_bound_optimum_matches_generic_path(n):
 
 @pytest.mark.parametrize("i, col", [(0, 2), (0, 9), (5, 3), (7, 12)])
 def test_flipped_W_entry_fails_the_bound_section(g3, w3, i, col):
-    # one wrong entry breaks W T = I: no rank is claimed, and the matrix
-    # and singular sections fail with the bound section
+    # one wrong generating entry breaks W T = I: no rank is claimed, and the
+    # matrix and singular sections fail with the bound section
     bad = _flip(w3, i, col)
     T = build_T(bad.q, bad)
     matrix = matrix_section(g3.ctx, bad, T)
@@ -872,8 +882,9 @@ def _values():
     from multispinal.hyperplanes import BaseBlock
 
     e = GroupElement(())
-    W = InclusionMatrix(q=2, rows=(7, 9), row_labels=("0", "a^1"), col_labels=("H0", "H0c"))
-    W2 = InclusionMatrix(2, (7, 9), ("0", "a^1"), ("H0", "H0c"))
+    labels = ("0", "a^1", "a^2", "a^3")
+    W = InclusionMatrix(q=2, row0=7, row1=4, row_labels=labels)
+    W2 = InclusionMatrix(2, 7, 4, ("0", "a^1", "a^2", "a^3"))
     return [
         (SemigroupTriple("0", e, "1"), SemigroupTriple(eta="0", g=GroupElement(()), mu="1"),
          SemigroupTriple("0", e, "0"), "SemigroupTriple(eta='0', g=GroupElement(factors=()), mu='1')"),
@@ -885,8 +896,8 @@ def _values():
         (RegionPattern(kind="H", j=0, witness="10", membership_row=(1, 0), members=(0,)),
          RegionPattern("H", 0, "10", (1, 0), (0,)), RegionPattern("Hc", 0, "10", (1, 0), (0,)),
          "RegionPattern(kind='H', j=0, witness='10', membership_row=(1, 0), members=(0,))"),
-        (W, W2, InclusionMatrix(2, (7, 8), ("0", "a^1"), ("H0", "H0c")),
-         "InclusionMatrix(q=2, rows=(7, 9), row_labels=('0', 'a^1'), col_labels=('H0', 'H0c'))"),
+        (W, W2, InclusionMatrix(2, 7, 2, labels),
+         "InclusionMatrix(q=2, row0=7, row1=4, row_labels=('0', 'a^1', 'a^2', 'a^3'))"),
         (RightInverse(W, Fraction(1, 3), Fraction(-1, 6)), RightInverse(W=W2, a=Fraction(1, 3), b=Fraction(-1, 6)),
          RightInverse(W, Fraction(1, 3), Fraction(1, 6)), f"RightInverse(W={W!r}, a=Fraction(1, 3), b=Fraction(-1, 6))"),
         (BaseBlock(2, frozenset({1})), BaseBlock(q=2, positions=frozenset({1})), BaseBlock(2, frozenset({2})),

@@ -28,7 +28,7 @@ def test_degree_reports_every_section_memory_and_verdict():
     assert result["vm_hwm_mb"] is None or result["vm_hwm_mb"] > 0
 
 
-def test_query_pass_reports_loop_time_and_memo_sizes(monkeypatch):
+def test_query_pass_reports_loop_time_and_failures(monkeypatch):
     # the pass reads perfbench/ and tests/ relative to the checkout's root
     monkeypatch.chdir(ROOT)
     result = _ladder().query_pass(count=20, repeats=2)
