@@ -207,8 +207,8 @@ def test_certify_never_expands_W(monkeypatch):
 
 
 def test_certify_15_fits_in_256_MiB():
-    # the 2q x 2k rows of W alone would take 2^27 bytes at n = 15, and the
-    # parent of the two-row form ran out of address space here
+    # the 2q x 2k bits of an expanded W at n = 15 are 2^28 bytes, the
+    # whole limit: the certificate must fit without them
     limit = 256 << 20
     script = (
         "import resource; from multispinal.certify import certify; "
