@@ -42,27 +42,29 @@ def jsonable(value):
     return value
 
 
-def design_section(ctx: FieldContext) -> dict:
-    """The design of the field's hyperplanes, certified from the k - 1
-    shift counts of the zero-trace mask."""
-    expected = (ctx.k, ctx.q - 1, ctx.q // 2 - 1)
-    try:
-        params = verify_design(ctx.trace_zero_mask, ctx.q)
+def design_section(W: InclusionMatrix, conditions: dict) -> dict:
+    """The design of the field's hyperplanes, read from R5 of W.
+
+    Row 1 of the field's W is the zero-trace mask rotated by one place
+    (build_W), and rotation changes no shift count and no popcount, so
+    R5 tests exactly what verify_design tests: bits inside Z_k, size
+    q - 1 and every shift count q/2 - 1.  Only a failing R5 calls
+    verify_design, for the DesignError that names the first bad pair.
+    """
+    expected = [W.k, W.q - 1, W.q // 2 - 1]
+    if conditions["R5"]["pass"]:
         return {
-            "params": list(params),
-            "expected": list(expected),
-            "blocks": ctx.k,  # the k rotations of the mask, distinct once verified
+            "params": list(expected),
+            "expected": expected,
+            "blocks": W.k,  # the k rotations of the mask, distinct once verified
             "pair_counts_verified": True,  # each pair count is one of the shift counts
-            "pass": params == expected,
+            "pass": True,
         }
+    try:
+        verify_design(W.row1, W.q)
     except DesignError as err:
-        return {
-            "params": None,
-            "expected": list(expected),
-            "pair_counts_verified": False,
-            "error": str(err),
-            "pass": False,
-        }
+        return {"params": None, "expected": expected, "pair_counts_verified": False, "error": str(err), "pass": False}
+    raise AssertionError("R5 failed on a mask that verify_design accepts")
 
 
 def right_inverse_identity(W: InclusionMatrix, T: RightInverse, all_r: bool) -> bool:
@@ -165,21 +167,22 @@ def bound_section(W: InclusionMatrix, T: RightInverse, matrix: dict) -> dict:
 
     Lower bound: W T = I (the matrix section's right_inverse_identity)
     gives c_e = sum_K T[K][0] kappa_K, so |c_e| <= max|kappa| times the
-    sum of |T[K][0]|, which column 0 of T must give as (2q-1)/q.
+    sum of |T[K][0]|, which column 0 of T must give as (2q-1)/q: it is
+    k(|a| + |b|), since row 0 of any W has k ones and k zeros (R4).
     Attained: c* = (1, -1/k, ..., -1/k) has kappa_K = W[0][K] - (q -
     W[0][K])/k by the q ones of each column (R9), that is q/k on every
     subgroup and -q/k on every complement by row 0 (R1), so its ratio is
-    q/k = q/(2q-1).  The 2^n bound 1/(2q) lies below the optimum.  Both
-    certificates are O(k) in exact arithmetic and read the W, T and R
-    conditions the matrix section certified.
+    q/k = q/(2q-1), the larger of kappa's two values.  The 2^n bound
+    1/(2q) lies below the optimum.  Both certificates are exact closed
+    forms in the W, T and R conditions the matrix section certified.
     """
     q, k = W.q, W.k
     optimum = Fraction(q, 2 * q - 1)
-    t_sum = sum((abs(T.entry(K, 0)) for K in range(2 * k)), start=Fraction(0))
+    t_sum = k * (abs(T.a) + abs(T.b))
     lower = matrix["right_inverse_identity"] and t_sum == 1 / optimum
     r_conditions = {name: matrix["R_conditions"][name]["pass"] for name in ("R1", "R9")}
     other = Fraction(-1, k)
-    max_abs_kappa = max(abs(W.entry(0, col) + other * (q - W.entry(0, col))) for col in range(2 * k))
+    max_abs_kappa = max(abs(1 + other * (q - 1)), abs(other * q))
     attained = all(r_conditions.values()) and max_abs_kappa == optimum
     threshold = Fraction(1, 2 * q)
     return {
@@ -215,18 +218,15 @@ def certify(
     ctx = field_context(n, poly)
     group = MultispinalGroup(ctx)
     # W and T are built once, W as its rows 0 and 1 and T as its two
-    # values over W, and no section expands W: the matrix section reads
-    # R1-R9 from the two rows in closed form and W T = I from them, and
-    # takes the GF(2) rank on rows streamed one at a time; the groupoid
-    # section compares the germ rows 0 and 1 from 2q germ walks with W's
-    # and reads its rank certificate from the matrix section; the bound
-    # section reads row 0 of W, column 0 of T and the matrix verdicts
+    # values over W, and no section expands W; the matrix section's R5 is
+    # the one pass over the k - 1 shift counts, whose verdict the design
+    # section reads, and every later section reads the matrix verdicts
     W = build_W(ctx)
     T = build_T(ctx.q, W)
     matrix = matrix_section(ctx, W, T)
     sections = {
         "field": field_section(ctx),
-        "design": design_section(ctx),
+        "design": design_section(W, matrix["R_conditions"]),
         "matrix": matrix,
         "nucleus": nucleus_section(group),
         "groupoid": groupoid_section(group, m_values, W, matrix),

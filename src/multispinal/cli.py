@@ -74,6 +74,7 @@ def cmd_field(args) -> int:
 
 def cmd_design(args) -> int:
     from .certify import design_section
+    from .exact_linalg import build_W, check_R_conditions
     from .hyperplanes import build_hyperplanes, search_base_blocks, shift_intersections
 
     if args.search_q is not None:
@@ -87,28 +88,30 @@ def cmd_design(args) -> int:
         _emit_json(doc, args.out)
         return 0
     ctx = field_context(args.n, args.poly)
-    doc = design_section(ctx)
+    W = build_W(ctx)
+    doc = design_section(W, check_R_conditions(W))
     doc["block_members"] = {
         f"H{j}": [x for x, bit in enumerate(bin(members)[:1:-1]) if bit == "1"]
         for j, members in enumerate(build_hyperplanes(ctx))
     }
     lam = ctx.q // 2 - 1
     # the pair (alpha^l1, alpha^l2) lies in |Z ∩ (Z - d)| blocks with
-    # d = l2 - l1, Z the zero-trace mask; k - d pairs have that d, and the
-    # first of them in lexicographic order is (0, d)
-    counts = {}
+    # d = l2 - l1, Z the zero-trace mask, whose shift counts are row 1 of
+    # W's; k - d pairs have that d, the first in lexicographic order being
+    # (0, d).  A passing design has every count lam: only a FAIL rescans
+    counts = {lam: ctx.k * (ctx.k - 1) // 2} if doc["pass"] else {}
     bad = None
-    for d, c in enumerate(shift_intersections(ctx.trace_zero_mask, ctx.k), 1):
-        counts[c] = counts.get(c, 0) + ctx.k - d
-        if c != lam and bad is None:
-            bad = [0, d, c]
+    if not doc["pass"]:
+        for d, c in enumerate(shift_intersections(W.row1, ctx.k), 1):
+            counts[c] = counts.get(c, 0) + ctx.k - d
+            if c != lam and bad is None:
+                bad = [0, d, c]
     doc["pair_count_table"] = {
         "expected": lam,
         "observed_counts": {str(k): v for k, v in sorted(counts.items())},
         "all_equal": list(counts) == [lam],
         **({"first_violation": bad} if bad else {}),
     }
-    doc["pass"] = doc["pass"] and doc["pair_count_table"]["all_equal"]
     _emit_json(doc, args.out)
     return 0 if doc["pass"] else 1
 

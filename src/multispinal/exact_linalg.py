@@ -24,7 +24,8 @@ by R3 and R4, and only on request.  R3, R4 and R8 hold by construction,
 and check_R_conditions reads the rest as closed forms in the two rows,
 into the certificate's R_conditions dict: R1 is row 0, R2, R6 and R7
 are |row 1| (and row 0), R5 is the k - 1 shift counts of row 1, and
-column j sums to [j in row 0] + |row 1| (R9).
+column j sums to [j in row 0] + |row 1| (R9).  R5 is certify's one
+pass over the shift counts; its design section reads R5's verdict.
 
 Any matrix built from a base block by R1-R4 has the exact right-inverse
 T with entries a = 1/k where W is 1 and b = -(q-1)/(k(k-q+1)) where W is

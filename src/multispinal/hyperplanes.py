@@ -9,9 +9,9 @@ set, so every point's blocks and every block's points are a rotation of
 Z, and the pair (alpha^l1, alpha^l2) lies in |Z ∩ (Z - d)| blocks,
 d = l2 - l1.  The k - 1 shift counts of one mask (shift_intersections)
 therefore certify the design: verify_design returns its parameters as
-the tuple (v, block_size, lam).  The same counts decide the shift
-condition R5 on an abstract base block: a (q-1)-subset of Z_(2q-1) whose
-cyclic shift-intersections all have size q/2 - 1.
+the tuple (v, block_size, lam).  They are also the shift condition R5
+on a base block (block_satisfies_r5), and certify scans them once, in
+R5 of W (certify.design_section says why).
 """
 
 from __future__ import annotations
@@ -115,15 +115,10 @@ def verify_design(z: int, q: int) -> tuple[int, int, int]:
     (v, block_size, lam): v points, block_size points per block and lam
     blocks through each pair of points.
 
-    The points are the exponents l of alpha^l and the blocks the H_j,
-    l, j in Z_k with k = 2q - 1, and alpha^l lies in H_j iff bit
-    (l + j) mod k of z is set.  Every point's blocks and every block's
-    points are thus a rotation of z, so |z| = q - 1 gives both the
-    replication and the block size, and the pair (alpha^l1, alpha^l2)
-    lies in |Z ∩ (Z - d)| blocks, d = l2 - l1: the k - 1 shift counts
-    are every pair count.  They also make the k blocks distinct, since
-    H_i = H_j with i != j would give |Z ∩ (Z - (j - i))| = |z| = q - 1,
-    more than lambda = q/2 - 1.
+    As the module docstring derives, |z| = q - 1 is both the replication
+    and the block size, and the k - 1 shift counts are every pair count.
+    They also make the k blocks distinct, since H_i = H_j with i != j
+    would give |Z ∩ (Z - (j - i))| = |z| = q - 1, more than q/2 - 1.
 
     The shift counts are read first, so a DesignError names the first
     bad exponent pair (0, d).  They sum to |z|(|z| - 1), so when all are

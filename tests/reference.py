@@ -7,7 +7,8 @@ x, the joint kernel is confirmed by a loop over every nonzero
 element, the design is checked point by point and pair by pair over
 explicit subgroup masks, the shift condition R5 by set membership, matrix
 ranks come from plain Fraction row reduction or GF(2) row-space
-enumeration, R1-R9 are read one matrix entry at a time, the
+enumeration, R1-R9 are read one matrix entry at a time, the bound
+section sums its 2k terms from the expanded W and dense T, the
 right-inverse is a dense Fraction matrix multiplied out entry by entry, the
 degree-2 automaton is a hardcoded transition table, germ equality is
 the plain letter-by-letter walk on unreduced words, runs of 1s in a tail
@@ -242,6 +243,36 @@ def multiply_rational(A, B) -> tuple[tuple[Fraction, ...], ...]:
 def t_first_column_abs_sum(rows) -> Fraction:
     """Sum of |T[j][0]| over all rows; equals (2q-1)/q for a valid T."""
     return sum((abs(row[0]) for row in rows), start=Fraction(0))
+
+
+def ref_bound_section(W, T, matrix) -> dict:
+    """The bound section summed term by term: |T[K][0]| over the 2k rows of
+    the dense T, and |kappa_K| of c* = (1, -1/k, ..., -1/k) over every
+    column of the expanded row 0 of W, with the q ones of each column."""
+    q, k = W.q, W.k
+    optimum = Fraction(q, 2 * q - 1)
+    t_sum = t_first_column_abs_sum(T.rows)
+    lower = matrix["right_inverse_identity"] and t_sum == 1 / optimum
+    r_conditions = {name: matrix["R_conditions"][name]["pass"] for name in ("R1", "R9")}
+    other = Fraction(-1, k)
+    max_abs_kappa = max(abs(w + other * (q - w)) for w in W.to_lists()[0])
+    attained = all(r_conditions.values()) and max_abs_kappa == optimum
+    return {
+        "optimum": optimum,
+        "threshold_2n": Fraction(1, 2 * q),
+        "lower_bound": {
+            "t_column_0_abs_sum": t_sum,
+            "right_inverse_identity": matrix["right_inverse_identity"],
+            "pass": lower,
+        },
+        "attained": {
+            "c_star": {"identity": Fraction(1), "other": other},
+            "max_abs_kappa": max_abs_kappa,
+            "R_conditions": r_conditions,
+            "pass": attained,
+        },
+        "pass": lower and attained and optimum > Fraction(1, 2 * q),
+    }
 
 
 def ref_rank_f2_rowspace(rows) -> int:

@@ -8,6 +8,7 @@ from multispinal import exact_linalg, groupoid
 from multispinal.certify import bound_section, groupoid_section, matrix_section
 from multispinal.exact_linalg import (
     InclusionMatrix,
+    RightInverse,
     build_T,
     build_W,
     check_R_conditions,
@@ -49,6 +50,7 @@ from reference import (
     ref_region_witness,
     ref_sg_multiply,
     ref_sg_multiply_full_reduction,
+    ref_bound_section,
     t_first_column_abs_sum,
 )
 
@@ -845,6 +847,25 @@ def test_bound_optimum_matches_generic_path(n):
         assert sample_bound_ratios(W, 1, 10000, 0)["min_ratio"] >= optimum
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bound_section_reads_no_entry(n, monkeypatch):
+    # both certificates are closed forms in T's two values: the term-by-term
+    # sums over row 0 of W and column 0 of T give the same document
+    ctx = field_context(n)
+    W = build_W(ctx)
+    T = build_T(ctx.q, W)
+    matrix = matrix_section(ctx, W, T)
+
+    def refuse(*args):
+        raise AssertionError("bound_section read a matrix entry")
+
+    for cls in (InclusionMatrix, RightInverse):
+        monkeypatch.setattr(cls, "entry", refuse)
+    section = bound_section(W, T, matrix)
+    assert section == ref_bound_section(W, T, matrix)
+    assert section["pass"] is True
+
+
 @pytest.mark.parametrize("i, col", [(0, 2), (0, 9), (5, 3), (7, 12)])
 def test_flipped_W_entry_fails_the_bound_section(g3, w3, i, col):
     # one wrong generating entry breaks W T = I: no rank is claimed, and the
@@ -853,6 +874,7 @@ def test_flipped_W_entry_fails_the_bound_section(g3, w3, i, col):
     T = build_T(bad.q, bad)
     matrix = matrix_section(g3.ctx, bad, T)
     section = bound_section(bad, T, matrix)
+    assert section == ref_bound_section(bad, T, matrix)
     assert section["pass"] is False
     assert section["lower_bound"]["pass"] is False or section["attained"]["pass"] is False
     assert matrix["right_inverse_identity"] is False and matrix["pass"] is False

@@ -1,7 +1,11 @@
+import json
 from itertools import combinations
 
 import pytest
 
+from multispinal import hyperplanes
+from multispinal.certify import certify, design_section
+from multispinal.exact_linalg import InclusionMatrix, check_R_conditions
 from multispinal.gf2n import field_context
 from multispinal.hyperplanes import (
     BaseBlock,
@@ -220,14 +224,13 @@ def field_planes_of(ctx, z):
     ]
 
 
-@pytest.mark.parametrize(
-    "positions, first_bad",
-    [
-        ((1, 2, 4, 6), (0, 2, 3)),  # Tr = 0 exponents {1, 2, 4} and one more: wrong size
-        ((0, 1, 4), (0, 2, 0)),  # right size, shift 2 misses
-    ],
-    ids=["wrong_size", "bad_shift"],
-)
+BAD_MASKS = {  # corrupted zero-trace masks at n = 3: positions -> first bad (0, d, count)
+    "wrong_size": ((1, 2, 4, 6), (0, 2, 3)),  # Tr = 0 exponents {1, 2, 4} and one more
+    "bad_shift": ((0, 1, 4), (0, 2, 0)),  # right size, shift 2 misses
+}
+
+
+@pytest.mark.parametrize("positions, first_bad", list(BAD_MASKS.values()), ids=list(BAD_MASKS))
 def test_verify_design_names_first_bad_shift(f8, positions, first_bad):
     z = mask_of(positions)
     assert f8.trace_zero_mask == mask_of((1, 2, 4))
@@ -238,6 +241,68 @@ def test_verify_design_names_first_bad_shift(f8, positions, first_bad):
     assert not ref_block_satisfies_r5(positions, 7, 1)
     with pytest.raises(DesignError):
         ref_verify_design(field_planes_of(f8, z), 3)
+
+
+def _rotated_W(q, z):
+    """An InclusionMatrix whose row 1 is z rotated by one place, the way
+    build_W rotates the zero-trace mask."""
+    k = 2 * q - 1
+    row1 = ((z >> 1) | (z << (k - 1))) & ((1 << k) - 1)
+    return InclusionMatrix(q, (1 << k) - 1, row1, tuple(str(i) for i in range(2 * q)))
+
+
+@pytest.mark.parametrize(
+    "n, positions, first_bad",
+    [(3, *case) for case in BAD_MASKS.values()] + [(2, (), None)],  # q = 2: every count 0, size 0
+    ids=[*BAD_MASKS, "empty"],
+)
+def test_design_section_fails_with_the_error_of_verify_design(n, positions, first_bad, monkeypatch, tmp_path):
+    # R5 on row 1 is verify_design on the unrotated mask: the design section
+    # fails with its error, and design --n scans the counts for the table
+    from multispinal import cli, exact_linalg
+
+    q = field_context(n).q
+    z = mask_of(positions)
+    W = _rotated_W(q, z)
+    with pytest.raises(DesignError) as err:
+        verify_design(z, q)
+    section = design_section(W, check_R_conditions(W))
+    assert (section["pass"], section["params"], section["error"]) == (False, None, str(err.value))
+    monkeypatch.setattr(exact_linalg, "build_W", lambda ctx: W)
+    out = tmp_path / "design.json"
+    assert cli.main(["design", "--n", str(n), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False and doc["error"] == str(err.value)
+    assert doc["pair_count_table"].get("first_violation") == (list(first_bad) if first_bad else None)
+
+
+def _count_scans(monkeypatch) -> list[int]:
+    """Record k for every shift_intersections scan started from now on."""
+    scans = []
+    real = hyperplanes.shift_intersections
+
+    def counted(mask, k):
+        scans.append(k)
+        return real(mask, k)
+
+    monkeypatch.setattr(hyperplanes, "shift_intersections", counted)
+    return scans
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_certify_scans_the_shift_counts_once(n, monkeypatch):
+    scans = _count_scans(monkeypatch)
+    assert certify(n)["verdict"] == "PASS"
+    assert scans == [2**n - 1]
+
+
+def test_design_command_scans_the_shift_counts_once(monkeypatch, capsys):
+    from multispinal import cli
+
+    scans = _count_scans(monkeypatch)
+    assert cli.main(["design", "--n", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["pair_count_table"]["observed_counts"] == {"15": 63 * 62 // 2}
+    assert scans == [63]
 
 
 def test_verify_design_rejects_masks_the_shifts_cannot_see():

@@ -28,6 +28,16 @@ def test_degree_reports_every_section_memory_and_verdict():
     assert result["vm_hwm_mb"] is None or result["vm_hwm_mb"] > 0
 
 
+def test_degree_restores_the_certify_step_names():
+    import multispinal.certify as certify_module
+
+    ladder = _ladder()
+    before = {name: getattr(certify_module, name) for name in ladder.STEPS.values()}
+    assert len(before) == 9
+    ladder.degree(6)
+    assert all(getattr(certify_module, name) is fn for name, fn in before.items())
+
+
 def test_query_pass_reports_loop_time_and_failures(monkeypatch):
     # the pass reads perfbench/ and tests/ relative to the checkout's root
     monkeypatch.chdir(ROOT)

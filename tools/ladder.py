@@ -4,8 +4,8 @@ per degree, n = 6 upwards, each in a fresh process.
     python3 tools/ladder.py --out BENCH.json [--root DIR] [--label NAME]
 
 DIR is the checkout whose source is measured (default: this one); its
-src/ is put on PYTHONPATH of every child.  A child builds the field, W
-and T, runs the six sections the way `multispinal certify` does, and
+src/ is put on PYTHONPATH of every child.  A child runs that checkout's
+multispinal.certify.certify(n) with its nine steps (STEPS) timed, and
 prints their seconds, its own peak resident memory (VmHWM) and the
 verdict.  It limits its address space to 1 GiB, so a degree that needs
 more fails with a MemoryError instead of taking the machine's memory.
@@ -46,6 +46,11 @@ N_MIN = 6
 QUERY_REPEATS = 5
 QUERY_SEED = 1  # the benchmark seed whose pass is timed
 SOURCE_DATE_EPOCH = "1700000000"
+STEPS = {  # the key each step is timed under -> its name in multispinal.certify
+    "context": "field_context", "build_W": "build_W", "build_T": "build_T",
+    "field": "field_section", "design": "design_section", "matrix": "matrix_section",
+    "nucleus": "nucleus_section", "groupoid": "groupoid_section", "bound": "bound_section",
+}
 
 
 def _vm_hwm_mb() -> float | None:
@@ -61,37 +66,43 @@ def _vm_hwm_mb() -> float | None:
 
 
 def degree(n: int) -> dict:
-    """Certify degree n section by section, in this process, and return
-    the seconds of each step, the peak memory and the verdict."""
-    from multispinal.certify import bound_section, design_section, groupoid_section, matrix_section, nucleus_section
-    from multispinal.exact_linalg import build_T, build_W
-    from multispinal.gf2n import field_context, field_section
-    from multispinal.selfsim import MultispinalGroup
+    """Certify degree n in this process with multispinal.certify.certify
+    and return the seconds of each step, the peak memory and the
+    document's verdict.
 
-    seconds = {}
+    Each name of STEPS in the certify module's namespace is wrapped with a
+    timer for the length of the call and restored after it, so the ladder
+    times certify's own wiring, whatever the steps' signatures are."""
+    import importlib
+
+    module = importlib.import_module("multispinal.certify")
+    originals = {key: getattr(module, name) for key, name in STEPS.items()}
+    seconds = dict.fromkeys(STEPS, 0.0)
+
+    def timed(key, fn):
+        def step(*args, **kwargs):
+            t = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[key] += time.perf_counter() - t
+
+        return step
+
     start = time.perf_counter()
-
-    def timed(name, fn, *args):
-        t = time.perf_counter()
-        value = fn(*args)
-        seconds[name] = round(time.perf_counter() - t, 4)
-        return value
-
-    ctx = timed("context", field_context, n)
-    group = MultispinalGroup(ctx)
-    W = timed("build_W", build_W, ctx)
-    T = timed("build_T", build_T, ctx.q, W)
-    sections = {"field": timed("field", field_section, ctx), "design": timed("design", design_section, ctx)}
-    matrix = sections["matrix"] = timed("matrix", matrix_section, ctx, W, T)
-    sections["nucleus"] = timed("nucleus", nucleus_section, group)
-    sections["groupoid"] = timed("groupoid", groupoid_section, group, (1, 2, 3), W, matrix)
-    sections["bound"] = timed("bound", bound_section, W, T, matrix)
+    try:
+        for key, fn in originals.items():
+            setattr(module, STEPS[key], timed(key, fn))
+        doc = module.certify(n)
+    finally:
+        for key, fn in originals.items():
+            setattr(module, STEPS[key], fn)
     return {
         "n": n,
-        "seconds": seconds,
+        "seconds": {key: round(s, 4) for key, s in seconds.items()},
         "total_s": round(time.perf_counter() - start, 4),
         "vm_hwm_mb": _vm_hwm_mb(),
-        "verdict": "PASS" if all(s["pass"] for s in sections.values()) else "FAIL",
+        "verdict": doc["verdict"],
     }
 
 
