@@ -14,7 +14,7 @@ import sys
 
 # each subcommand imports the modules it uses, so a process loads only
 # its own subcommand's share of the package
-from .gf2n import field_context, field_section
+from .gf2n import DEFAULT_POLYS, field_context, field_section
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -83,7 +83,7 @@ def cmd_design(args) -> int:
             "q": args.search_q,
             "k": 2 * args.search_q - 1,
             "count": len(blocks),
-            "blocks": [list(b.sorted_positions()) for b in blocks],
+            "blocks": [[p for p in range(2 * args.search_q - 1) if mask >> p & 1] for mask in blocks],
         }
         _emit_json(doc, args.out)
         return 0
@@ -299,6 +299,9 @@ def main(argv=None) -> int:
         parser.error("certify --all covers the stock polynomials of --n-min..--n-max; it takes neither --n nor --poly")
     if args.command == "certify" and args.all and args.n_min > args.n_max:
         parser.error(f"certify --all needs --n-min <= --n-max, got {args.n_min} > {args.n_max}")
+    low, high = min(DEFAULT_POLYS), max(DEFAULT_POLYS)
+    if args.command == "certify" and args.all and (args.n_min < low or args.n_max > high):
+        parser.error(f"certify --all has stock polynomials for degrees {low}..{high}, got {args.n_min}..{args.n_max}")
     try:
         return args.func(args)
     except ValueError as err:

@@ -53,7 +53,7 @@ from math import lcm
 
 from ._record import Record, slot_setters
 from .gf2n import FieldContext, _factor
-from .hyperplanes import BaseBlock, block_satisfies_r5, membership_profile
+from .hyperplanes import block_satisfies_r5, membership_profile
 
 
 class InclusionMatrix(Record):
@@ -134,14 +134,16 @@ def build_W(ctx: FieldContext) -> InclusionMatrix:
     return InclusionMatrix(ctx.q, (1 << k) - 1, membership_profile(ctx, ctx.pow_alpha(1)), row_labels)
 
 
-def build_W_general(block: BaseBlock) -> InclusionMatrix:
-    """Matrix built purely from a base block by the rules R1-R4."""
-    q = block.q
-    seed = sum(1 << p for p in block.positions)
-    if not block_satisfies_r5(seed, q):
+def build_W_general(q: int, mask: int) -> InclusionMatrix:
+    """Matrix built purely from a base block by the rules R1-R4: mask is
+    the block in Z_k, k = 2q - 1 (bit p set iff p is in it), and becomes
+    row 1.  Raises ValueError unless the block passes R5
+    (block_satisfies_r5): q - 1 of the k bits, and every shift count
+    q/2 - 1."""
+    if not block_satisfies_r5(mask, q):
         raise ValueError("base block violates the shift-intersection condition (R5)")
     row_labels = ("0",) + tuple(f"r{i}" for i in range(1, 2 * q))
-    return InclusionMatrix(q, (1 << block.k) - 1, seed, row_labels)  # R1: row 0 is in every subgroup
+    return InclusionMatrix(q, (1 << (2 * q - 1)) - 1, mask, row_labels)  # R1: row 0 is in every subgroup
 
 
 class RightInverse(Record):
@@ -162,9 +164,6 @@ class RightInverse(Record):
     def shape(self) -> tuple[int, int]:
         nrows, ncols = self.W.shape
         return (ncols, nrows)
-
-    def entry(self, j: int, i: int) -> Fraction:
-        return self.a if self.W.entry(i, j) else self.b
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:

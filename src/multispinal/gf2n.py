@@ -309,12 +309,6 @@ class FieldContext:
         """alpha^j for any integer j (reduced mod 2^n - 1)."""
         return self.power_table[j % self.k]
 
-    def log(self, x: int) -> int:
-        """Discrete log base alpha of a nonzero element."""
-        if x == 0:
-            raise ValueError("0 has no discrete log")
-        return self.discrete_log[x]
-
     def trace(self, x: int) -> int:
         """Tr(x) = x + x^2 + ... + x^(2^(n-1)), a value in {0, 1}."""
         self._check(x)

@@ -35,7 +35,7 @@ from math import lcm
 from ._record import Record, slot_setters
 from .exact_linalg import InclusionMatrix
 from .gf2n import FieldContext
-from .selfsim import STATE_A, GroupElement, MultispinalGroup, _join, _reduce
+from .selfsim import STATE_A, MultispinalGroup, _join, _reduce
 
 
 class _Zero:
@@ -58,7 +58,7 @@ ZERO = _Zero()
 class SemigroupTriple(Record):
     __slots__ = ("eta", "g", "mu")
 
-    def __init__(self, eta: str, g: GroupElement, mu: str) -> None:
+    def __init__(self, eta: str, g: tuple, mu: str) -> None:
         _set_eta(self, eta)
         _set_g(self, g)
         _set_mu(self, mu)
@@ -173,18 +173,6 @@ class RegionSearchError(RuntimeError):
 # -- inverse semigroup --------------------------------------------------
 
 
-def _times(group: MultispinalGroup, g: GroupElement, u: tuple, h: GroupElement, v: tuple) -> GroupElement:
-    """The element u v, u a word of g and v a word of h: g or h itself
-    when the other side is empty and the word is its own, else the seam
-    join of the two normal forms, the group's identity when they cancel."""
-    if not v:
-        return g if u is g.factors else GroupElement(u)
-    if not u:
-        return h if v is h.factors else GroupElement(v)
-    w = _join(u, v)
-    return GroupElement(w) if w else group.identity
-
-
 def sg_multiply(group: MultispinalGroup, s, t):
     """Product in the inverse semigroup; Zero absorbs."""
     if s is ZERO or t is ZERO:
@@ -194,11 +182,11 @@ def sg_multiply(group: MultispinalGroup, s, t):
     # each branch walks eps once for both the image and the restriction;
     # the inverse of a word is the reversed word
     if gamma.startswith(mu):
-        image, rest = group._walk(g.factors, gamma[len(mu):])
-        return SemigroupTriple(eta + image, _times(group, g, rest, h, h.factors), nu)
+        image, rest = group._walk(g, gamma[len(mu):])
+        return SemigroupTriple(eta + image, _join(rest, h), nu)
     if mu.startswith(gamma):
-        image, rest = group._walk(h.factors[::-1], mu[len(gamma):])
-        return SemigroupTriple(eta, _times(group, g, g.factors, h, rest[::-1]), nu + image)
+        image, rest = group._walk(h[::-1], mu[len(gamma):])
+        return SemigroupTriple(eta, _join(g, rest[::-1]), nu + image)
     return ZERO
 
 
@@ -217,7 +205,7 @@ def sg_equal(group: MultispinalGroup, s, t) -> bool:
     if s is ZERO or t is ZERO:
         return False
     g, h = s.g, t.g
-    return s.eta == t.eta and s.mu == t.mu and (g.factors == h.factors or group.equal(g, h))
+    return s.eta == t.eta and s.mu == t.mu and (g == h or group.equal(g, h))
 
 
 def is_idempotent(group: MultispinalGroup, s) -> bool:
@@ -229,7 +217,7 @@ def is_idempotent(group: MultispinalGroup, s) -> bool:
 # -- germs ---------------------------------------------------------------
 
 
-def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail: Tail) -> bool:
+def germ_equal(group: MultispinalGroup, g1: tuple, g2: tuple, tail: Tail) -> bool:
     """Whether [(empty, g1, empty), tail] and [(empty, g2, empty), tail]
     are the same germ.
 
@@ -255,7 +243,7 @@ def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail
     iff Tr(alpha^r x) = Tr(alpha^r y), with 0 for e.
     """
     step = group._step
-    u, v = g1.factors, g2.factors
+    u, v = g1, g2
     pos = 0
     while len(u) > 1 or len(v) > 1:
         ch = tail.letter(pos)
@@ -279,7 +267,7 @@ def germ_equal(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, tail
     return tu == tv
 
 
-def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: GroupElement, m: int) -> bool:
+def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: tuple, m: int) -> bool:
     """Whether a germ point lies in U_m(z_h).
 
     Supported for points carried by triples (empty, g, empty) - every
@@ -293,7 +281,7 @@ def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: GroupElemen
     return germ_equal(group, t.g, h, point.tail)
 
 
-def intersect_witness(group: MultispinalGroup, g1: GroupElement, g2: GroupElement, m: int) -> str:
+def intersect_witness(group: MultispinalGroup, g1: tuple, g2: tuple, m: int) -> str:
     """A word 1^(m+m') 0 witnessing that U_m(z_g1) and U_m(z_g2) intersect.
 
     m' is the least shift making m + m' land on an index j with the
@@ -322,12 +310,12 @@ def intersect_witness(group: MultispinalGroup, g1: GroupElement, g2: GroupElemen
     raise RegionSearchError(f"no witness for elements {x1}, {x2} at m={m}")
 
 
-def _directed_value(g: GroupElement) -> int:
+def _directed_value(g: tuple) -> int:
     """Field element of a purely directed group element (no letter swaps)."""
     acc = 0
-    for s in g.factors:
+    for s in g:
         if s[0] != "b":
-            raise ValueError(f"element contains the swap generator: {g.factors}")
+            raise ValueError(f"element contains the swap generator: {g}")
         acc ^= s[1]
     return acc
 

@@ -12,36 +12,21 @@ therefore certify the design: verify_design returns its parameters as
 the tuple (v, block_size, lam).  They are also the shift condition R5
 on a base block (block_satisfies_r5), and certify scans them once, in
 R5 of W (certify.design_section says why).
+
+A base block, a (q-1)-subset of Z_k whose k - 1 shift counts are all
+q/2 - 1, is held as its k-bit mask, bit p set iff p is in the block:
+extract_base_block returns the field's (the zero-trace mask rotated by
+one place), search_base_blocks every one for a given q, and
+exact_linalg.build_W_general builds W from one.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from ._record import Record, slot_setters
 from .gf2n import FieldContext
 
 SEARCH_Q_CAP = 10  # C(19, 9) ~ 92k subsets at q = 10, and about 15 times that at q = 12
-
-
-class BaseBlock(Record):
-    """A (q-1)-subset of Z_(2q-1) with constant shift-intersection q/2 - 1."""
-
-    __slots__ = ("q", "positions")
-
-    def __init__(self, q: int, positions: frozenset[int]) -> None:
-        _set_q(self, q)
-        _set_positions(self, positions)
-
-    @property
-    def k(self) -> int:
-        return 2 * self.q - 1
-
-    def sorted_positions(self) -> tuple[int, ...]:
-        return tuple(sorted(self.positions))
-
-
-_set_q, _set_positions = slot_setters(BaseBlock)
 
 
 class DesignError(ValueError):
@@ -139,16 +124,18 @@ def verify_design(z: int, q: int) -> tuple[int, int, int]:
     return (k, q - 1, lam)
 
 
-def extract_base_block(ctx: FieldContext) -> BaseBlock:
-    """The block {j : alpha in H_j} as a subset of Z_k (0-based indices)."""
+def extract_base_block(ctx: FieldContext) -> int:
+    """The mask of the block {j : alpha in H_j} in Z_k: bit j is set iff
+    alpha lies in H_j."""
     prof = membership_profile(ctx, ctx.pow_alpha(1))
     if not block_satisfies_r5(prof, ctx.q):
         raise AssertionError("field-derived block violates the shift condition")
-    return BaseBlock(q=ctx.q, positions=frozenset(j for j in range(ctx.k) if (prof >> j) & 1))
+    return prof
 
 
-def search_base_blocks(q: int) -> list[BaseBlock]:
-    """Exhaustive search for all valid base blocks of a given even q.
+def search_base_blocks(q: int) -> list[int]:
+    """Exhaustive search for all valid base blocks of a given even q, as
+    masks (bit p set iff position p is in the block).
 
     Scans every (q-1)-subset of Z_(2q-1); results come back in
     lexicographic order of sorted positions and are closed under cyclic
@@ -162,14 +149,4 @@ def search_base_blocks(q: int) -> list[BaseBlock]:
         raise ValueError(f"q={q} exceeds search cap {SEARCH_Q_CAP}")
     # subsets of the bits 1 << p come in the order of subsets of the p
     bits = [1 << p for p in range(2 * q - 1)]
-    return [
-        BaseBlock(q=q, positions=frozenset(b.bit_length() - 1 for b in subset))
-        for subset in combinations(bits, q - 1)
-        if block_satisfies_r5(sum(subset), q)
-    ]
-
-
-def shift_block(block: BaseBlock, r: int) -> BaseBlock:
-    """Cyclic shift of a base block by r positions."""
-    k = block.k
-    return BaseBlock(q=block.q, positions=frozenset((p + r) % k for p in block.positions))
+    return [mask for mask in map(sum, combinations(bits, q - 1)) if block_satisfies_r5(mask, q)]

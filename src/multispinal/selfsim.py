@@ -8,8 +8,9 @@ States of the nucleus automaton:
           restriction under '1' is b(alpha*x), under '0' it is
           a when Tr(x) = 1 and e otherwise
 
-b(0) is identified with e at construction.  Group elements are finite
-products of states (leftmost factor acts last).  Two identities hold in
+b(0) is identified with e at construction.  A group element is a word,
+the tuple of its states, leftmost factor acting last: e is (), a is
+(("a",),) and b(x) is (("b", x),).  Two identities hold in
 every such group, the same as for Grigorchuk's {b, c, d}:
 
     b(x) b(y) = b(x + y)        a a = e
@@ -18,8 +19,10 @@ every such group, the same as for Grigorchuk's {b, c, d}:
 coordinate-wise, since alpha*(x + y) = alpha*x + alpha*y and the trace
 is additive).  Words are therefore kept in normal form: no e, no a a,
 no two neighbouring directed states, so a word alternates between a and
-b(x).  element, multiply and restriction return normal forms, and a
-hand-built word is reduced by the first restriction applied to it.
+b(x).  identity, gen_a, element, iota, multiply, inverse and restrict
+return normal forms, and a hand-built tuple is reduced by the first
+restriction applied to it.  == and hash of tuples are syntactic;
+equal is the semantic test.
 The product of two normal forms is rewritten only at the seam (_join):
 a a cancels inward, and a merged b(x + y) sits between two a's, so the
 cascade stops there.  Since every generator is an involution, the
@@ -57,7 +60,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._record import Record, slot_setters
 from .gf2n import FieldContext
 
 STATE_E = ("e",)
@@ -110,22 +112,6 @@ def _join(u: tuple, v: tuple) -> tuple:
     return u[:i] + v[j:]
 
 
-class GroupElement(Record):
-    """A word in nucleus states.  == and hash are syntactic (factor tuples);
-    semantic equality lives in MultispinalGroup.equal."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple) -> None:
-        _set_factors(self, factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-
-(_set_factors,) = slot_setters(GroupElement)
-
-
 class MultispinalGroup:
     """Automaton, action, restriction and decidable equality for one field."""
 
@@ -133,8 +119,8 @@ class MultispinalGroup:
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
-        self.identity = GroupElement(())
-        self.gen_a = GroupElement((STATE_A,))
+        self.identity = ()
+        self.gen_a = (STATE_A,)
 
     # -- states ---------------------------------------------------------
 
@@ -165,21 +151,21 @@ class MultispinalGroup:
 
     # -- elements ---------------------------------------------------------
 
-    def element(self, *states) -> GroupElement:
-        return GroupElement(_reduce(states))
+    def element(self, *states) -> tuple:
+        return _reduce(states)
 
-    def iota(self, x: int) -> GroupElement:
+    def iota(self, x: int) -> tuple:
         """Embedding of the additive group: field element -> directed state."""
         self.ctx._check(x)
-        return GroupElement((("b", x),) if x else ())
+        return (("b", x),) if x else ()
 
-    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return GroupElement(_reduce(g.factors + h.factors))
+    def multiply(self, g: tuple, h: tuple) -> tuple:
+        return _reduce(g + h)
 
-    def inverse(self, g: GroupElement) -> GroupElement:
+    def inverse(self, g: tuple) -> tuple:
         # every nucleus state is an involution, so reversing suffices,
         # and a word of at most one factor is its own inverse
-        return g if len(g.factors) <= 1 else GroupElement(g.factors[::-1])
+        return g if len(g) <= 1 else g[::-1]
 
     def _step(self, factors: tuple, ch: str) -> tuple[tuple, str]:
         """(restriction along ch, output letter): the one-letter case of
@@ -217,26 +203,22 @@ class MultispinalGroup:
         # the reversed word is the reverse of the normal form
         return word, _reduce(rest)[::-1]
 
-    def act(self, g: GroupElement, word: str) -> str:
+    def act(self, g: tuple, word: str) -> str:
         """Image of a finite word; length-preserving."""
-        return self._walk(g.factors, word)[0]
+        return self._walk(g, word)[0]
 
-    def act_letter(self, g: GroupElement, ch: str) -> str:
-        return self._walk(g.factors, ch)[0]
-
-    def restrict(self, g: GroupElement, word: str) -> GroupElement:
+    def restrict(self, g: tuple, word: str) -> tuple:
         """g|_word."""
-        return GroupElement(self._walk(g.factors, word)[1])
+        return self._walk(g, word)[1]
 
     # -- semantic equality ------------------------------------------------
 
-    def equal(self, g: GroupElement, h: GroupElement) -> bool:
+    def equal(self, g: tuple, h: tuple) -> bool:
         """True iff g and h act identically on every finite word.
 
         Decided by contraction: g = h iff g h^-1 = e, and h^-1 is h
         reversed, since every state is an involution."""
-        u, v = g.factors, h.factors
-        return u == v or self._trivial(_reduce(u + v[::-1]))
+        return g == h or self._trivial(_reduce(g + h[::-1]))
 
     def _trivial(self, w: tuple) -> bool:
         """Whether the word w, in normal form, is the identity.
@@ -254,7 +236,7 @@ class MultispinalGroup:
         rest, image = self._step(w, "0")
         return image == "0" and self._trivial(rest) and self._trivial(self._step(w, "1")[0])
 
-    def in_nucleus(self, g: GroupElement):
+    def in_nucleus(self, g: tuple):
         """The nucleus state g is equal to, or None.
 
         A normal form of at most one factor is a nucleus state already.
@@ -262,20 +244,20 @@ class MultispinalGroup:
         states sum their field elements, so the XOR of directed parts (or
         a, when the element swaps) is checked before the full scan.
         """
-        reduced = _reduce(g.factors)
+        reduced = _reduce(g)
         if len(reduced) <= 1:
             return reduced[0] if reduced else STATE_E
-        swaps = self.act_letter(g, "0") != "0"
+        swaps = self.act(g, "0") != "0"
         if swaps:
             if self.equal(g, self.gen_a):
                 return STATE_A
             return None
         acc = 0
-        for s in g.factors:
+        for s in g:
             if s[0] == "b":
                 acc ^= s[1]
         guess = directed_state(acc)
-        if self.equal(g, GroupElement(() if guess == STATE_E else (guess,))):
+        if self.equal(g, self.element(guess)):
             return guess
         for s in self.nucleus_states:
             if s == STATE_A or s == guess:

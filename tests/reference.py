@@ -587,11 +587,11 @@ def ref_sg_multiply_full_reduction(group, s, t):
     if s is ZERO or t is ZERO:
         return ZERO
     if t.eta.startswith(s.mu):
-        image, rest = group._walk(s.g.factors, t.eta[len(s.mu):])
-        return SemigroupTriple(s.eta + image, group.element(*rest, *t.g.factors), t.mu)
+        image, rest = group._walk(s.g, t.eta[len(s.mu):])
+        return SemigroupTriple(s.eta + image, group.element(*rest, *t.g), t.mu)
     if s.mu.startswith(t.eta):
-        image, rest = group._walk(t.g.factors[::-1], s.mu[len(t.eta):])
-        return SemigroupTriple(s.eta, group.element(*s.g.factors, *rest[::-1]), t.mu + image)
+        image, rest = group._walk(t.g[::-1], s.mu[len(t.eta):])
+        return SemigroupTriple(s.eta, group.element(*s.g, *rest[::-1]), t.mu + image)
     return ZERO
 
 

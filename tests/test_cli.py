@@ -154,6 +154,22 @@ def test_certify_all_rejects_empty_range():
     assert "--n-min <= --n-max" in res.stderr
 
 
+@pytest.mark.parametrize("n_min, n_max", [(1, 3), (2, 21)])
+def test_certify_all_rejects_degrees_without_a_stock_polynomial(n_min, n_max, monkeypatch, capsys):
+    # the range is checked before the first degree is certified
+    import multispinal.certify as certify_module
+    from multispinal import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify ran")
+
+    monkeypatch.setattr(certify_module, "certify", refuse)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["certify", "--all", "--n-min", str(n_min), "--n-max", str(n_max)])
+    assert err.value.code == 2
+    assert f"stock polynomials for degrees 2..20, got {n_min}..{n_max}" in capsys.readouterr().err
+
+
 def test_certify_submodule_is_reachable():
     import multispinal
     import multispinal.certify as certify_module
@@ -199,7 +215,7 @@ def test_lazy_exports_resolve():
     script = """
 import inspect, multispinal
 names = multispinal.__all__
-assert len(names) == len(set(names)) == 42, names
+assert len(names) == len(set(names)) == 40, names
 assert all(hasattr(multispinal, name) for name in names)
 star = {}
 exec("from multispinal import *", star)

@@ -22,12 +22,13 @@ from multispinal.exact_linalg import (
     verify_right_inverse,
 )
 from multispinal.gf2n import _factor, field_context
-from multispinal.hyperplanes import BaseBlock, extract_base_block, search_base_blocks
+from multispinal.hyperplanes import extract_base_block, search_base_blocks
 
 from reference import (
     RefField,
     identity_rational,
     multiply_rational,
+    ref_block_satisfies_r5,
     ref_check_R_conditions,
     ref_hyperplane_membership,
     ref_is_right_inverse,
@@ -224,33 +225,32 @@ def test_certify_15_fits_in_256_MiB():
 
 
 def test_build_W_general_reproduces_W2():
-    W = build_W_general(BaseBlock(q=2, positions=frozenset({2})))
+    W = build_W_general(2, 0b100)
     assert W.to_lists() == W2_GRID
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_build_W_general_matches_field_matrix(n):
     ctx = field_context(n)
-    general = build_W_general(extract_base_block(ctx))
+    general = build_W_general(ctx.q, extract_base_block(ctx))
     assert general.rows == build_W(ctx).rows
 
 
 def test_build_W_general_first_row_block_independent():
-    rows = {build_W_general(b).rows[0] for b in
-            (BaseBlock(2, frozenset({0})), BaseBlock(2, frozenset({1})), BaseBlock(2, frozenset({2})))}
+    rows = {build_W_general(2, mask).rows[0] for mask in (0b001, 0b010, 0b100)}
     assert len(rows) == 1
 
 
 def test_build_W_general_rejects_bad_block():
     with pytest.raises(ValueError):
-        build_W_general(BaseBlock(q=4, positions=frozenset({0, 1, 2})))
+        build_W_general(4, 0b111)
     # position 5 lies outside Z_3, though its shift counts read lambda = 0
     with pytest.raises(ValueError):
-        build_W_general(BaseBlock(q=2, positions=frozenset({5})))
+        build_W_general(2, 1 << 5)
 
 
 def test_build_W_general_q4_passes_R(f8):
-    W = build_W_general(extract_base_block(f8))
+    W = build_W_general(4, extract_base_block(f8))
     assert W.shape == (8, 14)
     assert all(c["pass"] for c in check_R_conditions(W).values())
 
@@ -397,12 +397,15 @@ def test_theorem_verdict_equals_the_gram_on_field_matrices(n):
 
 @pytest.mark.parametrize("q, count", [(2, 3), (4, 14), (6, 22), (8, 30)])
 def test_theorem_premise_gives_the_gram_on_every_base_block(q, count):
-    # every block the search finds passes R1-R9, and build_T's T is then a
-    # right inverse by the Gram identity, as the theorem says
+    # every block the search finds passes R1-R9 and the reference shift
+    # counts, and build_T's T is then a right inverse by the Gram
+    # identity, as the theorem says
     blocks = search_base_blocks(q)
     assert len(blocks) == count
     for block in blocks:
-        W = build_W_general(block)
+        positions = [p for p in range(2 * q - 1) if block >> p & 1]
+        assert ref_block_satisfies_r5(positions, 2 * q - 1, q // 2 - 1), block
+        W = build_W_general(q, block)
         assert all(c["pass"] for c in check_R_conditions(W).values()), block
         assert verify_right_inverse(W, build_T(q, W)), block
 

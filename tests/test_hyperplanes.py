@@ -8,14 +8,12 @@ from multispinal.certify import certify, design_section
 from multispinal.exact_linalg import InclusionMatrix, check_R_conditions
 from multispinal.gf2n import field_context
 from multispinal.hyperplanes import (
-    BaseBlock,
     DesignError,
     block_satisfies_r5,
     build_hyperplanes,
     extract_base_block,
     membership_profile,
     search_base_blocks,
-    shift_block,
     shift_intersections,
     verify_design,
 )
@@ -48,6 +46,11 @@ def members(mask):
 
 def mask_of(positions):
     return sum(1 << p for p in positions)
+
+
+def rotated(mask, r, k):
+    """A block mask in Z_k shifted by r places: position p goes to p + r mod k."""
+    return ((mask << r) | (mask >> (k - r))) & ((1 << k) - 1)
 
 
 def test_degree2_subgroups_match_worked_example(f4):
@@ -324,27 +327,27 @@ def test_field_planes_rebuilt_from_the_mask_are_the_hyperplanes(n):
 
 
 def test_extract_base_block_degree2(f4):
-    assert extract_base_block(f4).sorted_positions() == (2,)
+    assert extract_base_block(f4) == 0b100
 
 
 def test_extract_base_block_degree3(f8):
     block = extract_base_block(f8)
-    pos = block.sorted_positions()
+    pos = members(block)
     assert len(pos) == 3
     for d in range(1, 7):
-        hits = sum(1 for p in pos if (p + d) % 7 in block.positions)
+        hits = sum(1 for p in pos if block >> (p + d) % 7 & 1)
         assert hits == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_extract_base_block_size(n):
     ctx = field_context(n)
-    assert len(extract_base_block(ctx).positions) == ctx.q - 1
+    assert extract_base_block(ctx).bit_count() == ctx.q - 1
 
 
 def test_search_q2_exactly_three_singletons():
     blocks = search_base_blocks(2)
-    assert sorted(b.sorted_positions() for b in blocks) == [(0,), (1,), (2,)]
+    assert sorted(members(b) for b in blocks) == [[0], [1], [2]]
 
 
 def test_search_odd_q_rejected():
@@ -356,17 +359,17 @@ def test_search_q4_contains_field_block_up_to_shift(f8):
     blocks = search_base_blocks(4)
     assert blocks
     field_block = extract_base_block(f8)
-    shifts = {shift_block(field_block, r).positions for r in range(7)}
-    assert any(b.positions in shifts for b in blocks)
+    shifts = {rotated(field_block, r, 7) for r in range(7)}
+    assert any(b in shifts for b in blocks)
 
 
 def test_search_results_closed_under_cyclic_shift():
     for q in (2, 4):
-        found = {b.positions for b in search_base_blocks(q)}
-        for positions in found:
-            block = BaseBlock(q=q, positions=positions)
-            for r in range(block.k):
-                assert shift_block(block, r).positions in found
+        k = 2 * q - 1
+        found = set(search_base_blocks(q))
+        for mask in found:
+            for r in range(k):
+                assert rotated(mask, r, k) in found
 
 
 @pytest.mark.parametrize("p", [11, 19])
@@ -381,8 +384,8 @@ def test_search_finds_exactly_the_paley_blocks(p):
     }
     blocks = search_base_blocks((p + 1) // 2)
     assert len(blocks) == len(translates) == 2 * p
-    assert {b.positions for b in blocks} == translates
-    assert [b.sorted_positions() for b in blocks] == sorted(b.sorted_positions() for b in blocks)
+    assert set(blocks) == {mask_of(t) for t in translates}
+    assert [members(b) for b in blocks] == sorted(members(b) for b in blocks)
 
 
 def test_search_cap():
@@ -393,11 +396,7 @@ def test_search_cap():
 def test_block_satisfies_r5_strong_equals_weak():
     # the d and k-d intersection counts coincide, so checking shifts
     # 1..q-1 already decides the full range; verify on the q=4 results
-    for b in search_base_blocks(4):
-        k = b.k
-        lam = b.q // 2 - 1
-        weak = all(
-            sum(1 for p in b.positions if (p + d) % k in b.positions) == lam
-            for d in range(1, b.q)
-        )
-        assert weak == block_satisfies_r5(mask_of(b.positions), b.q)
+    q, k, lam = 4, 7, 1
+    for b in search_base_blocks(q):
+        weak = all(sum(1 for p in members(b) if b >> (p + d) % k & 1) == lam for d in range(1, q))
+        assert weak == block_satisfies_r5(b, q)

@@ -68,6 +68,36 @@ def test_contexts_run_one_child_per_degree_up_to_the_cap(monkeypatch):
     assert ladder.contexts(ROOT, ladder.CONTEXT_N_MAX + 1) == []
 
 
+def test_ladder_runs_each_degree_repeats_times_and_reports_the_medians(monkeypatch):
+    # the children are stood in for: the matrix step reads 3, 1 and 2 s
+    # over a degree's runs, and the third degree fails on its second run
+    ladder = _ladder()
+    first = ladder.N_MIN
+    calls = []
+
+    def run(argv, root, timeout):
+        n = int(argv[argv.index("--child") + 1])
+        calls.append(n)
+        r = calls.count(n) - 1
+        seconds = dict.fromkeys(ladder.STEPS, 0.25) | {"matrix": (3.0, 1.0, 2.0)[r]}
+        verdict = "FAIL" if (n, r) == (first + 2, 1) else "PASS"
+        line = {"n": n, "seconds": seconds, "total_s": 4.0 + r, "vm_hwm_mb": 50.0, "verdict": verdict}
+        return (0.5, 0.9, 0.7)[r], subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n", stderr="")
+
+    monkeypatch.setattr(ladder, "_timed_run", run)
+    rungs = ladder.ladder(ROOT)
+    assert ladder.REPEATS == 3
+    assert calls == [first] * 3 + [first + 1] * 3 + [first + 2] * 2
+    assert [(r["n"], len(r["runs"]), r["verdict"]) for r in rungs] == [
+        (first, 3, "PASS"), (first + 1, 3, "PASS"), (first + 2, 2, "FAIL"),
+    ]
+    assert [run["wall_s"] for run in rungs[0]["runs"]] == [0.5, 0.9, 0.7]
+    median = rungs[0]["median"]
+    assert median["seconds"] == dict.fromkeys(ladder.STEPS, 0.25) | {"matrix": 2.0}
+    assert (median["total_s"], median["wall_s"], median["vm_hwm_mb"]) == (5.0, 0.7, 50.0)
+    assert rungs[2]["median"]["seconds"]["matrix"] == 2.0  # the median of 3 and 1
+
+
 def test_context_child_prints_its_cost():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

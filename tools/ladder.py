@@ -1,5 +1,5 @@
-"""Degree ladder: per-section seconds and peak memory of one certificate
-per degree, n = 6 upwards, each in a fresh process.
+"""Degree ladder: per-section seconds and peak memory of REPEATS
+certificates per degree, n = 6 upwards, each in a fresh process.
 
     python3 tools/ladder.py --out BENCH.json [--root DIR] [--label NAME]
 
@@ -9,13 +9,17 @@ multispinal.certify.certify(n) with its nine steps (STEPS) timed, and
 prints their seconds, its own peak resident memory (VmHWM) and the
 verdict.  It limits its address space to 1 GiB, so a degree that needs
 more fails with a MemoryError instead of taking the machine's memory.
-The ladder stops at the first degree whose child takes longer than
-BUDGET_S (it is killed there) or does not PASS; past the largest degree
-a field context supports, the child fails with a ValueError.  From the
-degree where it stopped (the next one, if that still passed) up to
-CONTEXT_N_MAX, a fresh child per degree times field_context(n) alone and
-reports its peak memory, so the field's table cost is tracked past the
-certificate's reach.
+Each degree runs its child REPEATS times and records every run and the
+median of each step, of the total, the wall time and the peak memory:
+one run per side cannot resolve a change of less than about half the
+n = 18 total, whose matrix section alone has read 36 to 54 s on one
+host.  The ladder stops at the first degree with a run that takes
+longer than BUDGET_S (it is killed there) or does not PASS; past the
+largest degree a field context supports, the child fails with a
+ValueError.  From the degree where it stopped (the next one, if that
+still passed) up to CONTEXT_N_MAX, a fresh child per degree times
+field_context(n) alone and reports its peak memory, so the field's
+table cost is tracked past the certificate's reach.
 
 The record also holds the query path: one seeded pass of the
 benchmark's semigroup_queries loop (perfbench/workloads.run_queries,
@@ -38,6 +42,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 ADDRESS_SPACE_LIMIT = 1 << 30
 BUDGET_S = 120.0
@@ -45,6 +50,7 @@ CONTEXT_N_MAX = 20  # gf2n.MAX_CONTEXT_DEGREE
 N_MIN = 6
 QUERY_REPEATS = 5
 QUERY_SEED = 1  # the benchmark seed whose pass is timed
+REPEATS = 3  # certificate runs per degree, each in a fresh child
 SOURCE_DATE_EPOCH = "1700000000"
 STEPS = {  # the key each step is timed under -> its name in multispinal.certify
     "context": "field_context", "build_W": "build_W", "build_T": "build_T",
@@ -186,11 +192,35 @@ def _spawn(flag: str, n: int, root: Path) -> dict:
     return result
 
 
+def _passed(run: dict) -> bool:
+    return run["verdict"] == "PASS" and run["wall_s"] <= BUDGET_S
+
+
+def rung(n: int, root: Path) -> dict:
+    """Up to REPEATS children of degree n, stopping after the first that
+    does not pass, with the median of each value over the runs that
+    report it.  The verdict is the last run's."""
+    runs = []
+    while len(runs) < REPEATS and (not runs or _passed(runs[-1])):
+        runs.append(_spawn("--child", n, root))
+    timed = [run for run in runs if "seconds" in run]
+    medians = {}
+    if timed:
+        medians["seconds"] = {key: round(median(run["seconds"][key] for run in timed), 4) for key in STEPS}
+    for key in ("total_s", "wall_s", "vm_hwm_mb"):
+        values = [run[key] for run in timed if run.get(key) is not None]
+        if values:
+            medians[key] = round(median(values), 4)
+    return {"n": n, "runs": runs, "median": medians, "verdict": runs[-1]["verdict"]}
+
+
 def ladder(root: Path) -> list[dict]:
+    """One rung per degree from N_MIN, up to the first with a run that
+    does not pass."""
     rungs = []
     for n in itertools.count(N_MIN):
-        rungs.append(_spawn("--child", n, root))
-        if rungs[-1]["verdict"] != "PASS" or rungs[-1]["wall_s"] > BUDGET_S:
+        rungs.append(rung(n, root))
+        if not all(map(_passed, rungs[-1]["runs"])):
             break
     return rungs
 
