@@ -72,8 +72,8 @@ def right_inverse_identity(W: InclusionMatrix, T: RightInverse, all_r: bool) -> 
 
     When R1-R9 pass (all_r) and T is build_T's T over this W, W T = I is
     read from them (the base-block theorem).  W is the circulant of its
-    rows 0 and 1 by construction (R3, R4), and R1, R2 and R5 make row 0
-    the k subgroup columns and row 1 + r the base block B rotated by r
+    row 1 by construction (R1, R3, R4): row 0 is the k subgroup columns,
+    and R2 and R5 make row 1 + r the base block B rotated by r
     with its complement mirrored, |B| = q - 1, where B meets each of its
     k - 1 rotations in c = q/2 - 1 bits.
     So every row has k ones, row 0 meets each other row in q - 1 ones,
@@ -217,12 +217,12 @@ def certify(
         raise ValueError(f"m_values must be nonempty and distinct, got {list(m_values)}")
     ctx = field_context(n, poly)
     group = MultispinalGroup(ctx)
-    # W and T are built once, W as its rows 0 and 1 and T as its two
+    # W and T are built once, W as its base block and T as its two
     # values over W, and no section expands W; the matrix section's R5 is
     # the one pass over the k - 1 shift counts, whose verdict the design
     # section reads, and every later section reads the matrix verdicts
     W = build_W(ctx)
-    T = build_T(ctx.q, W)
+    T = build_T(W)
     matrix = matrix_section(ctx, W, T)
     sections = {
         "field": field_section(ctx),

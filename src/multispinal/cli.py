@@ -19,8 +19,11 @@ from .gf2n import DEFAULT_POLYS, field_context, field_section
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:  # a usage error: main exits 2
+            raise ValueError(f"cannot write {out}: {err.strerror}") from err
     else:
         sys.stdout.write(text)
 
@@ -118,24 +121,24 @@ def cmd_design(args) -> int:
 
 def cmd_matrix(args) -> int:
     from .certify import right_inverse_identity
-    from .exact_linalg import build_T, build_W, check_R_conditions, rank_mod_p, rank_over_Q
+    from .exact_linalg import build_T, build_W, check_R_conditions, rank_mod_p, rank_over_Q, row_label
 
     ctx = field_context(args.n, args.poly)
     W = build_W(ctx)
     if args.emit == "csv":
         lines = ["label," + ",".join(W.col_labels)]
-        for label, row in zip(W.row_labels, W.to_lists()):
-            lines.append(label + "," + ",".join(str(v) for v in row))
+        for i, row in enumerate(W.to_lists()):
+            lines.append(row_label(i) + "," + ",".join(str(v) for v in row))
         _emit("\n".join(lines) + "\n", args.out)
         return 0
-    T = build_T(ctx.q, W)
+    T = build_T(W)
     conditions = check_R_conditions(W)
     all_r = all(c["pass"] for c in conditions.values())
     doc = {
         "n": ctx.n,
         "q": ctx.q,
         "k": ctx.k,
-        "row_labels": list(W.row_labels),
+        "row_labels": [row_label(i) for i in range(2 * ctx.q)],
         "col_labels": list(W.col_labels),
         "W": W.to_lists(),
         "R_conditions": conditions,

@@ -2,9 +2,9 @@
 
 W is the 2q x 2k 0/1 matrix (q = 2^(n-1), k = 2q - 1) recording which
 field elements lie in each subgroup H_j and each complement H_j^c, rows
-ordered [0, alpha^1, ..., alpha^(2^n - 1) = 1] and columns
-[H_0 .. H_(k-1), H_0^c .. H_(k-1)^c].  It satisfies nine structural
-conditions:
+ordered [0, alpha^1, ..., alpha^(2^n - 1) = 1] and labelled by row_label,
+columns [H_0 .. H_(k-1), H_0^c .. H_(k-1)^c].  It satisfies nine
+structural conditions:
 
     R1  first row: ones on the subgroup columns, zeros on the complements
     R2  second row restricted to the first k columns supports q-1 ones
@@ -18,14 +18,14 @@ conditions:
     R9  every column sums to q
 
 The subgroups are the rotations of one cyclic difference set, so W is
-a circulant, and InclusionMatrix holds it as the subgroup halves (k bits
-each) of its rows 0 and 1; circulant_rows writes the 2q rows from them
-by R3 and R4, and only on request.  R3, R4 and R8 hold by construction,
-and check_R_conditions reads the rest as closed forms in the two rows,
-into the certificate's R_conditions dict: R1 is row 0, R2, R6 and R7
-are |row 1| (and row 0), R5 is the k - 1 shift counts of row 1, and
-column j sums to [j in row 0] + |row 1| (R9).  R5 is certify's one
-pass over the shift counts; its design section reads R5's verdict.
+the circulant of one base block, and InclusionMatrix holds it as that
+block: the subgroup half (k bits) of row 1.  Row 0 is the element 0,
+which lies in every subgroup; circulant_rows writes the 2q rows by R3
+and R4, and only on request.  R1, R3, R4 and R8 hold by construction, and
+check_R_conditions reads the rest from row 1: R2, R6, R7 and R9 are
+|row 1| = q - 1 (column j sums to 1 + |row 1|), and R5 is its k - 1
+shift counts, certify's one pass over them; its design section reads
+R5's verdict.
 
 Any matrix built from a base block by R1-R4 has the exact right-inverse
 T with entries a = 1/k where W is 1 and b = -(q-1)/(k(k-q+1)) where W is
@@ -53,26 +53,21 @@ from math import lcm
 
 from ._record import Record, slot_setters
 from .gf2n import FieldContext, _factor
-from .hyperplanes import block_satisfies_r5, membership_profile
+from .hyperplanes import alpha_block, block_satisfies_r5
 
 
 class InclusionMatrix(Record):
-    """The circulant 0/1 matrix W of a base block, held as q, the subgroup
-    halves row0 and row1 (k bits each) of its rows 0 and 1, and one label
-    per row.  Raises ValueError unless there are 2q row labels and both
-    rows fit in k bits."""
+    """The circulant 0/1 matrix W of a base block, held as q and the
+    block row1: the subgroup half (k bits) of row 1.  Raises ValueError
+    unless row1 fits in k bits."""
 
-    __slots__ = ("q", "row0", "row1", "row_labels")
+    __slots__ = ("q", "row1")
 
-    def __init__(self, q: int, row0: int, row1: int, row_labels: tuple[str, ...]) -> None:
-        if len(row_labels) != 2 * q:
-            raise ValueError(f"{2 * q} rows but {len(row_labels)} row labels")
-        if (row0 | row1) >> (2 * q - 1):
-            raise ValueError(f"rows 0 and 1 must fit in {2 * q - 1} bits")
+    def __init__(self, q: int, row1: int) -> None:
+        if row1 >> (2 * q - 1):
+            raise ValueError(f"row 1 must fit in {2 * q - 1} bits")
         _set_q(self, q)
-        _set_row0(self, row0)
         _set_row1(self, row1)
-        _set_row_labels(self, row_labels)
 
     @property
     def k(self) -> int:
@@ -84,54 +79,52 @@ class InclusionMatrix(Record):
 
     @property
     def col_labels(self) -> tuple[str, ...]:
-        return _col_labels(self.k)
+        return tuple(f"H{j}" for j in range(self.k)) + tuple(f"H{j}c" for j in range(self.k))
 
     @property
     def rows(self) -> tuple[int, ...]:
         """The 2q bitmask rows of 2k bits, built on each read."""
-        return tuple(circulant_rows(self.row0, self.row1, self.k))
+        return tuple(circulant_rows(self.row1, self.k))
 
     def entry(self, i: int, j: int) -> int:
-        """W[i][j] in O(1): bit j mod k of row 0, or of row 1 rotated down
-        by i - 1 places, flipped on the complement columns."""
+        """W[i][j] in O(1): j < k in row 0, else bit j mod k of row 1
+        rotated down by i - 1 places, flipped on the complement columns."""
         k = self.k
-        c = j % k
-        bit = self.row0 >> c if i == 0 else self.row1 >> (c + i - 1) % k
-        return (bit & 1) ^ (j >= k)
+        if i == 0:
+            return int(j < k)
+        return (self.row1 >> (j % k + i - 1) % k & 1) ^ (j >= k)
 
     def to_lists(self) -> list[list[int]]:
         width = 2 * self.k
         return [[(r >> j) & 1 for j in range(width)] for r in self.rows]
 
 
-_set_q, _set_row0, _set_row1, _set_row_labels = slot_setters(InclusionMatrix)
+_set_q, _set_row1 = slot_setters(InclusionMatrix)
 
 
-def _col_labels(k: int) -> tuple[str, ...]:
-    return tuple(f"H{j}" for j in range(k)) + tuple(f"H{j}c" for j in range(k))
+def row_label(i: int) -> str:
+    """Row i's label, the element it stands for: "0", then "a^i" for alpha^i."""
+    return f"a^{i}" if i else "0"
 
 
-def circulant_rows(row0: int, row1: int, k: int) -> Iterator[int]:
-    """The rows of a matrix in W's layout from the subgroup halves (k bits
-    each) of its rows 0 and 1: row 0, then row 1 rotated down by 0 .. k - 1
-    places (R3), each with its complement mirrored into the high k bits
-    (R4)."""
+def circulant_rows(row1: int, k: int) -> Iterator[int]:
+    """The rows of a matrix in W's layout from the subgroup half (k bits)
+    of its row 1: row 0 (the k subgroup columns), then row 1 rotated down
+    by 0 .. k - 1 places (R3), each with its complement mirrored into the
+    high k bits (R4)."""
     full = (1 << k) - 1
-    yield row0 | ((~row0 & full) << k)
+    yield full
     for r in range(k):
         first = ((row1 >> r) | (row1 << (k - r))) & full
         yield first | ((~first & full) << k)
 
 
 def build_W(ctx: FieldContext) -> InclusionMatrix:
-    """Inclusion matrix of the field's hyperplanes and their complements.
-
-    0 lies in every subgroup, and alpha^i lies in H_j iff bit (i + j) mod k
-    of the zero-trace mask is set, so the row of alpha^i is the row of
-    alpha rotated down by i - 1 places."""
-    k = ctx.k
-    row_labels = ("0",) + tuple(f"a^{i}" for i in range(1, k + 1))
-    return InclusionMatrix(ctx.q, (1 << k) - 1, membership_profile(ctx, ctx.pow_alpha(1)), row_labels)
+    """Inclusion matrix of the field's hyperplanes and their complements:
+    alpha^i lies in H_j iff bit (i + j) mod k of the zero-trace mask is
+    set, so row 1 is that mask rotated by one place (hyperplanes.alpha_block)
+    and the row of alpha^i is row 1 rotated down by i - 1 places."""
+    return InclusionMatrix(ctx.q, alpha_block(ctx))
 
 
 def build_W_general(q: int, mask: int) -> InclusionMatrix:
@@ -142,8 +135,7 @@ def build_W_general(q: int, mask: int) -> InclusionMatrix:
     q/2 - 1."""
     if not block_satisfies_r5(mask, q):
         raise ValueError("base block violates the shift-intersection condition (R5)")
-    row_labels = ("0",) + tuple(f"r{i}" for i in range(1, 2 * q))
-    return InclusionMatrix(q, (1 << (2 * q - 1)) - 1, mask, row_labels)  # R1: row 0 is in every subgroup
+    return InclusionMatrix(q, mask)
 
 
 class RightInverse(Record):
@@ -178,13 +170,10 @@ class RightInverse(Record):
 _set_W, _set_a, _set_b = slot_setters(RightInverse)
 
 
-def build_T(q: int, W: InclusionMatrix) -> RightInverse:
+def build_T(W: InclusionMatrix) -> RightInverse:
     """Explicit right-inverse candidate: a = 1/k where W is 1, else
     b = -(q-1)/(k(k-q+1)); shape 2k x 2q."""
-    k = 2 * q - 1
-    nrows, ncols = W.shape
-    if nrows != 2 * q or ncols != 2 * k:
-        raise ValueError(f"W has shape {W.shape}, expected {(2 * q, 2 * k)}")
+    q, k = W.q, W.k
     return RightInverse(W, Fraction(1, k), Fraction(-(q - 1), k * (k - q + 1)))
 
 
@@ -294,7 +283,7 @@ def rank_mod_p(M, p: int) -> int:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2 and isinstance(M, InclusionMatrix):
-        return _rank_f2(circulant_rows(M.row0, M.row1, M.k))
+        return _rank_f2(circulant_rows(M.row1, M.k))
     rows = _as_fraction_rows(M)
     if not rows:
         return 0
@@ -339,39 +328,30 @@ def _condition(passed: bool, counterexample: list | None = None, note: str = "")
     return entry
 
 
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def check_R_conditions(W: InclusionMatrix) -> dict[str, dict]:
     """Itemized pass/fail for R1-R9 with first-counterexample coordinates,
     as the certificate prints them: name -> {"pass", "counterexample"?,
     "note"?}.
 
     Coordinates in counterexamples are 0-based (row, column), the first
-    in row-major order of the expanded W.  Each condition is a closed form
-    in rows 0 and 1.  R3, R4 and R8 hold by construction.  Every row
+    in row-major order of the expanded W.  R1, R3, R4 and R8 hold by
+    construction, and the rest are closed forms in row 1.  Every row
     below row 0 has |row 1| subgroup ones and k - |row 1| complement
-    ones, so R6 and R7 first fail at row 0 if it misses a subgroup, else
-    at row 1 if |row 1| != q - 1.  Subgroup column j sums to
-    [j in row 0] + |row 1| and its complement to 2q minus that, so the
-    columns off q (R9) are those row 0 misses when |row 1| = q - 1, those
-    it holds when |row 1| = q, and all of them otherwise.
+    ones, and subgroup column j sums to 1 + |row 1| (its complement to
+    2q minus that), so R2, R6, R7 and R9 all hold iff |row 1| = q - 1,
+    and otherwise first fail at row 1 (R6, R7) and column 0 (R9).
     """
-    q, k = W.q, W.k
-    full = (1 << k) - 1
-    miss0 = W.row0 ^ full
+    q = W.q
     ones = W.row1.bit_count()
-    bad_row = [0] if miss0 else None if ones == q - 1 else [1]
-    off = miss0 if ones == q - 1 else W.row0 if ones == q else full
+    good = ones == q - 1
     return {
-        "R1": _condition(not miss0, [0, _low_bit(miss0)] if miss0 else None),
-        "R2": _condition(ones == q - 1, None if ones == q - 1 else [1, ones], f"row 2 supports {ones} ones"),
+        "R1": _condition(True),
+        "R2": _condition(good, None if good else [1, ones], f"row 2 supports {ones} ones"),
         "R3": _condition(True),
         "R4": _condition(True),
         "R5": _condition(block_satisfies_r5(W.row1, q), None, "all nonzero shifts checked (strong reading)"),
-        "R6": _condition(bad_row is None, bad_row),
-        "R7": _condition(bad_row is None, bad_row),
+        "R6": _condition(good, None if good else [1]),
+        "R7": _condition(good, None if good else [1]),
         "R8": _condition(True),
-        "R9": _condition(not off, [_low_bit(off)] if off else None),
+        "R9": _condition(good, None if good else [0]),
     }

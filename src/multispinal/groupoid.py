@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._record import Record, slot_setters
-from .exact_linalg import InclusionMatrix
+from .exact_linalg import InclusionMatrix, row_label
 from .gf2n import FieldContext
 from .selfsim import STATE_A, MultispinalGroup, _join, _reduce
 
@@ -345,11 +345,11 @@ def meet_set(group: MultispinalGroup) -> frozenset[int]:
     return frozenset(w for w in group.ctx.elements() if germ_equal(group, group.iota(w), e, tail))
 
 
-def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> tuple[int, int]:
-    """The germ membership of every region over every element, in the
-    form InclusionMatrix holds W: the subgroup halves (k bits each) of
-    the rows of 0 and of alpha, from which circulant_rows writes the row
-    of every element (bit j for K = H_j, bit j + k for its complement).
+def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> int:
+    """The germ membership of every region over every nonzero element, in
+    the form InclusionMatrix holds W: the subgroup half (k bits) of the
+    row of alpha, from which circulant_rows writes the row of every
+    alpha^i (bit j for K = H_j, bit j + k for its complement).
 
     Region K with witness 1^s 0 holds x iff iota(x) meets iota(x0) along
     1^s 0 1^infinity, x0 the first member of K.  By the germ law that is
@@ -358,10 +358,11 @@ def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> tuple[int, int]:
     and restricts there to b(alpha^s z), and s = j mod k, so the entry is
     [alpha^j (x0 + x) in G].  For H_j, x0 = 0: the row of alpha^i is the
     exponent mask of G rotated by i, and the row of 0 is [0 in G] on
-    every subgroup.  Once those match W, G is the hyperplane H_0, so for
-    a complement (x0 outside H_j) the entry is 1 - [alpha^j x in G]: the
-    complement columns mirror the subgroup columns.  So the rows of 0 and
-    alpha fix the rest, as they fix W.
+    every subgroup, which check_germ_rows reads from G itself.  Once
+    those match W, G is the hyperplane H_0, so for a complement (x0
+    outside H_j) the entry is 1 - [alpha^j x in G]: the complement
+    columns mirror the subgroup columns.  So 0 in G and the row of alpha
+    fix the rest, as they fix W.
     """
     power = ctx.power_table
     # W's canonical order 0, alpha^1, ..., alpha^k = 1; bit j of the row
@@ -369,23 +370,26 @@ def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> tuple[int, int]:
     # highest bit (alpha^k = 1) first: linear in k, where a sum of k
     # single-bit ints would be quadratic
     digits = bytes([x in meet for x in power[:1] + power[:0:-1]])
-    row1 = int(digits.translate(bytes.maketrans(b"\0\1", b"01")), 2)
-    return ((1 << ctx.k) - 1 if 0 in meet else 0, row1)
+    return int(digits.translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
 
 def check_germ_rows(group: MultispinalGroup, W: InclusionMatrix) -> None:
     """Certify that the germ rows of all 2k regions stack into W's
     transpose, from the 2q walks of meet_set; the rows do not depend on
-    m.  Both are circulants of their rows 0 and 1, so this compares the
-    two pairs, and raises MembershipMismatch naming the region of the
-    lowest differing bit of row 0, else of row 1, and that row's element:
-    the first differing entry of the expanded rows."""
+    m.  Row 0 of W, the element 0, lies in every subgroup, and its germ
+    row is [0 in G] on every subgroup, so a G without 0 raises
+    MembershipMismatch naming (H0, "0").  Below row 0 both are circulants
+    of their row 1, so this compares the two, and raises
+    MembershipMismatch naming the region of the lowest differing bit and
+    alpha: the first differing entry of the expanded rows."""
     q = group.ctx.q
     if W.q != q:
         raise ValueError(f"W has q={W.q}; the field has q={q}")
-    for i, (got, want) in enumerate(zip(germ_rows(group.ctx, meet_set(group)), (W.row0, W.row1))):
-        if diff := got ^ want:
-            raise MembershipMismatch(W.col_labels[(diff & -diff).bit_length() - 1], W.row_labels[i])
+    meet = meet_set(group)
+    if 0 not in meet:
+        raise MembershipMismatch("H0", row_label(0))
+    if diff := germ_rows(group.ctx, meet) ^ W.row1:
+        raise MembershipMismatch(W.col_labels[(diff & -diff).bit_length() - 1], row_label(1))
 
 
 def region_pattern(group: MultispinalGroup, W: InclusionMatrix, m: int, kind: str, j: int) -> RegionPattern:
@@ -427,7 +431,7 @@ def region_pattern(group: MultispinalGroup, W: InclusionMatrix, m: int, kind: st
     row = tuple(1 if germ_equal(group, g0, group.iota(x), tail) else 0 for x in order)
     if row != target:
         i = next(i for i, (got, want) in enumerate(zip(row, target)) if got != want)
-        raise MembershipMismatch(label, W.row_labels[i])
+        raise MembershipMismatch(label, row_label(i))
     return RegionPattern(kind=kind, j=j, witness="1" * s + "0", membership_row=row, members=members)
 
 

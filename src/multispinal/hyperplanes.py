@@ -15,9 +15,10 @@ R5 of W (certify.design_section says why).
 
 A base block, a (q-1)-subset of Z_k whose k - 1 shift counts are all
 q/2 - 1, is held as its k-bit mask, bit p set iff p is in the block:
-extract_base_block returns the field's (the zero-trace mask rotated by
-one place), search_base_blocks every one for a given q, and
-exact_linalg.build_W_general builds W from one.
+alpha_block is the field's, the subgroups that hold alpha (the
+zero-trace mask rotated by one place), and row 1 of the field's W;
+extract_base_block returns it checked, search_base_blocks returns every
+one for a given q, and exact_linalg.build_W_general builds W from one.
 """
 
 from __future__ import annotations
@@ -84,17 +85,6 @@ def build_hyperplanes(ctx: FieldContext) -> list[int]:
     return planes
 
 
-def membership_profile(ctx: FieldContext, x: int) -> int:
-    """Bitmask over j of the subgroups containing x (bit j <=> x in H_j)."""
-    full = (1 << ctx.k) - 1
-    if x == 0:
-        return full
-    # bit j is bit (log x + j) mod k of the zero-trace mask: rotate it down
-    lx = ctx.discrete_log[x]
-    z = ctx.trace_zero_mask
-    return ((z >> lx) | (z << (ctx.k - lx))) & full
-
-
 def verify_design(z: int, q: int) -> tuple[int, int, int]:
     """Certify the design of a zero-trace mask z and return its parameters
     (v, block_size, lam): v points, block_size points per block and lam
@@ -124,13 +114,20 @@ def verify_design(z: int, q: int) -> tuple[int, int, int]:
     return (k, q - 1, lam)
 
 
+def alpha_block(ctx: FieldContext) -> int:
+    """The mask of the block {j : alpha in H_j} in Z_k: alpha lies in H_j
+    iff bit (1 + j) mod k of the zero-trace mask is set, so it is that
+    mask rotated down by one place."""
+    z, k = ctx.trace_zero_mask, ctx.k
+    return ((z >> 1) | (z << (k - 1))) & ((1 << k) - 1)
+
+
 def extract_base_block(ctx: FieldContext) -> int:
-    """The mask of the block {j : alpha in H_j} in Z_k: bit j is set iff
-    alpha lies in H_j."""
-    prof = membership_profile(ctx, ctx.pow_alpha(1))
-    if not block_satisfies_r5(prof, ctx.q):
+    """alpha_block, checked to be a base block (block_satisfies_r5)."""
+    block = alpha_block(ctx)
+    if not block_satisfies_r5(block, ctx.q):
         raise AssertionError("field-derived block violates the shift condition")
-    return prof
+    return block
 
 
 def search_base_blocks(q: int) -> list[int]:

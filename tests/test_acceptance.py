@@ -82,7 +82,7 @@ T2_GRID = [
 def test_c1_worked_matrices_exact():
     t0 = time.monotonic()
     W = build_W(ctx(2))
-    T = build_T(2, W)
+    T = build_T(W)
     assert W.to_lists() == W2_GRID
     assert [list(r) for r in T.rows] == T2_GRID
     assert verify_right_inverse(W, T)
@@ -94,7 +94,7 @@ def test_c2_right_inverse_and_elimination_rank():
     t0 = time.monotonic()
     for n in range(2, 11):
         W = build_W(ctx(n))
-        T = build_T(ctx(n).q, W)
+        T = build_T(W)
         assert verify_right_inverse(W, T), f"W T != I at n={n}"
     for n in range(2, 8):
         assert rank_over_Q(build_W(ctx(n))) == 2 ** n
@@ -182,7 +182,7 @@ def test_c7_membership_matrices():
                     Tail(pattern.witness, "1"),
                 )
             # the 2q-walk certificate gives the same stack
-            rows = tuple(circulant_rows(*germ_rows(ctx(n), meet_set(group(n))), ctx(n).k))
+            rows = tuple(circulant_rows(germ_rows(ctx(n), meet_set(group(n))), ctx(n).k))
             assert stacked == tuple(tuple((r >> col) & 1 for r in rows) for col in range(2 * ctx(n).k))
         check_germ_rows(group(n), W)
     assert time.monotonic() - t0 < 60.0
@@ -192,7 +192,7 @@ def test_c7_membership_matrices():
 def test_c8_singular_system():
     for n in range(2, 8):
         W = build_W(ctx(n))
-        matrix = matrix_section(ctx(n), W, build_T(ctx(n).q, W))
+        matrix = matrix_section(ctx(n), W, build_T(W))
         section = groupoid_section(group(n), (1,), W, matrix)
         cert = section["singular_certificate"]
         assert section["pass"] and cert["germ_verified"]

@@ -106,6 +106,21 @@ def test_matrix_reads_W_T_from_the_R_conditions(monkeypatch, capsys):
     assert doc["all_R_pass"] is True and doc["right_inverse_identity"] is True
 
 
+@pytest.mark.parametrize("command", ["matrix", "design"])
+def test_matrix_and_design_build_no_discrete_log(command, monkeypatch, capsys):
+    # W's row 1 is the zero-trace mask rotated by one place
+    from multispinal import cli
+    from multispinal.gf2n import FieldContext
+
+    def no_log(_):
+        raise AssertionError("discrete log built")
+
+    monkeypatch.setattr(FieldContext, "discrete_log", property(no_log))
+    assert cli.main([command, "--n", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_R_pass"] if command == "matrix" else doc["pass"]
+
+
 def test_design_search_q_odd_exits_2():
     res = run_cli("design", "--search-q", "3")
     assert res.returncode == 2
@@ -496,3 +511,16 @@ def test_out_file(tmp_path):
     assert res.stdout == ""
     doc = json.loads(target.read_text())
     assert doc["params"] == [3, 1, 0]
+
+
+@pytest.mark.parametrize("command", ["certify", "field"])
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_unwritable_out_exits_2(command, where, tmp_path):
+    # the document is computed, but writing it is an error of the
+    # invocation, not a verified FAIL
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "doc.json"
+    res = run_cli(command, "--n", "3", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1

@@ -19,6 +19,7 @@ from multispinal.exact_linalg import (
     circulant_rows,
     rank_mod_p,
     rank_over_Q,
+    row_label,
     verify_right_inverse,
 )
 from multispinal.gf2n import _factor, field_context
@@ -70,7 +71,7 @@ def f8():
 def test_W2_exact_reproduction(f4):
     W = build_W(f4)
     assert W.to_lists() == W2_GRID
-    assert W.row_labels == ("0", "a^1", "a^2", "a^3")
+    assert [row_label(i) for i in range(4)] == ["0", "a^1", "a^2", "a^3"]
     assert W.col_labels == ("H0", "H1", "H2", "H0c", "H1c", "H2c")
 
 
@@ -88,14 +89,29 @@ def test_W_matches_the_trace_oracle_entry_by_entry(n):
 
 
 def test_circulant_rows_layout():
-    # row 0, then row 1 rotated down by 0, 1, 2 places, each with its
-    # complement in the high k bits
-    assert list(circulant_rows(0b111, 0b001, 3)) == [0b000111, 0b110001, 0b011100, 0b101010]
-    assert list(circulant_rows(0b000, 0b110, 3)) == [0b111000, 0b001110, 0b100011, 0b010101]
+    # row 0 on the k subgroup columns, then row 1 rotated down by 0, 1, 2
+    # places, each with its complement in the high k bits
+    assert list(circulant_rows(0b001, 3)) == [0b000111, 0b110001, 0b011100, 0b101010]
+    assert list(circulant_rows(0b110, 3)) == [0b000111, 0b001110, 0b100011, 0b010101]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_build_W_reads_no_discrete_log(n, monkeypatch):
+    # row 1 is the zero-trace mask rotated by one place: no log is built
+    from multispinal.gf2n import FieldContext
+
+    ctx = field_context(n)
+    want = sum(1 << j for j in range(ctx.k) if ctx.trace(ctx.pow_alpha(j + 1)) == 0)
+
+    def no_log(_):
+        raise AssertionError("discrete log built")
+
+    monkeypatch.setattr(FieldContext, "discrete_log", property(no_log))
+    assert build_W(ctx).row1 == want
 
 
 def test_T2_exact_reproduction(f4):
-    T = build_T(2, build_W(f4))
+    T = build_T(build_W(f4))
     assert [list(r) for r in T.rows] == T2_GRID
 
 
@@ -119,43 +135,43 @@ def test_first_row_shape(f8):
 def test_right_inverse(f4, f8):
     for ctx in (f4, f8):
         W = build_W(ctx)
-        assert verify_right_inverse(W, build_T(ctx.q, W))
+        assert verify_right_inverse(W, build_T(W))
 
 
 def test_right_inverse_detects_failure(f4):
     W = build_W(f4)
-    T = build_T(2, W)
+    T = build_T(W)
     assert not verify_right_inverse(W, RightInverse(W, T.a, Fraction(-1, 3)))
 
 
 def test_right_inverse_shape_mismatch(f4, f8):
     with pytest.raises(ValueError):
-        verify_right_inverse(build_W(f4), build_T(4, build_W(f8)))
+        verify_right_inverse(build_W(f4), build_T(build_W(f8)))
 
 
 def test_transpose_product_is_identity_small(f4, f8):
     # T^t W^t = I directly, with plain rational multiplication
     for ctx in (f4, f8):
         W = build_W(ctx)
-        T = build_T(ctx.q, W)
+        T = build_T(W)
         prod = multiply_rational(transpose_rational(T.rows), transpose_rational(W.to_lists()))
         assert prod == identity_rational(2 * ctx.q)
 
 
 def _corrupt(W, rng):
-    """W with seeded damage to the two rows it is built from, the only
-    damage a circulant can take: one flip, several flips, or row 0 or
-    row 1 replaced by random bits."""
-    rows = [W.row0, W.row1]
-    kind = rng.randrange(4)
+    """W with seeded damage to the block it is built from, the only
+    damage a circulant can take: one flip, several flips, or row 1
+    replaced by random bits."""
+    row1 = W.row1
+    kind = rng.randrange(3)
     if kind == 0:
-        rows[rng.randrange(2)] ^= 1 << rng.randrange(W.k)
+        row1 ^= 1 << rng.randrange(W.k)
     elif kind == 1:
         for _ in range(rng.randrange(2, 6)):
-            rows[rng.randrange(2)] ^= 1 << rng.randrange(W.k)
+            row1 ^= 1 << rng.randrange(W.k)
     else:
-        rows[kind - 2] = rng.getrandbits(W.k)
-    return InclusionMatrix(W.q, *rows, W.row_labels)
+        row1 = rng.getrandbits(W.k)
+    return InclusionMatrix(W.q, row1)
 
 
 def test_bitmask_checks_match_the_entry_oracles_on_corrupted_W():
@@ -173,7 +189,7 @@ def test_bitmask_checks_match_the_entry_oracles_on_corrupted_W():
             assert [[bad.entry(i, j) for j in range(2 * bad.k)] for i in range(2 * bad.q)] == grid
             report = check_R_conditions(bad)
             assert report == ref_check_R_conditions(bad)
-            T = build_T(bad.q, bad)
+            T = build_T(bad)
             dense = ref_right_inverse(bad)
             assert T.rows == dense
             verdict = verify_right_inverse(bad, T)
@@ -181,8 +197,24 @@ def test_bitmask_checks_match_the_entry_oracles_on_corrupted_W():
             verdicts.add(verdict)
             failing.update(name for name, c in report.items() if not c["pass"])
     assert verdicts == {True, False}
-    # R3, R4 and R8 hold by construction; every other condition can fail
-    assert failing == {"R1", "R2", "R5", "R6", "R7", "R9"}
+    # R1, R3, R4 and R8 hold by construction; every other condition can fail
+    assert failing == {"R2", "R5", "R6", "R7", "R9"}
+
+
+def _masks(q):
+    """Every k-bit mask at q = 2 and 4, and 3000 seeded ones at q = 8."""
+    k = 2 * q - 1
+    if q <= 4:
+        return range(1 << k)
+    rng = random.Random(q)
+    return [rng.getrandbits(k) for _ in range(3000)]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_R_conditions_equal_the_entry_oracle_on_every_mask(q):
+    for mask in _masks(q):
+        W = InclusionMatrix(q, mask)
+        assert check_R_conditions(W) == ref_check_R_conditions(W), mask
 
 
 def test_certify_builds_no_dense_T(monkeypatch):
@@ -197,7 +229,7 @@ def test_certify_builds_no_dense_T(monkeypatch):
 
 
 def test_certify_never_expands_W(monkeypatch):
-    # past n = 4 every section reads W from its rows 0 and 1
+    # past n = 4 every section reads W from its base block
     from multispinal.certify import certify
 
     def no_rows(_):
@@ -321,7 +353,7 @@ def test_rational_rank_equals_mod_p_rank_for_coprime_primes(n):
     ctx = field_context(n)
     W = build_W(ctx)
     rq = rank_over_Q(W)
-    section = matrix_section(ctx, W, build_T(ctx.q, W))
+    section = matrix_section(ctx, W, build_T(W))
     assert section["rank_over_Q"] == rq == 2 * ctx.q
     assert section["rank_mod_2"] == rank_mod_p(W, 2)
     for p in (5, 7, 11, 13):
@@ -389,7 +421,7 @@ def _gram_spy(monkeypatch):
 def test_theorem_verdict_equals_the_gram_on_field_matrices(n):
     ctx = field_context(n)
     W = build_W(ctx)
-    T = build_T(ctx.q, W)
+    T = build_T(W)
     assert all(c["pass"] for c in check_R_conditions(W).values())
     assert verify_right_inverse(W, T) is True
     assert matrix_section(ctx, W, T)["right_inverse_identity"] is True
@@ -407,7 +439,7 @@ def test_theorem_premise_gives_the_gram_on_every_base_block(q, count):
         assert ref_block_satisfies_r5(positions, 2 * q - 1, q // 2 - 1), block
         W = build_W_general(q, block)
         assert all(c["pass"] for c in check_R_conditions(W).values()), block
-        assert verify_right_inverse(W, build_T(q, W)), block
+        assert verify_right_inverse(W, build_T(W)), block
 
 
 def test_a_T_other_than_build_T_takes_the_gram_path(f8, monkeypatch):
@@ -419,10 +451,10 @@ def test_a_T_other_than_build_T_takes_the_gram_path(f8, monkeypatch):
     assert section["all_R_pass"] is True and section["right_inverse_identity"] is False
     assert section["pass"] is False and section["rank_over_Q"] is None
     # build_T's values over an equal but distinct W: checked, and true
-    assert matrix_section(f8, W, build_T(q, build_W(f8)))["right_inverse_identity"] is True
+    assert matrix_section(f8, W, build_T(build_W(f8)))["right_inverse_identity"] is True
     assert len(calls) == 2
     # build_T's T over this very W: read from the R conditions
-    assert matrix_section(f8, W, build_T(q, W))["right_inverse_identity"] is True
+    assert matrix_section(f8, W, build_T(W))["right_inverse_identity"] is True
     assert len(calls) == 2
 
 
@@ -435,38 +467,17 @@ def test_R_conditions_pass_for_field_matrices(n):
     assert all(c["pass"] for c in report.values()), report
 
 
-def test_R1_fails_on_flipped_entry(f4):
-    W = build_W(f4)
-    broken = InclusionMatrix(W.q, W.row0 ^ 1, W.row1, W.row_labels)  # flip the (0, 0) entry
-    report = check_R_conditions(broken)
-    assert not report["R1"]["pass"]
-    assert report["R1"]["counterexample"] == [0, 0]
-
-
 @pytest.mark.parametrize("n", [3, 5])
 def test_R9_names_the_first_off_column(n):
     # the closed-form column sums must name the column the entry oracle
-    # names: row 0 missing column j (and random columns right of it) with
-    # |row 1| = q - 1, row 0 holding j and columns right of it with
-    # |row 1| = q, and |row 1| = q - 2, which puts every column off
+    # names: |row 1| = q - 2 or q puts every column off, the first being 0
     W = build_W(field_context(n))
-    k, full = W.k, (1 << W.k) - 1
-    outside = W.row1 ^ full
-    row1_q = W.row1 | (outside & -outside)
-    rng = random.Random(n)
-    for j in range(k):
-        bit = 1 << j
-        right = rng.getrandbits(k) & ~(2 * bit - 1)
-        cases = (
-            (full ^ bit ^ right, W.row1, [j]),
-            (bit | right, row1_q, [j]),
-            (rng.getrandbits(k), W.row1 & (W.row1 - 1), [0]),
-        )
-        for row0, row1, want in cases:
-            bad = InclusionMatrix(W.q, row0, row1, W.row_labels)
-            report = check_R_conditions(bad)
-            assert report["R9"]["counterexample"] == want
-            assert report == ref_check_R_conditions(bad)
+    outside = W.row1 ^ ((1 << W.k) - 1)
+    for row1 in (W.row1 & (W.row1 - 1), W.row1 | (outside & -outside)):
+        bad = InclusionMatrix(W.q, row1)
+        report = check_R_conditions(bad)
+        assert report["R9"]["counterexample"] == [0]
+        assert report == ref_check_R_conditions(bad)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -479,7 +490,7 @@ def test_column_sums_are_q(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_T_first_column_abs_sum(n):
     ctx = field_context(n)
-    T = build_T(ctx.q, build_W(ctx))
+    T = build_T(build_W(ctx))
     assert t_first_column_abs_sum(T.rows) == Fraction(2 * ctx.q - 1, ctx.q)
 
 
@@ -489,6 +500,6 @@ def test_other_primitive_polynomial_same_certificates():
     ctx = field_context(3, "x^3+x^2+1")
     W = build_W(ctx)
     assert all(c["pass"] for c in check_R_conditions(W).values())
-    assert verify_right_inverse(W, build_T(4, W))
+    assert verify_right_inverse(W, build_T(W))
     assert rank_over_Q(W) == 8
     assert rank_mod_p(W, 2) == rank_mod_p(build_W(field_context(3)), 2)

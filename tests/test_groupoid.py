@@ -13,6 +13,7 @@ from multispinal.exact_linalg import (
     build_W,
     check_R_conditions,
     rank_over_Q,
+    row_label,
     verify_right_inverse,
 )
 from multispinal.gf2n import field_context
@@ -547,7 +548,7 @@ def test_germ_rows_parse_row_1_as_the_bit_sum(n):
     meets += [frozenset(x for x in ctx.elements() if rng.random() < 0.5) for _ in range(4)]
     for meet in meets:
         row1 = sum(1 << j for j in range(k) if ctx.power_table[(j + 1) % k] in meet)
-        assert germ_rows(ctx, meet) == ((1 << k) - 1 if 0 in meet else 0, row1)
+        assert germ_rows(ctx, meet) == row1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -559,11 +560,11 @@ def test_germ_rows_and_witnesses_match_the_oracles(n):
     field = ref_field(ctx)
     W = build_W(ctx)
     k = ctx.k
-    pair = germ_rows(ctx, meet_set(group))
-    assert pair == (W.row0, W.row1)
-    rows = tuple(exact_linalg.circulant_rows(*pair, k))
+    meet = meet_set(group)
+    assert 0 in meet and germ_rows(ctx, meet) == W.row1
+    rows = tuple(exact_linalg.circulant_rows(W.row1, k))
     assert rows == W.rows
-    matrix = matrix_section(ctx, W, build_T(ctx.q, W))
+    matrix = matrix_section(ctx, W, build_T(W))
     for m in sorted({0, 1, 2, 3, k, k + 1}):
         patterns = membership_matrix(group, W, m)
         assert tuple(p.membership_row for p in patterns) == tuple(
@@ -607,41 +608,37 @@ def test_region_pattern_names_first_wrong_column(g3, w3, monkeypatch):
 
 
 def _flip(W, i, col):
-    """W with entry (i, col) flipped where it is generated: in bit col mod k
-    of row 0 (i = 0), or in the bit of row 1 that rotates into row i, so
-    every entry that bit generates flips with it."""
-    k = W.k
-    if i == 0:
-        return InclusionMatrix(W.q, W.row0 ^ 1 << col % k, W.row1, W.row_labels)
-    return InclusionMatrix(W.q, W.row0, W.row1 ^ 1 << (col % k + i - 1) % k, W.row_labels)
+    """W with entry (i, col), i >= 1, flipped where it is generated: in the
+    bit of row 1 that rotates into row i, so every entry that bit
+    generates flips with it."""
+    return InclusionMatrix(W.q, W.row1 ^ 1 << (col % W.k + i - 1) % W.k)
 
 
-@pytest.mark.parametrize("i, kind, j", [(0, "H", 2), (3, "H", 5), (7, "Hc", 4), (7, "H", 0)])
+@pytest.mark.parametrize("i, kind, j", [(3, "H", 5), (7, "Hc", 4), (7, "H", 0)])
 def test_flipped_W_entry_is_named(g3, w3, i, kind, j):
-    # the germ rows are right and W is wrong from bit b of row g on: the
-    # 2q-walk check names the lowest wrong bit of the first wrong row, and
-    # the per-region oracles name the first wrong entry of the columns
-    # they read.  Column j's first wrong row is i.  A flip in row 1
-    # reaches every column, so the column-by-column sweep stops at H0, in
-    # row b + 1
+    # the germ rows are right and W is wrong from bit b of row 1 on: the
+    # 2q-walk check names the lowest wrong bit of row 1, and the
+    # per-region oracles name the first wrong entry of the columns they
+    # read.  Column j's first wrong row is i.  A flip in row 1 reaches
+    # every column, so the column-by-column sweep stops at H0, in row
+    # b + 1
     k = g3.ctx.k
     col = j if kind == "H" else j + k
     bad = _flip(w3, i, col)
     assert bad.entry(i, col) != w3.entry(i, col)
     label = f"H{j}" + ("c" if kind == "Hc" else "")
-    g, b = (0, j) if i == 0 else (1, (j + i - 1) % k)
-    sweep = (f"H{j}", w3.row_labels[0]) if i == 0 else ("H0", w3.row_labels[b + 1])
+    b = (j + i - 1) % k
     calls = (
-        (lambda: check_germ_rows(g3, bad), (f"H{b}", w3.row_labels[g])),
-        (lambda: region_pattern(g3, bad, 1, kind, j), (label, w3.row_labels[i])),
-        (lambda: membership_matrix(g3, bad, 1), sweep),
+        (lambda: check_germ_rows(g3, bad), (f"H{b}", row_label(1))),
+        (lambda: region_pattern(g3, bad, 1, kind, j), (label, row_label(i))),
+        (lambda: membership_matrix(g3, bad, 1), ("H0", row_label(b + 1))),
     )
     for call, named in calls:
         with pytest.raises(MembershipMismatch) as err:
             call()
         assert (err.value.row_label, err.value.col_label) == named
-    section = groupoid_section(g3, (1, 2), bad, matrix_section(g3.ctx, bad, build_T(bad.q, bad)))
-    error = f"membership mismatch at row H{b}, column {w3.row_labels[g]}"
+    section = groupoid_section(g3, (1, 2), bad, matrix_section(g3.ctx, bad, build_T(bad)))
+    error = f"membership mismatch at row H{b}, column {row_label(1)}"
     assert all(e == {"matches_transpose": False, "error": error} for e in section["membership"].values())
     assert section["pass"] is False
 
@@ -653,13 +650,23 @@ def test_check_germ_rows_rejects_W_of_another_degree(g3, w2, w3):
     check_germ_rows(g3, w3)
 
 
-def test_W_needs_one_label_per_row(w3):
-    # 8 rows, 5 labels and a wrong row 1: a mismatch in rows 5 .. 7 would
-    # have no label to name
-    with pytest.raises(ValueError, match="8 rows but 5 row labels"):
-        InclusionMatrix(w3.q, w3.row0, w3.row1 ^ 1, w3.row_labels[:5])
+def test_check_germ_rows_names_0_outside_the_meet_set(g3, w3, monkeypatch):
+    # the w = 0 walk fails, so G misses 0 and every subgroup misses it:
+    # the first differing entry is row 0 (the element 0), column H0
+    real = groupoid.germ_equal
+
+    def faulty(group, g1, g2, tail):
+        return g1 != group.iota(0) and real(group, g1, g2, tail)
+
+    monkeypatch.setattr(groupoid, "germ_equal", faulty)
+    with pytest.raises(MembershipMismatch) as err:
+        check_germ_rows(g3, w3)
+    assert (err.value.row_label, err.value.col_label) == ("H0", "0")
+
+
+def test_W_row_1_must_fit_in_k_bits(w3):
     with pytest.raises(ValueError, match="must fit in 7 bits"):
-        InclusionMatrix(w3.q, w3.row0, w3.row1 | 1 << 7, w3.row_labels)
+        InclusionMatrix(w3.q, w3.row1 | 1 << 7)
 
 
 @pytest.mark.parametrize("n", [3, 7, 8])
@@ -667,7 +674,7 @@ def test_negated_germ_equal_fails_every_m(n, monkeypatch):
     ctx = field_context(n)
     group = MultispinalGroup(ctx)
     W = build_W(ctx)
-    matrix = matrix_section(ctx, W, build_T(ctx.q, W))
+    matrix = matrix_section(ctx, W, build_T(W))
     real = groupoid.germ_equal
     monkeypatch.setattr(groupoid, "germ_equal", lambda group, g1, g2, tail: not real(group, g1, g2, tail))
     section = groupoid_section(group, (1, 2, 3), W, matrix)
@@ -720,7 +727,7 @@ def test_monotone_neighborhoods(g3):
 
 def _singular_certificate(group, m=1):
     W = build_W(group.ctx)
-    matrix = matrix_section(group.ctx, W, build_T(group.ctx.q, W))
+    matrix = matrix_section(group.ctx, W, build_T(W))
     return groupoid_section(group, (m,), W, matrix)["singular_certificate"], W
 
 
@@ -733,7 +740,7 @@ def test_singular_certificate_degree2(g2):
 
 def test_singular_certificate_reuses_given_matrices(g3, monkeypatch):
     W = build_W(g3.ctx)
-    matrix = matrix_section(g3.ctx, W, build_T(g3.ctx.q, W))
+    matrix = matrix_section(g3.ctx, W, build_T(W))
 
     def no_recheck(*_):
         raise AssertionError("the matrix section's certificates must not be rechecked")
@@ -831,7 +838,7 @@ def _c_star(q):
 def test_bound_optimum_matches_generic_path(n):
     ctx = field_context(n)
     W = build_W(ctx)
-    T = build_T(ctx.q, W)
+    T = build_T(W)
     optimum = Fraction(ctx.q, 2 * ctx.q - 1)
     attained = bound_check(W, 1, _c_star(ctx.q))["max_abs_kappa"]
     assert attained == optimum
@@ -853,7 +860,7 @@ def test_bound_section_reads_no_entry(n, monkeypatch):
     # sums over row 0 of W and column 0 of T give the same document
     ctx = field_context(n)
     W = build_W(ctx)
-    T = build_T(ctx.q, W)
+    T = build_T(W)
     matrix = matrix_section(ctx, W, T)
 
     def refuse(*args):
@@ -867,12 +874,12 @@ def test_bound_section_reads_no_entry(n, monkeypatch):
     assert section["pass"] is True
 
 
-@pytest.mark.parametrize("i, col", [(0, 2), (0, 9), (5, 3), (7, 12)])
+@pytest.mark.parametrize("i, col", [(1, 2), (2, 9), (5, 3), (7, 12)])
 def test_flipped_W_entry_fails_the_bound_section(g3, w3, i, col):
     # one wrong generating entry breaks W T = I: no rank is claimed, and the
     # matrix and singular sections fail with the bound section
     bad = _flip(w3, i, col)
-    T = build_T(bad.q, bad)
+    T = build_T(bad)
     matrix = matrix_section(g3.ctx, bad, T)
     section = bound_section(bad, T, matrix)
     assert section == ref_bound_section(bad, T, matrix)
@@ -887,7 +894,7 @@ def test_flipped_W_entry_fails_the_bound_section(g3, w3, i, col):
 
 def test_bound_section_needs_the_right_inverse(w3):
     # the lower bound rests on W T = I: the T column sum alone is not enough
-    T = build_T(w3.q, w3)
+    T = build_T(w3)
     matrix = {"R_conditions": check_R_conditions(w3), "right_inverse_identity": False}
     section = bound_section(w3, T, matrix)
     assert section["lower_bound"]["pass"] is False and section["attained"]["pass"] is True
@@ -904,9 +911,8 @@ def _values():
     from multispinal.groupoid import RegionPattern
 
     e = ()
-    labels = ("0", "a^1", "a^2", "a^3")
-    W = InclusionMatrix(q=2, row0=7, row1=4, row_labels=labels)
-    W2 = InclusionMatrix(2, 7, 4, ("0", "a^1", "a^2", "a^3"))
+    W = InclusionMatrix(q=2, row1=4)
+    W2 = InclusionMatrix(2, 4)
     return [
         (SemigroupTriple("0", e, "1"), SemigroupTriple(eta="0", g=(), mu="1"),
          SemigroupTriple("0", e, "0"), "SemigroupTriple(eta='0', g=(), mu='1')"),
@@ -918,8 +924,7 @@ def _values():
         (RegionPattern(kind="H", j=0, witness="10", membership_row=(1, 0), members=(0,)),
          RegionPattern("H", 0, "10", (1, 0), (0,)), RegionPattern("Hc", 0, "10", (1, 0), (0,)),
          "RegionPattern(kind='H', j=0, witness='10', membership_row=(1, 0), members=(0,))"),
-        (W, W2, InclusionMatrix(2, 7, 2, labels),
-         "InclusionMatrix(q=2, row0=7, row1=4, row_labels=('0', 'a^1', 'a^2', 'a^3'))"),
+        (W, W2, InclusionMatrix(2, 2), "InclusionMatrix(q=2, row1=4)"),
         (RightInverse(W, Fraction(1, 3), Fraction(-1, 6)), RightInverse(W=W2, a=Fraction(1, 3), b=Fraction(-1, 6)),
          RightInverse(W, Fraction(1, 3), Fraction(1, 6)), f"RightInverse(W={W!r}, a=Fraction(1, 3), b=Fraction(-1, 6))"),
     ]

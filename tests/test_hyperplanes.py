@@ -5,14 +5,13 @@ import pytest
 
 from multispinal import hyperplanes
 from multispinal.certify import certify, design_section
-from multispinal.exact_linalg import InclusionMatrix, check_R_conditions
+from multispinal.exact_linalg import InclusionMatrix, build_W, check_R_conditions
 from multispinal.gf2n import field_context
 from multispinal.hyperplanes import (
     DesignError,
     block_satisfies_r5,
     build_hyperplanes,
     extract_base_block,
-    membership_profile,
     search_base_blocks,
     shift_intersections,
     verify_design,
@@ -124,20 +123,26 @@ def test_pair_count_rejects_equal_or_out_of_range(f4):
         ref_pair_count(f4, 0, 3)
 
 
+def _profiles(ctx) -> list[int]:
+    """The membership profile of each element in W's row order: the
+    subgroup half of its row, bit j set iff it lies in H_j."""
+    full = (1 << ctx.k) - 1
+    return [row & full for row in build_W(ctx).rows]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_nonzero_point_in_q_minus_one_subgroups(n):
     ctx = field_context(n)
-    for x in ctx.nonzero_elements():
-        assert membership_profile(ctx, x).bit_count() == ctx.q - 1
+    assert [p.bit_count() for p in _profiles(ctx)[1:]] == [ctx.q - 1] * ctx.k
 
 
 @pytest.mark.parametrize("n", range(2, 6))
-def test_membership_profile_matches_reference(n):
+def test_W_rows_match_the_reference_profiles(n):
     ctx = field_context(n)
     field = RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(n + 1)))
-    for x in ctx.elements():
+    for x, profile in zip(ctx.canonical_elements(), _profiles(ctx)):
         want = sum(1 << j for j in range(ctx.k) if ref_hyperplane_membership(field, x, j))
-        assert membership_profile(ctx, x) == want
+        assert profile == want
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -145,7 +150,8 @@ def test_profile_intersections_are_pair_counts(n):
     # the pair (alpha^l1, alpha^l2) lies in the shift count of d = l2 - l1,
     # which is what the design section and the design command read
     ctx = field_context(n)
-    profiles = [membership_profile(ctx, ctx.pow_alpha(l)) for l in range(ctx.k)]
+    rows = _profiles(ctx)
+    profiles = [rows[l or ctx.k] for l in range(ctx.k)]  # alpha^0 = 1 is the last row
     shifts = list(shift_intersections(ctx.trace_zero_mask, ctx.k))
     for l1 in range(ctx.k):
         for l2 in range(l1 + 1, ctx.k):
@@ -251,7 +257,7 @@ def _rotated_W(q, z):
     build_W rotates the zero-trace mask."""
     k = 2 * q - 1
     row1 = ((z >> 1) | (z << (k - 1))) & ((1 << k) - 1)
-    return InclusionMatrix(q, (1 << k) - 1, row1, tuple(str(i) for i in range(2 * q)))
+    return InclusionMatrix(q, row1)
 
 
 @pytest.mark.parametrize(
