@@ -18,7 +18,7 @@ from . import __version__
 from .exact_linalg import InclusionMatrix, RightInverse, build_T, build_W, check_R_conditions
 from .exact_linalg import rank_mod_p, verify_right_inverse
 from .gf2n import FieldContext, PrimitivePolynomial, field_context, field_section
-from .groupoid import MembershipMismatch, check_germ_rows, region_witnesses, singular_system_certificate
+from .groupoid import WITNESS_RULE, MembershipMismatch, check_germ_rows, singular_system_certificate
 from .hyperplanes import DesignError, verify_design
 from .selfsim import MultispinalGroup
 
@@ -132,30 +132,24 @@ def nucleus_section(group: MultispinalGroup) -> dict:
     return section
 
 
-def groupoid_section(group: MultispinalGroup, m_values, W: InclusionMatrix, matrix: dict) -> dict:
-    """Region witnesses for each m, the germ rows of all 2k regions checked
-    against W by 2q germ walks (the rows do not depend on m), then the
-    singular certificate on the matrix section of W."""
-    ctx = group.ctx
+def groupoid_section(group: MultispinalGroup, W: InclusionMatrix, matrix: dict) -> dict:
+    """The germ rows of all 2k regions checked against W by 2q germ walks,
+    then the singular certificate on the matrix section of W.  Neither
+    depends on m, and the witness of each region at every m is the one
+    tail of WITNESS_RULE (region_witnesses lists its instances at one m),
+    so the section states the rule once."""
     try:
         check_germ_rows(group, W)
         error = None
     except MembershipMismatch as err:
         error = str(err)
-    membership = {}
-    for m in m_values:
-        witnesses = region_witnesses(ctx, m)
-        membership[str(m)] = (
-            {"matches_transpose": True, "witnesses": witnesses}
-            if error is None
-            else {"matches_transpose": False, "error": error}
-        )
-    cert = singular_system_certificate(group, m_values[0], matrix)
+    cert = singular_system_certificate(group, matrix)
     cert["germ_verified"] = error is None
     return {
-        "m_values": list(m_values),
-        "germ_walks": 2 * ctx.q,
-        "membership": membership,
+        "germ_walks": 2 * group.ctx.q,
+        "witness_rule": WITNESS_RULE,
+        "matches_transpose": error is None,
+        **({"error": error} if error is not None else {}),
         "singular_certificate": cert,
         "pass": error is None and cert["pass"],
     }
@@ -203,18 +197,9 @@ def bound_section(W: InclusionMatrix, T: RightInverse, matrix: dict) -> dict:
     }
 
 
-def certify(
-    n: int,
-    poly: PrimitivePolynomial | int | str | None = None,
-    m_values=(1, 2, 3),
-    seed: int = 0,
-) -> dict:
+def certify(n: int, poly: PrimitivePolynomial | int | str | None = None, seed: int = 0) -> dict:
     """Run the whole pipeline for one degree and assemble the document.
-    seed is echoed into the document and selects nothing; the groupoid
-    section keys its membership by m, so m_values must not repeat."""
-    m_values = tuple(m_values)
-    if not m_values or len(set(m_values)) < len(m_values):
-        raise ValueError(f"m_values must be nonempty and distinct, got {list(m_values)}")
+    seed is echoed into the document and selects nothing."""
     ctx = field_context(n, poly)
     group = MultispinalGroup(ctx)
     # W and T are built once, W as its base block and T as its two
@@ -229,7 +214,7 @@ def certify(
         "design": design_section(W, matrix["R_conditions"]),
         "matrix": matrix,
         "nucleus": nucleus_section(group),
-        "groupoid": groupoid_section(group, m_values, W, matrix),
+        "groupoid": groupoid_section(group, W, matrix),
         "bound": bound_section(W, T, matrix),
     }
     verdict = all(s["pass"] for s in sections.values())

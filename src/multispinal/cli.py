@@ -224,7 +224,7 @@ def cmd_certify(args) -> int:
     from .certify import certify
 
     ns = list(range(args.n_min, args.n_max + 1)) if args.all else [args.n]
-    docs = [certify(n, poly=args.poly, m_values=tuple(args.m_values), seed=args.seed) for n in ns]
+    docs = [certify(n, poly=args.poly, seed=args.seed) for n in ns]
     if args.all:
         verdict = all(d["verdict"] == "PASS" for d in docs)
         doc = {"range": [args.n_min, args.n_max], "certificates": docs,
@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--poly")
     p.add_argument("--seed", type=int, default=0, help="echoed into the document; selects nothing")
-    p.add_argument("--m-values", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
     return parser
@@ -296,6 +295,8 @@ def main(argv=None) -> int:
     field_given = args.n is not None or args.poly is not None  # every subcommand has both
     if args.command == "design" and args.search_q is not None and field_given:
         parser.error("design --search-q searches abstract base blocks; it takes neither --n nor --poly")
+    if args.command == "matrix" and args.emit == "csv" and args.rank_field:
+        parser.error("matrix --emit csv writes W alone; it takes no --rank-field")
     if args.command == "certify" and not args.all and args.n is None:
         parser.error("certify needs --n or --all")
     if args.command == "certify" and args.all and field_given:

@@ -328,11 +328,14 @@ def _witness_length(ctx: FieldContext, m: int, j: int) -> int:
     return m + (j - m) % ctx.k
 
 
+WITNESS_RULE = "H_j and H_j^c: 1^s 0 1^inf, s = m + (j - m) mod k, every m >= 0"
+
+
 def region_witnesses(ctx: FieldContext, m: int) -> dict[str, str]:
     """The witness of each of the 2k regions at m, keyed H0 .. H(k-1),
-    H0c .. H(k-1)c and written "1^s 0" for the tail 1^s 0 1^infinity,
-    s = m + (j - m) mod k.  The rows of these tails are certified by
-    check_germ_rows, which holds at every m."""
+    H0c .. H(k-1)c and written "1^s 0" for the tail 1^s 0 1^infinity:
+    the instances of WITNESS_RULE at m.  The rows of these tails are
+    certified by check_germ_rows, which holds at every m."""
     subgroups = {f"H{j}": f"1^{_witness_length(ctx, m, j)} 0" for j in range(ctx.k)}
     return subgroups | {f"{label}c": w for label, w in subgroups.items()}  # same tails as H_j
 
@@ -447,7 +450,7 @@ def membership_matrix(group: MultispinalGroup, W: InclusionMatrix, m: int) -> tu
 # -- singular system and magnitude bound ---------------------------------
 
 
-def singular_system_certificate(group: MultispinalGroup, m: int, matrix: dict) -> dict:
+def singular_system_certificate(group: MultispinalGroup, matrix: dict) -> dict:
     """Certify that sum_{g in K} c_g = 0 over all 2k admissible K forces
     c = 0, via full column rank 2q of the membership matrix.
 
@@ -463,7 +466,6 @@ def singular_system_certificate(group: MultispinalGroup, m: int, matrix: dict) -
     passed = wt_ok and rank == 2 * ctx.q
     return {
         "n": ctx.n,
-        "m": m,
         "unknowns": 2 * ctx.q,
         "equations": 2 * ctx.k,
         "matrix_source": "inclusion-transpose",

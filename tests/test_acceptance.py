@@ -193,7 +193,7 @@ def test_c8_singular_system():
     for n in range(2, 8):
         W = build_W(ctx(n))
         matrix = matrix_section(ctx(n), W, build_T(W))
-        section = groupoid_section(group(n), (1,), W, matrix)
+        section = groupoid_section(group(n), W, matrix)
         cert = section["singular_certificate"]
         assert section["pass"] and cert["germ_verified"]
         assert cert["pass"], cert

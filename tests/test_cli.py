@@ -92,6 +92,14 @@ def test_matrix_csv_golden():
     assert len(lines) == 5
 
 
+def test_matrix_csv_takes_no_rank_field():
+    # the CSV is W alone: a rank it would not write is a usage error
+    res = run_cli("matrix", "--n", "3", "--emit", "csv", "--rank-field", "Q")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "takes no --rank-field" in res.stderr
+
+
 def test_matrix_reads_W_T_from_the_R_conditions(monkeypatch, capsys):
     # matrix decides W T = I the way certify does: build_T's T over a W
     # that passes R1-R9 needs no Gram check, so a failing one goes unseen
@@ -289,14 +297,16 @@ def test_emit_json_rejects_values_json_cannot_hold(tmp_path):
 # "1^s 0", the full certificate at every degree); certify --all for
 # n = 2..8 was pinned when the nucleus came to be read from the classes
 # of the normal form; the three certify pins were renewed when the
-# nucleus dropped its inert "depth_limit" key, their only change; a
+# nucleus dropped its inert "depth_limit" key, their only change, and
+# again when the groupoid section came to state the witness rule once in
+# place of the witnesses for three m; a
 # refactor that keeps the certificates must keep these bytes, and a change that alters a document on purpose updates its
 # pin and says why
 PINNED_DOCUMENTS = {
     ("certify", "--all", "--n-min", "2", "--n-max", "8"):
-        "d633c7c1d9115ef7723fea7d2c20a7384854aad4b493f8551cf9c6f4f2c3b0af",
+        "37b958e8be7a15ac6792e3e4ff989b3ed88c0204fe268c89a7a36abe55826ef1",
     ("certify", "--all", "--n-min", "2", "--n-max", "4", "--seed", "7"):
-        "0c71f1263758851ed31fce1141e19239b860f166f573f2ae0feb1184e2af15ef",
+        "58a565e0568295f39d689f62103eb4f149e8074705b640af0754fcd324d99a11",
     ("groupoid", "--n", "5", "--m", "2"):
         "e6c167b9de5a2127a624f990ad19f35037338ff488f9ccdf77380bf718d37ea2",
     ("groupoid", "--n", "7", "--m", "1"):
@@ -306,7 +316,7 @@ PINNED_DOCUMENTS = {
     ("matrix", "--n", "3"):
         "320551aa30ba70251de30f98b5a3d3e417319acc11288599133a8fb163cd053f",
     ("certify", "--n", "8"):
-        "19847cda80da179ab174824dd551b3c8cd96c87ecfa1a75163636070d89334d4",
+        "6b9178dc6ac3086882552e25ae411c9b20d88d3b870f356ebc8a7d8b8899d53d",
     ("design", "--n", "8"):
         "03e03df199f5038260eb76bb3bb81aa3a9edac4872c16e0fcd866e228edcb2bd",
     ("design", "--search-q", "6"):
@@ -433,11 +443,13 @@ def test_groupoid_certificate():
 
 
 def test_groupoid_has_no_verify_flag():
-    # nor a budget: each region's witness is the closed form 1^s 0
+    # nor a budget: each region's witness is the closed form 1^s 0, and
+    # certify states that rule for every m, so it takes no --m-values
     for args in (
         ("groupoid", "--n", "2", "--m", "1", "--verify"),
         ("nucleus", "--n", "3", "--depth", "8"),
         ("groupoid", "--n", "3", "--m", "1", "--depth", "9"),
+        ("certify", "--n", "3", "--m-values", "1"),
     ):
         res = run_cli(*args)
         assert res.returncode == 2, args
@@ -445,29 +457,11 @@ def test_groupoid_has_no_verify_flag():
         assert "unrecognized arguments" in res.stderr
 
 
-@pytest.mark.parametrize(
-    "args", [("groupoid", "--n", "3", "--m", "-2"), ("certify", "--n", "3", "--m-values", "1", "-2")]
-)
+@pytest.mark.parametrize("args", [("groupoid", "--n", "3", "--m", "-2")])
 def test_negative_m_exits_2(args):
     res = run_cli(*args)
     assert res.returncode == 2
     assert "must be >= 0" in res.stderr
-
-
-@pytest.mark.parametrize("m_values", [(), (1, 1), (2, 1, 2)])
-def test_certify_rejects_empty_or_repeated_m_values(m_values):
-    # the groupoid section keys its membership by m and reads m_values[0]
-    from multispinal.certify import certify
-
-    with pytest.raises(ValueError, match="m_values must be nonempty and distinct"):
-        certify(3, m_values=m_values)
-
-
-def test_certify_repeated_m_values_exit_2():
-    res = run_cli("certify", "--n", "3", "--m-values", "1", "1")
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert "m_values must be nonempty and distinct" in res.stderr
 
 
 @pytest.mark.parametrize("extra", [("--n", "3"), ("--poly", "x^3+x+1")])
@@ -499,9 +493,20 @@ def test_certify_reports_wrong_germ_rows_as_fail(monkeypatch, tmp_path):
     assert cli.main(["certify", "--n", "3", "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "FAIL"
-    for entry in doc["sections"]["groupoid"]["membership"].values():
-        assert entry["matches_transpose"] is False
-        assert entry["error"].startswith("membership mismatch at row H0, column ")
+    section = doc["sections"]["groupoid"]
+    assert section["matches_transpose"] is False
+    assert section["error"].startswith("membership mismatch at row H0, column ")
+
+
+def test_certify_states_the_witness_rule_once():
+    # the groupoid section is the rule and one germ-row verdict, whatever
+    # the degree: the whole document stays small
+    res = run_cli("certify", "--n", "12")
+    assert res.returncode == 0
+    assert len(res.stdout.encode()) < 8 << 10
+    section = json.loads(res.stdout)["sections"]["groupoid"]
+    assert list(section) == ["germ_walks", "witness_rule", "matches_transpose", "singular_certificate", "pass"]
+    assert section["germ_walks"] == 1 << 12 and section["matches_transpose"] is True
 
 
 def test_out_file(tmp_path):

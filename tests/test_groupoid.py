@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from multispinal import exact_linalg, groupoid
+from multispinal import certify, exact_linalg, groupoid
 from multispinal.certify import bound_section, groupoid_section, matrix_section
 from multispinal.exact_linalg import (
     InclusionMatrix,
@@ -564,23 +564,25 @@ def test_germ_rows_and_witnesses_match_the_oracles(n):
     assert 0 in meet and germ_rows(ctx, meet) == W.row1
     rows = tuple(exact_linalg.circulant_rows(W.row1, k))
     assert rows == W.rows
-    matrix = matrix_section(ctx, W, build_T(W))
+    section = groupoid_section(group, W, matrix_section(ctx, W, build_T(W)))
+    # the rule the section states is the one every region's oracle follows
+    assert section["witness_rule"] == "H_j and H_j^c: 1^s 0 1^inf, s = m + (j - m) mod k, every m >= 0"
+    assert section["matches_transpose"] is True
+    assert section["singular_certificate"]["germ_verified"] is True
     for m in sorted({0, 1, 2, 3, k, k + 1}):
         patterns = membership_matrix(group, W, m)
         assert tuple(p.membership_row for p in patterns) == tuple(
             tuple((r >> col) & 1 for r in rows) for col in range(2 * k)
         )
-        section = groupoid_section(group, (m,), W, matrix)
-        witnesses = section["membership"][str(m)]["witnesses"]
-        assert witnesses == region_witnesses(ctx, m)
+        witnesses = region_witnesses(ctx, m)
         assert list(witnesses) == list(W.col_labels)
         depth = m + 2 * k + 1
         for p in patterns:
             s = len(p.witness) - 1
+            assert s == m + (p.j - m) % k
             assert witnesses[p.label] == f"1^{s} 0"
             ref = ref_region_witness(field, m, p.kind, p.j, depth)
             assert ref == (p.witness, p.membership_row)
-        assert section["singular_certificate"]["germ_verified"] is True
 
 
 def test_negative_m_is_rejected(g2, w2):
@@ -637,9 +639,9 @@ def test_flipped_W_entry_is_named(g3, w3, i, kind, j):
         with pytest.raises(MembershipMismatch) as err:
             call()
         assert (err.value.row_label, err.value.col_label) == named
-    section = groupoid_section(g3, (1, 2), bad, matrix_section(g3.ctx, bad, build_T(bad)))
-    error = f"membership mismatch at row H{b}, column {row_label(1)}"
-    assert all(e == {"matches_transpose": False, "error": error} for e in section["membership"].values())
+    section = groupoid_section(g3, bad, matrix_section(g3.ctx, bad, build_T(bad)))
+    assert section["matches_transpose"] is False
+    assert section["error"] == f"membership mismatch at row H{b}, column {row_label(1)}"
     assert section["pass"] is False
 
 
@@ -677,13 +679,25 @@ def test_negated_germ_equal_fails_every_m(n, monkeypatch):
     matrix = matrix_section(ctx, W, build_T(W))
     real = groupoid.germ_equal
     monkeypatch.setattr(groupoid, "germ_equal", lambda group, g1, g2, tail: not real(group, g1, g2, tail))
-    section = groupoid_section(group, (1, 2, 3), W, matrix)
+    section = groupoid_section(group, W, matrix)
     assert section["pass"] is False
     assert section["singular_certificate"]["germ_verified"] is False
-    assert set(section["membership"]) == {"1", "2", "3"}
-    for entry in section["membership"].values():
-        # 0 lies in every H_j, so row 0 is the first to differ
-        assert entry == {"matches_transpose": False, "error": "membership mismatch at row H0, column 0"}
+    # the rows do not depend on m, so one verdict holds at every m; 0
+    # lies in every H_j, so row 0 is the first to differ
+    assert section["matches_transpose"] is False
+    assert section["error"] == "membership mismatch at row H0, column 0"
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_certify_lists_no_region_witnesses(n, monkeypatch):
+    # the groupoid section states the witness rule once and lists none of
+    # its instances
+    def no_list(*_):
+        raise AssertionError("region witnesses listed")
+
+    monkeypatch.setattr(groupoid, "region_witnesses", no_list)
+    monkeypatch.setattr(certify, "region_witnesses", no_list, raising=False)
+    assert certify.certify(n)["verdict"] == "PASS"
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -725,10 +739,10 @@ def test_monotone_neighborhoods(g3):
 # singular system and bound --------------------------------------------------------
 
 
-def _singular_certificate(group, m=1):
+def _singular_certificate(group):
     W = build_W(group.ctx)
     matrix = matrix_section(group.ctx, W, build_T(W))
-    return groupoid_section(group, (m,), W, matrix)["singular_certificate"], W
+    return groupoid_section(group, W, matrix)["singular_certificate"], W
 
 
 def test_singular_certificate_degree2(g2):
@@ -747,9 +761,9 @@ def test_singular_certificate_reuses_given_matrices(g3, monkeypatch):
 
     for name in ("rank_over_Q", "verify_right_inverse", "build_W", "build_T"):
         monkeypatch.setattr(exact_linalg, name, no_recheck)
-    cert = groupoid_section(g3, (1,), W, matrix)["singular_certificate"]
+    cert = groupoid_section(g3, W, matrix)["singular_certificate"]
     assert cert["pass"] and cert["rank_over_Q"] == 8
-    section = groupoid_section(g3, (1,), W, {**matrix, "right_inverse_identity": False, "rank_over_Q": None})
+    section = groupoid_section(g3, W, {**matrix, "right_inverse_identity": False, "rank_over_Q": None})
     failed = section["singular_certificate"]
     assert failed["pass"] is False and failed["rank_over_Q"] is None
     assert failed["trivial_solution_only"] is False and failed["germ_verified"] is True
@@ -888,7 +902,7 @@ def test_flipped_W_entry_fails_the_bound_section(g3, w3, i, col):
     assert matrix["right_inverse_identity"] is False and matrix["pass"] is False
     assert matrix["rank_over_Q"] is None
     assert all(r is None or r == "skipped (divides k*q)" for r in matrix["rank_mod_p"].values())
-    cert = groupoid_section(g3, (1,), bad, matrix)["singular_certificate"]
+    cert = groupoid_section(g3, bad, matrix)["singular_certificate"]
     assert cert["pass"] is False and cert["trivial_solution_only"] is False
 
 

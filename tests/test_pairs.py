@@ -65,11 +65,15 @@ def test_summary_reads_medians_wins_and_the_bound():
     assert wall["worse_by"] == pytest.approx(0.3) and wall["worse_than_bound"] is True
     assert wall["change_wins"] == 0 and wall["pairs"] == 5
     assert wall["parent_iqr"] == 4.5 - 1.5  # exclusive quartiles of 1..5
+    # every pair's change / parent is 1.3, however wide the parent spreads
+    assert wall["ratio_quartiles"] == [pytest.approx(1.3)] * 3
     # higher is better: 20 % fewer queries is within the bound
     assert qps["worse_by"] == pytest.approx(0.2) and qps["worse_than_bound"] is False
     assert qps["change_wins"] == 0
     # lower is better and every change run is lower: it wins each pair
     assert p99["change_wins"] == 5 and p99["worse_by"] < 0 and p99["worse_than_bound"] is False
+    # ratios 0.5, 0.75, 5/6, 0.875, 0.9: exclusive quartiles
+    assert p99["ratio_quartiles"] == [pytest.approx(0.625), pytest.approx(5 / 6), pytest.approx(0.8875)]
     # a metric one side does not report is left out
     assert "setup_s" not in summary["metrics"]
     assert summary["failed"] == {"parent": [0] * 5, "change": [0, 0, 0, 0, 1]}
@@ -90,3 +94,26 @@ def test_main_writes_the_report(monkeypatch, tmp_path, capsys):
     assert summary["change_wins"] == 10 and summary["worse_than_bound"] is False
     assert len(doc["workloads"]["w"]["runs"]) == 10
     assert "wall_s" in capsys.readouterr().out
+
+
+def test_per_pair_ratio_resolves_what_host_drift_hides(monkeypatch, tmp_path, capsys):
+    # the host slows by half from pair 7 on, on both sides alike: the
+    # parent's IQR is half its median, but every pair reads 0.98
+    pairs = _pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    bench = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def run(root, workload, seed):
+        host = 1.0 if seed <= 6 else 1.5
+        return _line(wall_s=host * (0.98 if root.name == "change" else 1.0))
+
+    monkeypatch.setattr(pairs, "_run", run)
+    out = tmp_path / "pairs.json"
+    assert pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["workloads"]["w"]["metrics"]["wall_s"]
+    assert summary["parent_iqr"] == pytest.approx(0.5) and summary["parent_median"] == 1.0
+    assert summary["ratio_quartiles"] == [pytest.approx(0.98)] * 3
+    assert summary["change_wins"] == 10 and summary["worse_than_bound"] is False
+    assert "ratio 0.980 [0.980, 0.980]" in capsys.readouterr().out

@@ -16,7 +16,10 @@ BENCHMARK.json the report gives the median of each side, the
 interquartile range of the parent's runs, how many pairs the change
 wins, and whether the change's median is worse than the parent's by
 more than the metric's bound, as a fraction of the parent's median.  It
-also lists the failed operations of every run.  The report is written
+gives the median and quartiles of the per-pair ratio change / parent
+too: a drift in the host's speed widens the parent's own spread, but
+falls on both runs of a pair alike and leaves their ratio.  It also
+lists the failed operations of every run.  The report is written
 to FILE as JSON and printed as a table.
 """
 
@@ -68,10 +71,16 @@ def worse_by(parent: float, change: float, better: str) -> float:
     return delta if better == "lower" else -delta
 
 
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The first quartile, median and third quartile of values."""
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric, over the pairs where both sides report a
     number: both medians, the parent's interquartile range, the change's
-    wins and the bound verdict; and every run's failed count."""
+    wins, the quartiles of the per-pair ratio change / parent and the
+    bound verdict; and every run's failed count."""
     out = {}
     for m in metrics:
         name, better = m["name"], m["better"]
@@ -82,7 +91,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             continue
         parent = [a for a, _ in values]
         pm, cm = statistics.median(parent), statistics.median(b for _, b in values)
-        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (pm, pm, pm)
+        q1, _, q3 = _quartiles(parent)
+        r1, rm, r3 = _quartiles([b / a for a, b in values])
         worse = worse_by(pm, cm, better)
         out[name] = {
             "parent_median": pm,
@@ -90,6 +100,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "parent_iqr": q3 - q1,
             "change_wins": sum(worse_by(a, b, better) < 0 for a, b in values),
             "pairs": len(values),
+            "ratio_quartiles": [r1, rm, r3],
             "worse_by": worse,
             "bound": m["bound"],
             "worse_than_bound": worse > m["bound"],
@@ -104,8 +115,10 @@ def _table(doc: dict) -> str:
         lines.append(f"{w}  failed: parent {sum(r['failed']['parent'])}, change {sum(r['failed']['change'])}")
         for name, s in r["metrics"].items():
             flag = "WORSE THAN BOUND" if s["worse_than_bound"] else ""
+            r1, rm, r3 = s["ratio_quartiles"]
             lines.append(f"    {name:<16} parent {s['parent_median']:>12.6g} (IQR {s['parent_iqr']:.3g})  "
                          f"change {s['change_median']:>12.6g}  wins {s['change_wins']}/{s['pairs']}  "
+                         f"ratio {rm:.3f} [{r1:.3f}, {r3:.3f}]  "
                          f"worse by {s['worse_by']:+.1%} of {s['bound']:.0%}  {flag}".rstrip())
     return "\n".join(lines)
 
