@@ -107,9 +107,6 @@ def matrix_section(ctx: FieldContext, W: InclusionMatrix, T: RightInverse) -> di
         "all_R_pass": all_r,
         "right_inverse_identity": wt,
     }
-    if ctx.n <= 4:  # small enough to inline the full matrices
-        section["W"] = W.to_lists()
-        section["T"] = T.to_strings()
     full = 2 * ctx.q if wt else None
     section["rank_over_Q"] = full
     r2 = rank_mod_p(W, 2)
@@ -132,27 +129,32 @@ def nucleus_section(group: MultispinalGroup) -> dict:
     return section
 
 
-def groupoid_section(group: MultispinalGroup, W: InclusionMatrix, matrix: dict) -> dict:
-    """The germ rows of all 2k regions checked against W by 2q germ walks,
-    then the singular certificate on the matrix section of W.  Neither
-    depends on m, and the witness of each region at every m is the one
-    tail of WITNESS_RULE (region_witnesses lists its instances at one m),
-    so the section states the rule once."""
+def germ_row_verdict(group: MultispinalGroup, W: InclusionMatrix) -> dict:
+    """The germ rows of all 2k regions checked against W by the 2q germ
+    walks of check_germ_rows, for the groupoid section and the groupoid
+    subcommand.  The rows do not depend on m, and the witness of each
+    region at every m is the one tail of WITNESS_RULE, so the verdict
+    states the rule once; error names the first mismatch."""
     try:
         check_germ_rows(group, W)
-        error = None
+        error = {}
     except MembershipMismatch as err:
-        error = str(err)
-    cert = singular_system_certificate(group, matrix)
-    cert["germ_verified"] = error is None
+        error = {"error": str(err)}
     return {
         "germ_walks": 2 * group.ctx.q,
         "witness_rule": WITNESS_RULE,
-        "matches_transpose": error is None,
-        **({"error": error} if error is not None else {}),
-        "singular_certificate": cert,
-        "pass": error is None and cert["pass"],
+        "matches_transpose": not error,
+        **error,
     }
+
+
+def groupoid_section(group: MultispinalGroup, W: InclusionMatrix, matrix: dict) -> dict:
+    """The germ-row verdict (germ_row_verdict), then the singular
+    certificate on the matrix section of W."""
+    section = germ_row_verdict(group, W)
+    cert = singular_system_certificate(group, matrix)
+    cert["germ_verified"] = section["matches_transpose"]
+    return {**section, "singular_certificate": cert, "pass": section["matches_transpose"] and cert["pass"]}
 
 
 def bound_section(W: InclusionMatrix, T: RightInverse, matrix: dict) -> dict:

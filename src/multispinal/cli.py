@@ -78,7 +78,8 @@ def cmd_field(args) -> int:
 def cmd_design(args) -> int:
     from .certify import design_section
     from .exact_linalg import build_W, check_R_conditions
-    from .hyperplanes import build_hyperplanes, search_base_blocks, shift_intersections
+    from .groupoid import MEMBERSHIP_RULE
+    from .hyperplanes import search_base_blocks
 
     if args.search_q is not None:
         blocks = search_base_blocks(args.search_q)
@@ -92,28 +93,10 @@ def cmd_design(args) -> int:
         return 0
     ctx = field_context(args.n, args.poly)
     W = build_W(ctx)
-    doc = design_section(W, check_R_conditions(W))
-    doc["block_members"] = {
-        f"H{j}": [x for x, bit in enumerate(bin(members)[:1:-1]) if bit == "1"]
-        for j, members in enumerate(build_hyperplanes(ctx))
-    }
-    lam = ctx.q // 2 - 1
-    # the pair (alpha^l1, alpha^l2) lies in |Z ∩ (Z - d)| blocks with
-    # d = l2 - l1, Z the zero-trace mask, whose shift counts are row 1 of
-    # W's; k - d pairs have that d, the first in lexicographic order being
-    # (0, d).  A passing design has every count lam: only a FAIL rescans
-    counts = {lam: ctx.k * (ctx.k - 1) // 2} if doc["pass"] else {}
-    bad = None
-    if not doc["pass"]:
-        for d, c in enumerate(shift_intersections(W.row1, ctx.k), 1):
-            counts[c] = counts.get(c, 0) + ctx.k - d
-            if c != lam and bad is None:
-                bad = [0, d, c]
-    doc["pair_count_table"] = {
-        "expected": lam,
-        "observed_counts": {str(k): v for k, v in sorted(counts.items())},
-        "all_equal": list(counts) == [lam],
-        **({"first_violation": bad} if bad else {}),
+    doc = {
+        "base_block": hex(W.row1),
+        "membership_rule": MEMBERSHIP_RULE,
+        **design_section(W, check_R_conditions(W)),
     }
     _emit_json(doc, args.out)
     return 0 if doc["pass"] else 1
@@ -122,6 +105,7 @@ def cmd_design(args) -> int:
 def cmd_matrix(args) -> int:
     from .certify import right_inverse_identity
     from .exact_linalg import build_T, build_W, check_R_conditions, rank_mod_p, rank_over_Q, row_label
+    from .groupoid import MEMBERSHIP_RULE
 
     ctx = field_context(args.n, args.poly)
     W = build_W(ctx)
@@ -138,30 +122,22 @@ def cmd_matrix(args) -> int:
         "n": ctx.n,
         "q": ctx.q,
         "k": ctx.k,
-        "row_labels": [row_label(i) for i in range(2 * ctx.q)],
-        "col_labels": list(W.col_labels),
-        "W": W.to_lists(),
+        "base_block": hex(W.row1),
+        "membership_rule": MEMBERSHIP_RULE,
+        "T": {"a": str(T.a), "b": str(T.b), "rule": "T[j][i] = a where W[i][j] = 1, else b"},
         "R_conditions": conditions,
         "all_R_pass": all_r,
-        "T": T.to_strings(),
         "right_inverse_identity": right_inverse_identity(W, T, all_r),
     }
     ok = doc["all_R_pass"] and doc["right_inverse_identity"]
-    if args.rank_field:
-        spec = args.rank_field
-        if spec == "Q":
-            r = rank_over_Q(W)
-            doc["rank"] = {"field": "Q", "rank": r, "full": r == 2 * ctx.q}
-            ok = ok and r == 2 * ctx.q
-        elif spec == "F2":
-            r = rank_mod_p(W, 2)
-            doc["rank"] = {"field": "F2", "rank": r, "full": r == 2 * ctx.q}
-        elif spec.startswith("Fp:"):
-            p = int(spec[3:])
-            r = rank_mod_p(W, p)
-            doc["rank"] = {"field": f"F{p}", "rank": r, "full": r == 2 * ctx.q}
-        else:
-            raise ValueError(f"unknown rank field {spec!r} (use Q, F2 or Fp:<p>)")
+    if args.rank_field == "Q":
+        r = rank_over_Q(W)
+        doc["rank"] = {"field": "Q", "rank": r, "full": r == 2 * ctx.q}
+        ok = ok and r == 2 * ctx.q
+    elif args.rank_field:  # F2 or Fp:<p>, checked by main
+        p = 2 if args.rank_field == "F2" else int(args.rank_field[3:])
+        r = rank_mod_p(W, p)
+        doc["rank"] = {"field": f"F{p}", "rank": r, "full": r == 2 * ctx.q}
     _emit_json(doc, args.out)
     return 0 if ok else 1
 
@@ -199,25 +175,15 @@ def cmd_nucleus(args) -> int:
 
 
 def cmd_groupoid(args) -> int:
+    from .certify import germ_row_verdict
     from .exact_linalg import build_W
-    from .groupoid import MembershipMismatch, check_germ_rows, region_witnesses
     from .selfsim import MultispinalGroup
 
     ctx = field_context(args.n, args.poly)
-    group = MultispinalGroup(ctx)
-    W = build_W(ctx)
-    doc = {"n": ctx.n, "m": args.m, "germ_walks": 2 * ctx.q, "witnesses": region_witnesses(ctx, args.m)}
-    try:
-        check_germ_rows(group, W)
-        doc["matches_transpose"] = True
-        ok = True
-    except MembershipMismatch as err:
-        doc["matches_transpose"] = False
-        doc["error"] = str(err)
-        ok = False
-    doc["pass"] = ok
+    doc = {"n": ctx.n, **germ_row_verdict(MultispinalGroup(ctx), build_W(ctx))}
+    doc["pass"] = doc["matches_transpose"]
     _emit_json(doc, args.out)
-    return 0 if ok else 1
+    return 0 if doc["pass"] else 1
 
 
 def cmd_certify(args) -> int:
@@ -260,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("matrix", help="inclusion matrix, right-inverse, ranks")
+    p = sub.add_parser("matrix", help="inclusion matrix rule, right-inverse, ranks")
     add_common(p)
     p.add_argument("--rank-field", help="Q, F2 or Fp:<p>")
     p.add_argument("--emit", choices=("json", "csv"), default="json")
@@ -270,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_nucleus)
 
-    p = sub.add_parser("groupoid", help="region witnesses and the germ-row check against W")
+    p = sub.add_parser("groupoid", help="the witness rule and the germ-row check against W")
     add_common(p)
-    p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_groupoid)
 
     p = sub.add_parser("certify", help="full pipeline with one PASS/FAIL verdict")
@@ -297,6 +262,16 @@ def main(argv=None) -> int:
         parser.error("design --search-q searches abstract base blocks; it takes neither --n nor --poly")
     if args.command == "matrix" and args.emit == "csv" and args.rank_field:
         parser.error("matrix --emit csv writes W alone; it takes no --rank-field")
+    if args.command == "matrix" and args.rank_field not in (None, "Q", "F2"):
+        from .exact_linalg import _is_prime
+
+        spec = args.rank_field
+        if not spec.startswith("Fp:"):
+            parser.error(f"matrix --rank-field takes Q, F2 or Fp:<p>, got {spec!r}")
+        if not spec[3:].isdecimal():
+            parser.error(f"matrix --rank-field Fp:<p> needs an integer p, got {spec[3:]!r}")
+        if not _is_prime(int(spec[3:])):
+            parser.error(f"matrix --rank-field Fp:<p> needs a prime p, got {int(spec[3:])}")
     if args.command == "certify" and not args.all and args.n is None:
         parser.error("certify needs --n or --all")
     if args.command == "certify" and args.all and field_given:

@@ -163,9 +163,6 @@ class RightInverse(Record):
         a, b, rows = self.a, self.b, self.W.rows
         return tuple(tuple(a if (r >> j) & 1 else b for r in rows) for j in range(self.shape[0]))
 
-    def to_strings(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.rows]
-
 
 _set_W, _set_a, _set_b = slot_setters(RightInverse)
 

@@ -273,6 +273,8 @@ def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: tuple, m: i
     Supported for points carried by triples (empty, g, empty) - every
     witness in this package has that shape.
     """
+    if m < 0:
+        raise ValueError(f"neighbourhood index m must be >= 0, got {m}")
     t = point.triple
     if t.eta or t.mu:
         raise ValueError("only (empty, g, empty) germ points are supported")
@@ -328,16 +330,11 @@ def _witness_length(ctx: FieldContext, m: int, j: int) -> int:
     return m + (j - m) % ctx.k
 
 
+# the documents state these rules in place of their instances: the
+# witness of every region at every m (_witness_length), and W from its
+# base block, hex(W.row1), as W.entry reads it
 WITNESS_RULE = "H_j and H_j^c: 1^s 0 1^inf, s = m + (j - m) mod k, every m >= 0"
-
-
-def region_witnesses(ctx: FieldContext, m: int) -> dict[str, str]:
-    """The witness of each of the 2k regions at m, keyed H0 .. H(k-1),
-    H0c .. H(k-1)c and written "1^s 0" for the tail 1^s 0 1^infinity:
-    the instances of WITNESS_RULE at m.  The rows of these tails are
-    certified by check_germ_rows, which holds at every m."""
-    subgroups = {f"H{j}": f"1^{_witness_length(ctx, m, j)} 0" for j in range(ctx.k)}
-    return subgroups | {f"{label}c": w for label, w in subgroups.items()}  # same tails as H_j
+MEMBERSHIP_RULE = "alpha^i in H_j iff bit (i + j - 1) mod k of base_block is set; 0 in every H_j; H_j^c the complement"
 
 
 def meet_set(group: MultispinalGroup) -> frozenset[int]:
@@ -477,7 +474,7 @@ def singular_system_certificate(group: MultispinalGroup, matrix: dict) -> dict:
     }
 
 
-def bound_check(W: InclusionMatrix, m: int, coeffs) -> dict:
+def bound_check(W: InclusionMatrix, coeffs) -> dict:
     """Exact region sums for one coefficient vector and the two bounds.
 
     coeffs is indexed by the rows of W, the canonical element order [0,
@@ -503,7 +500,6 @@ def bound_check(W: InclusionMatrix, m: int, coeffs) -> dict:
     threshold = abs(c_e) / (2 * q)
     sharp = abs(c_e) * Fraction(q, 2 * q - 1)
     return {
-        "m": m,
         "kappa": kappa,
         "max_abs_kappa": max_abs,
         "threshold_2n": threshold,
@@ -513,7 +509,7 @@ def bound_check(W: InclusionMatrix, m: int, coeffs) -> dict:
     }
 
 
-def sample_bound_ratios(W: InclusionMatrix, m: int, samples: int, seed: int) -> dict:
+def sample_bound_ratios(W: InclusionMatrix, samples: int, seed: int) -> dict:
     """Seeded random rational vectors, all checked exactly in bulk.
 
     Numerators are drawn from [-9, 9] (identity coefficient from
@@ -554,7 +550,6 @@ def sample_bound_ratios(W: InclusionMatrix, m: int, samples: int, seed: int) -> 
         best = int(lower[0])
     min_ratio = Fraction(int(max_abs[best]), int(ce_abs[best]))
     return {
-        "m": m,
         "samples": samples,
         "seed": seed,
         "all_pass_2n_bound": bool(pass_2n.all()),

@@ -65,7 +65,9 @@ def block_satisfies_r5(mask: int, q: int) -> bool:
 
 
 def build_hyperplanes(ctx: FieldContext) -> list[int]:
-    """Member bitmask over the field elements of each H_j, indexed by j.
+    """Member bitmask over the field elements of each H_j, indexed by j:
+    the explicit subgroups, which no document lists and the tests read
+    as the oracle of the difference-set rule.
 
     Tr(alpha^j x) is GF(2)-linear in x: it is the parity of x & c_j, where
     bit i of c_j is Tr(alpha^(i + j)).  So H_j is the complement of the

@@ -204,7 +204,7 @@ def test_c8_singular_system():
 @criterion("C9 magnitude bound")
 def test_c9_bound_samples():
     for n in (2, 3, 4):
-        report = sample_bound_ratios(build_W(ctx(n)), 1, samples=10000, seed=0)
+        report = sample_bound_ratios(build_W(ctx(n)), samples=10000, seed=0)
         assert report["all_pass_2n_bound"]
         assert report["all_pass_sharp_bound"]
 

@@ -27,14 +27,6 @@ def test_certify_n2_passes_and_reproduces_matrices():
     doc = json.loads(res.stdout)
     assert doc["verdict"] == "PASS"
     matrix = doc["sections"]["matrix"]
-    assert matrix["W"] == [
-        [1, 1, 1, 0, 0, 0],
-        [0, 0, 1, 1, 1, 0],
-        [0, 1, 0, 1, 0, 1],
-        [1, 0, 0, 0, 1, 1],
-    ]
-    assert matrix["T"][0] == ["1/3", "-1/6", "-1/6", "1/3"]
-    assert matrix["T"][5] == ["-1/6", "-1/6", "1/3", "1/3"]
     assert matrix["right_inverse_identity"] is True
     assert doc["sections"]["design"]["params"] == [3, 1, 0]
 
@@ -100,6 +92,63 @@ def test_matrix_csv_takes_no_rank_field():
     assert "takes no --rank-field" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("R", "takes Q, F2 or Fp:<p>, got 'R'"),
+        ("Fp:abc", "needs an integer p, got 'abc'"),
+        ("Fp:9", "needs a prime p, got 9"),
+    ],
+)
+def test_matrix_rank_field_is_checked_before_any_work(spec, message):
+    # a usage error from the parser, before W, T and the R conditions are
+    # built, not the ValueError of int() or rank_mod_p after them
+    res = run_cli("matrix", "--n", "3", "--rank-field", spec)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage: ") and message in res.stderr
+
+
+def _expand_membership_rule(base_block: int, k: int) -> list[list[int]]:
+    """W's 2q rows from its base block by the stated membership rule: 0
+    lies in every H_j, alpha^i (i = 1..k) lies in H_j iff bit
+    (i + j - 1) mod k of the block is set, and H_j^c is the complement."""
+    subgroup = [[1] * k] + [[base_block >> (i + j - 1) % k & 1 for j in range(k)] for i in range(1, k + 1)]
+    return [row + [1 - v for v in row] for row in subgroup]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stated_rules_expand_to_the_hyperplanes_W_and_T(n, capsys):
+    # design and matrix state W as its base block and the rules that
+    # expand it; expanded, they give the field's hyperplanes, W and T
+    from fractions import Fraction
+
+    from multispinal import cli
+    from multispinal.exact_linalg import build_T, build_W
+    from multispinal.gf2n import field_context
+    from multispinal.groupoid import MEMBERSHIP_RULE
+    from multispinal.hyperplanes import build_hyperplanes
+
+    docs = {}
+    for command in ("design", "matrix"):
+        assert cli.main([command, "--n", str(n)]) == 0
+        docs[command] = json.loads(capsys.readouterr().out)
+        assert docs[command]["membership_rule"] == MEMBERSHIP_RULE
+    assert docs["design"]["base_block"] == docs["matrix"]["base_block"]
+    ctx = field_context(n)
+    k, q = ctx.k, ctx.q
+    rows = _expand_membership_rule(int(docs["matrix"]["base_block"], 16), k)
+    planes = build_hyperplanes(ctx)
+    oracle = [[planes[j] >> x & 1 for j in range(k)] for x in ctx.canonical_elements()]
+    assert rows == [row + [1 - v for v in row] for row in oracle]
+    W = build_W(ctx)
+    assert rows == W.to_lists()
+    T = docs["matrix"]["T"]
+    assert T["rule"] == "T[j][i] = a where W[i][j] = 1, else b"
+    a, b = Fraction(T["a"]), Fraction(T["b"])
+    assert tuple(tuple(a if rows[i][j] else b for i in range(2 * q)) for j in range(2 * k)) == build_T(W).rows
+
+
 def test_matrix_reads_W_T_from_the_R_conditions(monkeypatch, capsys):
     # matrix decides W T = I the way certify does: build_T's T over a W
     # that passes R1-R9 needs no Gram check, so a failing one goes unseen
@@ -147,8 +196,8 @@ def test_design_n3_pair_table():
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["params"] == [7, 3, 1]
-    assert doc["pair_count_table"]["all_equal"] is True
-    assert doc["pair_count_table"]["observed_counts"] == {"1": 21}
+    assert doc["base_block"] == "0xb"  # alpha lies in H_0, H_1 and H_3
+    assert "pair_count_table" not in doc and "block_members" not in doc
 
 
 def test_non_primitive_poly_exits_2():
@@ -299,26 +348,29 @@ def test_emit_json_rejects_values_json_cannot_hold(tmp_path):
 # of the normal form; the three certify pins were renewed when the
 # nucleus dropped its inert "depth_limit" key, their only change, and
 # again when the groupoid section came to state the witness rule once in
-# place of the witnesses for three m; a
-# refactor that keeps the certificates must keep these bytes, and a change that alters a document on purpose updates its
-# pin and says why
+# place of the witnesses for three m; the certify --all, design, matrix
+# and groupoid pins were renewed when those documents came to state W
+# as its base block and the rules that expand it in place of their
+# instances (the groupoid pins taking no --m); a refactor that keeps
+# the certificates must keep these bytes, and a change that alters a
+# document on purpose updates its pin and says why
 PINNED_DOCUMENTS = {
     ("certify", "--all", "--n-min", "2", "--n-max", "8"):
-        "37b958e8be7a15ac6792e3e4ff989b3ed88c0204fe268c89a7a36abe55826ef1",
+        "d5da20a92ec56892f70b10cf09c386edf798bd6c3da3de1dcdfe29cbc94c4e12",
     ("certify", "--all", "--n-min", "2", "--n-max", "4", "--seed", "7"):
-        "58a565e0568295f39d689f62103eb4f149e8074705b640af0754fcd324d99a11",
-    ("groupoid", "--n", "5", "--m", "2"):
-        "e6c167b9de5a2127a624f990ad19f35037338ff488f9ccdf77380bf718d37ea2",
-    ("groupoid", "--n", "7", "--m", "1"):
-        "b5f94f62da5b936b45bc20ad0279ac7efaac664caec29ed6b8a748e2cca4e4fa",
+        "6228c8c41f09d7f8bfd75a378c25c05ab2bd49c7370951e97fb15513e576c7aa",
+    ("groupoid", "--n", "5"):
+        "9e1f5930a4c5d80ae4bb43998fde6688b70d87d2a0019cb895c3fb8f36e0ad51",
+    ("groupoid", "--n", "7"):
+        "1e64d1010e34643b8bfd325fa1fab5dcf3a708c33d22ab02d0cb27ad3eaa32ef",
     ("design", "--n", "5"):
-        "33a8b8a61816da7b25574166593ddf9f73b28353d0a3db084ef73813a28efd15",
+        "af25ae36e802dc68d3f869afc0df9fba5bcf6e1fda32daf99741d3aca4a6a06e",
     ("matrix", "--n", "3"):
-        "320551aa30ba70251de30f98b5a3d3e417319acc11288599133a8fb163cd053f",
+        "0ccd707e812e4307b9109a7b5e43d14ab848c1bf68c5dee367cca14586639da8",
     ("certify", "--n", "8"):
         "6b9178dc6ac3086882552e25ae411c9b20d88d3b870f356ebc8a7d8b8899d53d",
     ("design", "--n", "8"):
-        "03e03df199f5038260eb76bb3bb81aa3a9edac4872c16e0fcd866e228edcb2bd",
+        "227eaa25153a05bc33206f3d0fac9feddd5a06f2daa4803daedcff0ffe7dc1a8",
     ("design", "--search-q", "6"):
         "82013212489b6f7d0804fcdc351bc58328ed764190b3a95c31c35cdc23c2df4a",
 }
@@ -345,7 +397,7 @@ runs = [
     ["design", "--n", "3"],
     ["matrix", "--n", "3"],
     ["nucleus", "--n", "3"],
-    ["groupoid", "--n", "3", "--m", "1"],
+    ["groupoid", "--n", "3"],
     ["design", "--search-q", "4"],
 ]
 for argv in runs:
@@ -364,7 +416,7 @@ def _subcommand_documents():
         yield ["design", "--n", str(n)]
         yield ["matrix", "--n", str(n), "--rank-field", "Q"]
         yield ["nucleus", "--n", str(n)]
-        yield ["groupoid", "--n", str(n), "--m", "2"]
+        yield ["groupoid", "--n", str(n)]
         yield ["certify", "--n", str(n)]
     yield ["design", "--search-q", "4"]
     yield ["certify", "--all", "--n-min", "2", "--n-max", "4"]
@@ -431,37 +483,31 @@ def test_nucleus_output():
 
 
 def test_groupoid_certificate():
-    res = run_cli("groupoid", "--n", "2", "--m", "1")
+    res = run_cli("groupoid", "--n", "2")
     doc = json.loads(res.stdout)
     assert res.returncode == 0
-    assert list(doc) == ["n", "m", "germ_walks", "witnesses", "matches_transpose", "pass"]
+    assert list(doc) == ["n", "germ_walks", "witness_rule", "matches_transpose", "pass"]
     assert doc["germ_walks"] == 4
+    assert doc["witness_rule"] == "H_j and H_j^c: 1^s 0 1^inf, s = m + (j - m) mod k, every m >= 0"
     assert doc["matches_transpose"] is True
-    tails = {"H0": "1^3 0", "H1": "1^1 0", "H2": "1^2 0"}
-    assert doc["witnesses"] == tails | {f"{label}c": w for label, w in tails.items()}
     assert doc["pass"] is True
 
 
 def test_groupoid_has_no_verify_flag():
     # nor a budget: each region's witness is the closed form 1^s 0, and
-    # certify states that rule for every m, so it takes no --m-values
+    # groupoid and certify state that rule for every m, so they take no
+    # --m or --m-values
     for args in (
-        ("groupoid", "--n", "2", "--m", "1", "--verify"),
+        ("groupoid", "--n", "2", "--verify"),
         ("nucleus", "--n", "3", "--depth", "8"),
-        ("groupoid", "--n", "3", "--m", "1", "--depth", "9"),
+        ("groupoid", "--n", "3", "--depth", "9"),
+        ("groupoid", "--n", "3", "--m", "1"),
         ("certify", "--n", "3", "--m-values", "1"),
     ):
         res = run_cli(*args)
         assert res.returncode == 2, args
         assert res.stdout == ""
         assert "unrecognized arguments" in res.stderr
-
-
-@pytest.mark.parametrize("args", [("groupoid", "--n", "3", "--m", "-2")])
-def test_negative_m_exits_2(args):
-    res = run_cli(*args)
-    assert res.returncode == 2
-    assert "must be >= 0" in res.stderr
 
 
 @pytest.mark.parametrize("extra", [("--n", "3"), ("--poly", "x^3+x+1")])
@@ -472,16 +518,6 @@ def test_design_search_q_takes_no_field(extra):
     assert res.returncode == 2
     assert res.stdout == ""
     assert "takes neither --n nor --poly" in res.stderr
-
-
-@pytest.mark.parametrize("n, m, h0", [(5, 3, "1^31 0"), (3, 0, "1^0 0"), (3, 1, "1^7 0")])
-def test_groupoid_witnesses_have_no_budget(n, m, h0):
-    # H0 at m = 3 in degree 5 needs the witness 1^31 0, and m = 0 the
-    # tail 0 1^infinity: both PASS
-    res = run_cli("groupoid", "--n", str(n), "--m", str(m))
-    assert res.returncode == 0
-    doc = json.loads(res.stdout)
-    assert doc["pass"] is True and doc["witnesses"]["H0"] == h0
 
 
 def test_certify_reports_wrong_germ_rows_as_fail(monkeypatch, tmp_path):
@@ -507,6 +543,15 @@ def test_certify_states_the_witness_rule_once():
     section = json.loads(res.stdout)["sections"]["groupoid"]
     assert list(section) == ["germ_walks", "witness_rule", "matches_transpose", "singular_certificate", "pass"]
     assert section["germ_walks"] == 1 << 12 and section["matches_transpose"] is True
+
+
+@pytest.mark.parametrize("command", ["design", "matrix", "groupoid"])
+def test_documents_state_rules_not_instances(command):
+    # W as its base block, T as its two values and the witnesses as one
+    # rule: a 2^n-fold listing would not fit
+    res = run_cli(command, "--n", "10")
+    assert res.returncode == 0
+    assert len(res.stdout.encode()) < 8 << 10
 
 
 def test_out_file(tmp_path):

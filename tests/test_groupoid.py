@@ -34,7 +34,6 @@ from multispinal.groupoid import (
     membership_matrix,
     point_in_bisection,
     region_pattern,
-    region_witnesses,
     sample_bound_ratios,
     sg_equal,
     sg_multiply,
@@ -574,13 +573,10 @@ def test_germ_rows_and_witnesses_match_the_oracles(n):
         assert tuple(p.membership_row for p in patterns) == tuple(
             tuple((r >> col) & 1 for r in rows) for col in range(2 * k)
         )
-        witnesses = region_witnesses(ctx, m)
-        assert list(witnesses) == list(W.col_labels)
         depth = m + 2 * k + 1
         for p in patterns:
             s = len(p.witness) - 1
             assert s == m + (p.j - m) % k
-            assert witnesses[p.label] == f"1^{s} 0"
             ref = ref_region_witness(field, m, p.kind, p.j, depth)
             assert ref == (p.witness, p.membership_row)
 
@@ -588,8 +584,10 @@ def test_germ_rows_and_witnesses_match_the_oracles(n):
 def test_negative_m_is_rejected(g2, w2):
     with pytest.raises(ValueError):
         region_pattern(g2, w2, -1, "H", 0)
+    point = GermPoint(SemigroupTriple("", g2.iota(1), ""), ONES)
+    assert point_in_bisection(g2, point, g2.iota(1), 0)
     with pytest.raises(ValueError):
-        region_witnesses(g2.ctx, -1)
+        point_in_bisection(g2, point, g2.iota(1), -3)
     with pytest.raises(ValueError):
         membership_matrix(g2, w2, -2)
     with pytest.raises(ValueError):
@@ -688,18 +686,6 @@ def test_negated_germ_equal_fails_every_m(n, monkeypatch):
     assert section["error"] == "membership mismatch at row H0, column 0"
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-def test_certify_lists_no_region_witnesses(n, monkeypatch):
-    # the groupoid section states the witness rule once and lists none of
-    # its instances
-    def no_list(*_):
-        raise AssertionError("region witnesses listed")
-
-    monkeypatch.setattr(groupoid, "region_witnesses", no_list)
-    monkeypatch.setattr(certify, "region_witnesses", no_list, raising=False)
-    assert certify.certify(n)["verdict"] == "PASS"
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_membership_matrix_equals_transpose_degree2(g2, w2, m):
     patterns = membership_matrix(g2, w2, m)
@@ -778,7 +764,7 @@ def test_singular_certificate_degree3(g3):
 
 def test_bound_check_identity_indicator(w2):
     c = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    report = bound_check(w2, 1, c)
+    report = bound_check(w2, c)
     for j in range(3):
         assert report["kappa"][f"H{j}"] == 1
         assert report["kappa"][f"H{j}c"] == 0
@@ -787,14 +773,14 @@ def test_bound_check_identity_indicator(w2):
 
 
 def test_bound_check_all_ones(w2):
-    report = bound_check(w2, 1, [Fraction(1)] * 4)
+    report = bound_check(w2, [Fraction(1)] * 4)
     assert report["max_abs_kappa"] == 2
     assert report["passes_2n_bound"] and report["passes_sharp_bound"]
 
 
 def test_bound_check_rejects_zero_identity_coefficient(w2):
     with pytest.raises(ValueError):
-        bound_check(w2, 1, [Fraction(0), Fraction(1), Fraction(1), Fraction(1)])
+        bound_check(w2, [Fraction(0), Fraction(1), Fraction(1), Fraction(1)])
 
 
 def test_bound_check_kappa_matches_transpose_product(g3, w3):
@@ -808,7 +794,7 @@ def test_bound_check_kappa_matches_transpose_product(g3, w3):
         c = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in order]
         if c[0] == 0:
             c[0] = Fraction(1)
-        report = bound_check(w3, 1, c)
+        report = bound_check(w3, c)
         assert len(report["kappa"]) == 14
         for j, inside in enumerate(planes):
             assert report["kappa"][f"H{j}"] == sum((ci for ci, t in zip(c, inside) if t), start=Fraction(0))
@@ -822,22 +808,22 @@ def test_sharp_bound_implies_stated_bound(w2):
         c = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in range(4)]
         if c[0] == 0:
             c[0] = Fraction(-2, 3)
-        report = bound_check(w2, 1, c)
+        report = bound_check(w2, c)
         assert report["passes_sharp_bound"]
         assert report["passes_2n_bound"]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sampler_matches_bound_check(n):
-    report = sample_bound_ratios(build_W(field_context(n)), 1, 500, seed=42)
+    report = sample_bound_ratios(build_W(field_context(n)), 500, seed=42)
     assert report["all_pass_2n_bound"]
     assert report["all_pass_sharp_bound"]
     assert report["min_ratio"] >= report["sharp_threshold"]
 
 
 def test_sampler_deterministic(w2):
-    r1 = sample_bound_ratios(w2, 1, 300, seed=7)
-    r2 = sample_bound_ratios(w2, 1, 300, seed=7)
+    r1 = sample_bound_ratios(w2, 300, seed=7)
+    r2 = sample_bound_ratios(w2, 300, seed=7)
     assert r1 == r2
 
 
@@ -854,7 +840,7 @@ def test_bound_optimum_matches_generic_path(n):
     W = build_W(ctx)
     T = build_T(W)
     optimum = Fraction(ctx.q, 2 * ctx.q - 1)
-    attained = bound_check(W, 1, _c_star(ctx.q))["max_abs_kappa"]
+    attained = bound_check(W, _c_star(ctx.q))["max_abs_kappa"]
     assert attained == optimum
     assert t_first_column_abs_sum(T.rows) == 1 / optimum
     matrix = {"R_conditions": check_R_conditions(W), "right_inverse_identity": verify_right_inverse(W, T)}
@@ -865,7 +851,7 @@ def test_bound_optimum_matches_generic_path(n):
     assert section["attained"]["max_abs_kappa"] == attained
     assert section["attained"]["c_star"] == {"identity": 1, "other": Fraction(-1, ctx.k)}
     if n <= 4:
-        assert sample_bound_ratios(W, 1, 10000, 0)["min_ratio"] >= optimum
+        assert sample_bound_ratios(W, 10000, 0)["min_ratio"] >= optimum
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -267,7 +267,8 @@ def _rotated_W(q, z):
 )
 def test_design_section_fails_with_the_error_of_verify_design(n, positions, first_bad, monkeypatch, tmp_path):
     # R5 on row 1 is verify_design on the unrotated mask: the design section
-    # fails with its error, and design --n scans the counts for the table
+    # fails with its error, which design --n prints and which names the
+    # first bad pair
     from multispinal import cli, exact_linalg
 
     q = field_context(n).q
@@ -282,7 +283,8 @@ def test_design_section_fails_with_the_error_of_verify_design(n, positions, firs
     assert cli.main(["design", "--n", str(n), "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert doc["pass"] is False and doc["error"] == str(err.value)
-    assert doc["pair_count_table"].get("first_violation") == (list(first_bad) if first_bad else None)
+    if first_bad:
+        assert f"pair (alpha^0, alpha^{first_bad[1]}) lies in {first_bad[2]} blocks" in doc["error"]
 
 
 def _count_scans(monkeypatch) -> list[int]:
@@ -310,7 +312,7 @@ def test_design_command_scans_the_shift_counts_once(monkeypatch, capsys):
 
     scans = _count_scans(monkeypatch)
     assert cli.main(["design", "--n", "6"]) == 0
-    assert json.loads(capsys.readouterr().out)["pair_count_table"]["observed_counts"] == {"15": 63 * 62 // 2}
+    assert json.loads(capsys.readouterr().out)["params"] == [63, 31, 15]
     assert scans == [63]
 
 
