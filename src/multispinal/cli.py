@@ -143,30 +143,20 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_nucleus(args) -> int:
-    from .selfsim import MultispinalGroup
+    from .selfsim import NUCLEUS_RULE, MultispinalGroup
 
     ctx = field_context(args.n, args.poly)
-    group = MultispinalGroup(ctx)
-    contraction = group.verify_nucleus()
-    states = []
-    for s in group.nucleus_states:
-        entry = {
-            "name": group.state_name(s),
-            "output": "swap" if group.output_swaps(s) else "id",
-            "on_0": group.state_name(group.restrict_letter_state(s, "0")),
-            "on_1": group.state_name(group.restrict_letter_state(s, "1")),
-        }
-        if s[0] == "b":
-            entry["element"] = s[1]
-            entry["restriction_period"] = ctx.k  # b(x)|1 = b(alpha x), and alpha has order k
-            entry["trivial_period"] = False
-        elif s == ("e",):
-            entry["restriction_period"] = 1
-            entry["trivial_period"] = True
-        states.append(entry)
+    contraction = MultispinalGroup(ctx).verify_nucleus()
     doc = {
         "n": ctx.n,
-        "states": states,
+        "e": {"output": "id", "on_0": "e", "on_1": "e"},
+        "a": {"output": "swap", "on_0": "e", "on_1": "e"},
+        "directed": {
+            "count": ctx.k,
+            "rule": NUCLEUS_RULE,
+            "zero_trace_mask": hex(ctx.trace_zero_mask),
+            "restriction_period": ctx.k,  # b(x)|1 = b(alpha x), and alpha has order k
+        },
         "contraction": contraction,
         "pass": contraction["pass"],
     }
@@ -232,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("nucleus", help="automaton states and contraction check")
+    p = sub.add_parser("nucleus", help="e, a and the rule of the directed states; contraction check")
     add_common(p)
     p.set_defaults(func=cmd_nucleus)
 
@@ -243,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="full pipeline with one PASS/FAIL verdict")
     p.add_argument("--n", type=int)
     p.add_argument("--all", action="store_true", help="certify a whole degree range")
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-min", type=int, help="lowest degree of --all (default 2)")
+    p.add_argument("--n-max", type=int, help="highest degree of --all (default 8)")
     p.add_argument("--poly")
     p.add_argument("--seed", type=int, default=0, help="echoed into the document; selects nothing")
     p.add_argument("--out")
@@ -274,6 +264,11 @@ def main(argv=None) -> int:
             parser.error(f"matrix --rank-field Fp:<p> needs a prime p, got {int(spec[3:])}")
     if args.command == "certify" and not args.all and args.n is None:
         parser.error("certify needs --n or --all")
+    if args.command == "certify" and not args.all and (args.n_min is not None or args.n_max is not None):
+        parser.error("certify --n-min and --n-max bound the range of --all, which is not given")
+    if args.command == "certify" and args.all:
+        args.n_min = 2 if args.n_min is None else args.n_min
+        args.n_max = 8 if args.n_max is None else args.n_max
     if args.command == "certify" and args.all and field_given:
         parser.error("certify --all covers the stock polynomials of --n-min..--n-max; it takes neither --n nor --poly")
     if args.command == "certify" and args.all and args.n_min > args.n_max:

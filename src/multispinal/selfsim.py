@@ -42,9 +42,11 @@ form: distinct states are distinct elements, as a swaps the first
 letter, e and b(x) fix it, and b(x) b(y)^-1 = b(x + y) != e by the
 joint-kernel identity of the field.  The same facts let a germ walk
 (groupoid.germ_equal) finish in one move once both restrictions are
-states.  verify_nucleus derives closure and pair contraction from the
-classes of the normal form, with no walk, and returns the certificate's
-contraction dict.  The group holds no mutable state.
+states.  verify_nucleus derives closure from alpha being a unit and
+pair contraction from the classes of the normal form, with no state
+list and no walk, and returns the certificate's contraction dict;
+NUCLEUS_RULE states the directed class for the nucleus document.  The
+group holds no mutable state.
 
 Restriction along a whole word w is read in closed form, one factor at
 a time (_walk): by (g h)|w = g|h(w) h|w the factors go right to left,
@@ -66,6 +68,13 @@ STATE_E = ("e",)
 STATE_A = ("a",)
 
 _SWAP = {"0": "1", "1": "0"}
+
+# the nucleus document states the directed class by this rule in place
+# of its k states; zero_trace_mask is FieldContext.trace_zero_mask
+NUCLEUS_RULE = (
+    "b_j = b(alpha^j), j = 1..k: output id; on_1 = b_(j+1), b_(k+1) = b_1; "
+    "on_0 = a iff bit j mod k of zero_trace_mask is clear, else e"
+)
 
 
 def directed_state(x: int):
@@ -130,24 +139,6 @@ class MultispinalGroup:
         ctx = self.ctx
         directed = tuple(("b", ctx.pow_alpha(j)) for j in range(1, ctx.k + 1))
         return (STATE_E,) + directed + (STATE_A,)
-
-    def state_name(self, s) -> str:
-        if s == STATE_E:
-            return "e"
-        if s == STATE_A:
-            return "a"
-        return f"b{self.ctx.discrete_log[s[1]]}" if s[1] != 1 else f"b{self.ctx.k}"
-
-    def output_swaps(self, s) -> bool:
-        return s == STATE_A
-
-    def restrict_letter_state(self, s, ch: str):
-        if s == STATE_E or s == STATE_A:
-            return STATE_E
-        x = s[1]
-        if ch == "1":
-            return directed_state(self.ctx.mul_alpha(x))
-        return STATE_A if self.ctx.trace(x) else STATE_E
 
     # -- elements ---------------------------------------------------------
 
@@ -272,6 +263,15 @@ class MultispinalGroup:
         """Check restriction-closure and contraction of products of pairs,
         and return the contraction fragment of the certificate.
 
+        The nucleus is three classes, with no state list: e and a, which
+        restrict to e, and the k directed states b(x), x != 0.  b(x)|0 is
+        a^Tr(x), a state since the trace takes only the values 0 and 1,
+        which trace_table asserts when joint_kernel_is_trivial builds it.
+        b(x)|1 = b(alpha x) is a directed state for every x != 0 iff alpha
+        is a unit, that is iff bit 0 of the polynomial is set; otherwise
+        alpha x = 0 for x = mask >> 1 alone, and that class leaves,
+        named by x, as a non-unit alpha has no discrete log.
+
         The (k + 2)^2 pairs (g, h) of nucleus states fall into classes by
         the normal form.  e h, h e, a a and b(x) b(y) are single states
         as words, so they contract at depth 0.  The 2k pairs a b(x) and
@@ -283,21 +283,16 @@ class MultispinalGroup:
         Contraction of longer products follows from iterating the pair
         statement.  No word is walked.
         """
-        states = self.nucleus_states
-        state_set = set(states)
-        leaving = [
-            s for s in states if any(self.restrict_letter_state(s, ch) not in state_set for ch in "01")
-        ]
-        closure_ok = not leaving
-        bad = [self.state_name(s) for s in leaving if s[0] == "b"]
-        failures = [[b, "a"] for b in bad] + [["a", b] for b in bad]
-        class_depth = 1 if self.ctx.joint_kernel_is_trivial() else 0
+        ctx = self.ctx
+        closure_ok = bool(ctx.poly.mask & 1)
+        leaving = f"b({ctx.poly.mask >> 1:#x})"
+        count = ctx.k + 2
         return {
-            "n": self.ctx.n,
-            "state_count": len(states),
+            "n": ctx.n,
+            "state_count": count,
             "closure_ok": closure_ok,
-            "pairs_checked": len(states) ** 2,
-            "max_contraction_depth": class_depth if len(bad) < self.ctx.k else 0,
-            "failures": failures,
-            "pass": closure_ok and not failures,
+            "pairs_checked": count**2,
+            "max_contraction_depth": 1 if ctx.joint_kernel_is_trivial() else 0,
+            "failures": [] if closure_ok else [[leaving, "a"], ["a", leaving]],
+            "pass": closure_ok,
         }

@@ -21,7 +21,7 @@ def run_cli(*args, env_extra=None):
     )
 
 
-def test_certify_n2_passes_and_reproduces_matrices():
+def test_certify_n2_passes():
     res = run_cli("certify", "--n", "2")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
@@ -191,7 +191,7 @@ def test_design_search_q2():
     assert doc["blocks"] == [[0], [1], [2]]
 
 
-def test_design_n3_pair_table():
+def test_design_n3_states_the_base_block():
     res = run_cli("design", "--n", "3")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
@@ -217,6 +217,23 @@ def test_certify_all_rejects_single_degree_options(extra):
     assert res.returncode == 2
     assert res.stdout == ""
     assert "--all" in res.stderr
+
+
+@pytest.mark.parametrize("flag", ["--n-min", "--n-max"])
+def test_certify_range_flags_need_all(flag):
+    # without --all the range would be silently ignored
+    res = run_cli("certify", "--n", "3", flag, "8")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--n-min and --n-max bound the range of --all" in res.stderr
+
+
+def test_certify_all_defaults_to_degrees_2_to_8():
+    res = run_cli("certify", "--all")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["range"] == [2, 8]
+    pinned = PINNED_DOCUMENTS[("certify", "--all", "--n-min", "2", "--n-max", "8")]
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == pinned
 
 
 def test_certify_all_rejects_empty_range():
@@ -351,7 +368,9 @@ def test_emit_json_rejects_values_json_cannot_hold(tmp_path):
 # place of the witnesses for three m; the certify --all, design, matrix
 # and groupoid pins were renewed when those documents came to state W
 # as its base block and the rules that expand it in place of their
-# instances (the groupoid pins taking no --m); a refactor that keeps
+# instances (the groupoid pins taking no --m); nucleus --n 5 was pinned
+# when it came to state e, a and the rule of the directed class in place
+# of its k + 2 states; a refactor that keeps
 # the certificates must keep these bytes, and a change that alters a
 # document on purpose updates its pin and says why
 PINNED_DOCUMENTS = {
@@ -373,6 +392,8 @@ PINNED_DOCUMENTS = {
         "227eaa25153a05bc33206f3d0fac9feddd5a06f2daa4803daedcff0ffe7dc1a8",
     ("design", "--search-q", "6"):
         "82013212489b6f7d0804fcdc351bc58328ed764190b3a95c31c35cdc23c2df4a",
+    ("nucleus", "--n", "5"):
+        "52778866dd0be6907f81cc2f9ca5805f2e17d029b07c76c3c0e1d094321a1283",
 }
 
 
@@ -467,19 +488,67 @@ def test_field_output():
     assert doc["joint_kernel_trivial"] is True
 
 
+def _expand_nucleus_rule(doc) -> dict:
+    """Every state of a nucleus document by name, as {"output", "on_0",
+    "on_1"}: e and a as stated, and b_j, j = 1..k, by the stated rule
+    (NUCLEUS_RULE): output id, on_1 = b_(j+1) with b_(k+1) = b_1, and
+    on_0 = a iff bit j mod k of zero_trace_mask is clear, else e."""
+    k, mask = doc["directed"]["count"], int(doc["directed"]["zero_trace_mask"], 16)
+    states = {"e": doc["e"], "a": doc["a"]}
+    for j in range(1, k + 1):
+        states[f"b{j}"] = {"output": "id", "on_0": "e" if mask >> (j % k) & 1 else "a", "on_1": f"b{j % k + 1}"}
+    return states
+
+
 def test_nucleus_output():
     res = run_cli("nucleus", "--n", "2")
     doc = json.loads(res.stdout)
     assert res.returncode == 0
-    names = {s["name"]: s for s in doc["states"]}
+    assert list(doc) == ["n", "e", "a", "directed", "contraction", "pass"]
+    names = _expand_nucleus_rule(doc)
     assert set(names) == {"e", "a", "b1", "b2", "b3"}
     assert names["b1"]["on_1"] == "b2"
     assert names["b2"]["on_1"] == "b3"
     assert names["b3"]["on_1"] == "b1"
     assert names["b1"]["on_0"] == "a"
     assert names["b3"]["on_0"] == "e"
-    assert names["b1"]["restriction_period"] == 3
+    assert doc["directed"]["restriction_period"] == 3
     assert doc["contraction"]["pass"] is True
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stated_nucleus_rule_expands_to_the_reference_automaton(n, monkeypatch, capsys):
+    # e, a and every b_j = b(alpha^j) of the expanded rule against the
+    # reference automaton: the output letter and both restrictions; the
+    # command builds neither the state list nor the discrete log
+    from multispinal import cli
+    from multispinal.gf2n import FieldContext, field_context
+    from multispinal.selfsim import NUCLEUS_RULE, MultispinalGroup
+
+    from reference import RefField, _ref_automaton
+
+    def refuse(_):
+        raise AssertionError("state list or discrete log built")
+
+    monkeypatch.setattr(MultispinalGroup, "nucleus_states", property(refuse))
+    monkeypatch.setattr(FieldContext, "discrete_log", property(refuse))
+    assert cli.main(["nucleus", "--n", str(n)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["directed"]["rule"] == NUCLEUS_RULE
+    field = RefField(tuple((field_context(n).poly.mask >> i) & 1 for i in range(n + 1)))
+    auto = _ref_automaton(field)
+    words = {"e": (), "a": (("a",),)}
+    x = field.from_int(1)
+    for j in range(1, (1 << n)):
+        x = field.mul(x, field.alpha())
+        words[f"b{j}"] = (("b", field.to_int(x)),)
+    states = _expand_nucleus_rule(doc)
+    assert set(states) == set(words)
+    for name, state in states.items():
+        for ch in "01":
+            rest, image = auto.step(words[name], ch)
+            assert (image == ch) == (state["output"] == "id"), (name, ch)
+            assert rest == words[state[f"on_{ch}"]], (name, ch)
 
 
 def test_groupoid_certificate():
@@ -545,10 +614,10 @@ def test_certify_states_the_witness_rule_once():
     assert section["germ_walks"] == 1 << 12 and section["matches_transpose"] is True
 
 
-@pytest.mark.parametrize("command", ["design", "matrix", "groupoid"])
+@pytest.mark.parametrize("command", ["design", "matrix", "groupoid", "nucleus"])
 def test_documents_state_rules_not_instances(command):
-    # W as its base block, T as its two values and the witnesses as one
-    # rule: a 2^n-fold listing would not fit
+    # W as its base block, T as its two values, the witnesses and the
+    # directed states as one rule each: a 2^n-fold listing would not fit
     res = run_cli(command, "--n", "10")
     assert res.returncode == 0
     assert len(res.stdout.encode()) < 8 << 10

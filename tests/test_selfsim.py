@@ -1,9 +1,11 @@
 import itertools
 import random
+import types
 
 import pytest
 
-from multispinal.gf2n import field_context
+from multispinal.certify import certify
+from multispinal.gf2n import PrimitivePolynomial, field_context
 from multispinal.groupoid import (
     SemigroupTriple,
     Tail,
@@ -295,9 +297,9 @@ def test_restriction_period_every_directed_state(n):
     for s in group.nucleus_states:
         if s[0] == "b":
             assert ref_restriction_period(auto, s[1]) == group.ctx.k
-            t, p = group.restrict_letter_state(s, "1"), 1
-            while t != s:
-                t, p = group.restrict_letter_state(t, "1"), p + 1
+            t, p = group.restrict((s,), "1"), 1
+            while t != (s,):
+                t, p = group.restrict(t, "1"), p + 1
             assert p == group.ctx.k
 
 
@@ -308,10 +310,13 @@ def test_verify_nucleus_degree2(g2):
     report = g2.verify_nucleus()
     assert report["pass"]
     assert report["state_count"] == 5
-    assert {g2.state_name(s) for s in g2.nucleus_states} == {"e", "a", "b1", "b2", "b3"}
+    # e, then b_j = b(alpha^j) for j = 1..3 as NUCLEUS_RULE names them, then a
+    b1, b2, b3 = ("b", 2), ("b", 3), ("b", 1)
+    assert g2.nucleus_states == (STATE_E, b1, b2, b3, STATE_A)
+    assert [g2.restrict((b,), "1") for b in (b1, b2, b3)] == [(b2,), (b3,), (b1,)]
 
 
-def test_verify_nucleus_returns_the_contraction_fragment(g2, monkeypatch):
+def test_verify_nucleus_returns_the_contraction_fragment(g2):
     # the dict is the certificate's contraction fragment, keys in document
     # order and "pass" last
     assert g2.verify_nucleus() == {
@@ -321,17 +326,34 @@ def test_verify_nucleus_returns_the_contraction_fragment(g2, monkeypatch):
     assert list(g2.verify_nucleus()) == [
         "n", "state_count", "closure_ok", "pairs_checked", "max_contraction_depth", "failures", "pass",
     ]
-    group = MultispinalGroup(g2.ctx)
-    real = group.restrict_letter_state
-    b1 = ("b", 2)  # alpha
-    rogue = ("b", 0)  # b(0) is e, never a state of its own
-    monkeypatch.setattr(group, "restrict_letter_state", lambda s, ch: rogue if s == b1 and ch == "1" else real(s, ch))
-    report = group.verify_nucleus()
-    # only the two class pairs of b1 leave the nucleus; the other b's still
+
+
+def test_closure_fails_when_alpha_is_not_a_unit():
+    # a stand-in context for x^3 + x, whose constant term is 0: alpha x = 0
+    # for x = x^2 + 1 = 0x5, so b(0x5)|1 = b(0) leaves the directed class,
+    # and only the two class pairs of b(0x5) fail; the others still
     # contract at depth 1
-    assert report["failures"] == [["b1", "a"], ["a", "b1"]]
+    ctx = types.SimpleNamespace(poly=PrimitivePolynomial(0b1010), n=3, k=7, joint_kernel_is_trivial=lambda: True)
+    assert (0x5 << 1) ^ ctx.poly.mask == 0  # alpha * 0x5, reduced mod x^3 + x
+    report = MultispinalGroup(ctx).verify_nucleus()
     assert report["closure_ok"] is False and report["pass"] is False
-    assert report["pairs_checked"] == 25 and report["max_contraction_depth"] == 1
+    assert report["failures"] == [["b(0x5)", "a"], ["a", "b(0x5)"]]
+    assert report["state_count"] == 9 and report["pairs_checked"] == 81
+    assert report["max_contraction_depth"] == 1
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_certify_reads_no_nucleus_state_list(n, monkeypatch):
+    # the nucleus section reads the three classes: certify's document is
+    # the same with nucleus_states raising
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    want = certify(n)
+
+    def no_states(_):
+        raise AssertionError("nucleus_states built")
+
+    monkeypatch.setattr(MultispinalGroup, "nucleus_states", property(no_states))
+    assert certify(n) == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -500,17 +522,6 @@ def test_in_nucleus_matches_the_reference_search(n):
     for word in words:
         want = next((s for s in states if auto.equal(word, (s,))), None)
         assert group.in_nucleus(word) == want, word
-
-
-def test_closure_check_sees_a_restriction_outside_the_nucleus(g2, monkeypatch):
-    group = MultispinalGroup(g2.ctx)
-    assert group.verify_nucleus()["closure_ok"]
-    real = group.restrict_letter_state
-    rogue = ("b", 0)  # b(0) is e, never a state of its own
-    monkeypatch.setattr(group, "restrict_letter_state", lambda s, ch: rogue if s == STATE_A else real(s, ch))
-    report = group.verify_nucleus()
-    assert not report["closure_ok"]
-    assert not report["pass"]
 
 
 def test_nucleus_states_are_built_once(g3):
