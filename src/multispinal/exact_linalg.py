@@ -90,6 +90,8 @@ class InclusionMatrix(Record):
         """W[i][j] in O(1): j < k in row 0, else bit j mod k of row 1
         rotated down by i - 1 places, flipped on the complement columns."""
         k = self.k
+        if not (0 <= i < 2 * self.q and 0 <= j < 2 * k):
+            raise IndexError(f"entry ({i}, {j}) lies outside W's shape {self.shape}")
         if i == 0:
             return int(j < k)
         return (self.row1 >> (j % k + i - 1) % k & 1) ^ (j >= k)

@@ -8,7 +8,8 @@ map Tr(x) = x + x^2 + ... + x^(2^(n-1)) is an additive surjection onto
 {0, 1}.
 
 A word-sized bitmask supports degrees up to 63; table-backed contexts
-(power table, discrete log) are capped at degree 20.
+(power table, trace bytes; the discrete log of the query path) are
+capped at degree 20.
 
 DEFAULT_POLYS holds one stock primitive polynomial per degree 2..20
 (bit k = coefficient of x^k; PrimitivePolynomial.text writes it out).
@@ -152,17 +153,13 @@ def _pmod(a: int, m: int) -> int:
     return a
 
 
-def _pmulmod(a: int, b: int, m: int) -> int:
-    return _pmod(_pmul(a, b), m)
-
-
 def _ppowmod(a: int, e: int, m: int) -> int:
     r = 1
     a = _pmod(a, m)
     while e:
         if e & 1:
-            r = _pmulmod(r, a, m)
-        a = _pmulmod(a, a, m)
+            r = _pmod(_pmul(r, a), m)
+        a = _pmod(_pmul(a, a), m)
         e >>= 1
     return r
 
@@ -227,10 +224,10 @@ def _alpha_powers(mask: int, n: int) -> tuple[int, ...]:
 class FieldContext:
     """GF(2^n) with a fixed primitive polynomial.
 
-    Carries the full power table alpha^0 .. alpha^(2^n - 2), and builds
-    its inverse (the discrete log) and the trace table on first use.
-    Immutable after construction; every operation is a pure function of
-    its arguments, so a context may be shared freely across threads.
+    Carries the full power table alpha^0 .. alpha^(2^n - 2); the trace
+    bytes, the trace windows (one per r mod k) and the discrete log, which
+    only the query path reads, fill in on first use.  Every operation is
+    a pure function of its arguments, so a context may be shared freely.
 
     The power table is built by doubling.  Multiplication by alpha^L is
     GF(2)-linear, so alpha^L x = XOR of alpha^(L+i) over the set bits
@@ -267,6 +264,7 @@ class FieldContext:
         self.q = 1 << (n - 1)        # hyperplane size, half the field
         self._mask = poly.mask
         self._top = 1 << n
+        self._windows: dict[int, int] = {}
 
         self.power_table: tuple[int, ...] = _alpha_powers(poly.mask, n)
         if len(set(self.power_table)) != self.k:
@@ -319,8 +317,17 @@ class FieldContext:
         """The exponent t of each nonzero x = alpha^t."""
         return dict(zip(self.power_table, range(self.k)))
 
+    def trace_window(self, r: int) -> int:
+        """l_r, bit i = Tr(alpha^(r + i)): Tr(alpha^r x) = parity(x & l_r),
+        as the trace is linear.  Memoized per r mod k."""
+        r %= self.k
+        if (window := self._windows.get(r)) is None:
+            tp, k = self.trace_of_power, self.k
+            window = self._windows[r] = sum(tp[(r + i) % k] << i for i in range(self.n))
+        return window
+
     @cached_property
-    def trace_table(self) -> tuple[int, ...]:
+    def trace_table(self) -> bytes:
         # The trace is GF(2)-linear, so only the n traces of the basis
         # elements 2^i = alpha^i are computed, by the defining sum of
         # squares read from the power table: (alpha^i)^(2^j) =
@@ -337,12 +344,12 @@ class FieldContext:
             if acc not in (0, 1):
                 raise AssertionError(f"trace of alpha^{i} fell outside the prime field")
             table += table.translate(flip) if acc else table
-        return tuple(table)
+        return table
 
     @cached_property
-    def trace_of_power(self) -> tuple[int, ...]:
+    def trace_of_power(self) -> bytes:
         """Tr(alpha^t) for t = 0 .. 2^n - 2."""
-        return tuple(self.trace_table[v] for v in self.power_table)
+        return bytes(map(self.trace_table.__getitem__, self.power_table))
 
     @cached_property
     def trace_zero_mask(self) -> int:
@@ -350,7 +357,7 @@ class FieldContext:
         # one base-2 parse of the traces, highest exponent first, with
         # Tr = 0 read as the digit 1: linear in k, where a sum of k
         # single-bit ints would be quadratic
-        digits = bytes(self.trace_of_power[::-1]).translate(bytes.maketrans(b"\0\1", b"10"))
+        digits = self.trace_of_power[::-1].translate(bytes.maketrans(b"\0\1", b"10"))
         return int(digits, 2)
 
     # -- whole-field views --------------------------------------------

@@ -19,8 +19,8 @@ stacking the membership indicator rows of all 2k such regions over the
 2q nucleus columns reproduces the transpose of the inclusion matrix.
 By the germ law [g, xi] = [h, xi] iff [h^-1 g, xi] = [e, xi], every
 entry of that stack is one question about b(w) against e along 0 1^inf,
-so 2q germ walks, one per field element w, certify all 2k rows at every
-degree (check_germ_rows).
+so one walk of the field (germ_row) certifies all 2k rows at every
+degree (check_germ_rows), each walk ending on a trace window.
 That full-rank transpose forces any vanishing combination of region
 indicators to have zero coefficients, and bounds from the explicit
 right-inverse give |max region value| strictly above |c_e| / 2^n (and at
@@ -240,7 +240,8 @@ def germ_equal(group: MultispinalGroup, g1: tuple, g2: tuple, tail: Tail) -> boo
     lies in every ker(Tr o alpha^j)), which holds for every FieldContext
     because the trace is onto.  So a run of 1s from pos that never ends
     means the germs never meet, and a run of length r means they meet
-    iff Tr(alpha^r x) = Tr(alpha^r y), with 0 for e.
+    iff parity((x + y) & l_r) = 0, with x = 0 for e and l_r the trace
+    window (FieldContext.trace_window): no discrete log is read.
     """
     step = group._step
     u, v = g1, g2
@@ -260,11 +261,9 @@ def germ_equal(group: MultispinalGroup, g1: tuple, g2: tuple, tail: Tail) -> boo
     run = tail.ones_from(pos)
     if run is None:
         return False
-    ctx = group.ctx
-    log, tp, k = ctx.discrete_log, ctx.trace_of_power, ctx.k
-    tu = tp[(log[u[0][1]] + run) % k] if u else 0
-    tv = tp[(log[v[0][1]] + run) % k] if v else 0
-    return tu == tv
+    x = u[0][1] if u else 0
+    y = v[0][1] if v else 0
+    return not ((x ^ y) & group.ctx.trace_window(run)).bit_count() & 1
 
 
 def point_in_bisection(group: MultispinalGroup, point: GermPoint, h: tuple, m: int) -> bool:
@@ -337,19 +336,13 @@ WITNESS_RULE = "H_j and H_j^c: 1^s 0 1^inf, s = m + (j - m) mod k, every m >= 0"
 MEMBERSHIP_RULE = "alpha^i in H_j iff bit (i + j - 1) mod k of base_block is set; 0 in every H_j; H_j^c the complement"
 
 
-def meet_set(group: MultispinalGroup) -> frozenset[int]:
-    """G = {w : [b(w), 0 1^infinity] = [e, 0 1^infinity]}, one germ walk
-    per field element w."""
-    tail = Tail("0", "1")
-    e = group.identity
-    return frozenset(w for w in group.ctx.elements() if germ_equal(group, group.iota(w), e, tail))
-
-
-def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> int:
-    """The germ membership of every region over every nonzero element, in
-    the form InclusionMatrix holds W: the subgroup half (k bits) of the
-    row of alpha, from which circulant_rows writes the row of every
-    alpha^i (bit j for K = H_j, bit j + k for its complement).
+def germ_row(group: MultispinalGroup) -> tuple[bool, int]:
+    """[0 in G] and the germ membership of every region over every nonzero
+    element, in the form InclusionMatrix holds W: the subgroup half (k
+    bits) of the row of alpha, from which circulant_rows writes the row of
+    every alpha^i (bit j for K = H_j, bit j + k for its complement).  The
+    meet set G = {w : [b(w), 0 1^infinity] = [e, 0 1^infinity]} is read
+    by one walk of the field, w = 0, alpha, ..., alpha^k = 1.
 
     Region K with witness 1^s 0 holds x iff iota(x) meets iota(x0) along
     1^s 0 1^infinity, x0 the first member of K.  By the germ law that is
@@ -358,24 +351,25 @@ def germ_rows(ctx: FieldContext, meet: frozenset[int]) -> int:
     and restricts there to b(alpha^s z), and s = j mod k, so the entry is
     [alpha^j (x0 + x) in G].  For H_j, x0 = 0: the row of alpha^i is the
     exponent mask of G rotated by i, and the row of 0 is [0 in G] on
-    every subgroup, which check_germ_rows reads from G itself.  Once
-    those match W, G is the hyperplane H_0, so for a complement (x0
-    outside H_j) the entry is 1 - [alpha^j x in G]: the complement
-    columns mirror the subgroup columns.  So 0 in G and the row of alpha
-    fix the rest, as they fix W.
+    every subgroup.  Once those match W, G is the hyperplane H_0, so for
+    a complement (x0 outside H_j) the entry is 1 - [alpha^j x in G]: the
+    complement columns mirror the subgroup columns.  So 0 in G and the
+    row of alpha fix the rest, as they fix W.
     """
-    power = ctx.power_table
-    # W's canonical order 0, alpha^1, ..., alpha^k = 1; bit j of the row
-    # of alpha is [alpha^(j + 1) in G].  One base-2 parse of the digits,
-    # highest bit (alpha^k = 1) first: linear in k, where a sum of k
-    # single-bit ints would be quadratic
-    digits = bytes([x in meet for x in power[:1] + power[:0:-1]])
-    return int(digits.translate(bytes.maketrans(b"\0\1", b"01")), 2)
+    ctx, e, tail = group.ctx, group.identity, Tail("0", "1")
+    zero_in = germ_equal(group, group.iota(0), e, tail)
+    # bit j of the row of alpha is [alpha^(j + 1) in G], the digit k - 1 - j
+    # of one base-2 parse: linear in k, where a sum of bits is quadratic
+    digits, w = bytearray(ctx.k), 1
+    for i in range(ctx.k - 1, -1, -1):
+        w = ctx.mul_alpha(w)
+        digits[i] = germ_equal(group, group.iota(w), e, tail)
+    return zero_in, int(digits.translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
 
 def check_germ_rows(group: MultispinalGroup, W: InclusionMatrix) -> None:
     """Certify that the germ rows of all 2k regions stack into W's
-    transpose, from the 2q walks of meet_set; the rows do not depend on
+    transpose, from the 2q walks of germ_row; the rows do not depend on
     m.  Row 0 of W, the element 0, lies in every subgroup, and its germ
     row is [0 in G] on every subgroup, so a G without 0 raises
     MembershipMismatch naming (H0, "0").  Below row 0 both are circulants
@@ -385,10 +379,10 @@ def check_germ_rows(group: MultispinalGroup, W: InclusionMatrix) -> None:
     q = group.ctx.q
     if W.q != q:
         raise ValueError(f"W has q={W.q}; the field has q={q}")
-    meet = meet_set(group)
-    if 0 not in meet:
+    zero_in, row1 = germ_row(group)
+    if not zero_in:
         raise MembershipMismatch("H0", row_label(0))
-    if diff := germ_rows(group.ctx, meet) ^ W.row1:
+    if diff := row1 ^ W.row1:
         raise MembershipMismatch(W.col_labels[(diff & -diff).bit_length() - 1], row_label(1))
 
 

@@ -69,19 +69,18 @@ def build_hyperplanes(ctx: FieldContext) -> list[int]:
     the explicit subgroups, which no document lists and the tests read
     as the oracle of the difference-set rule.
 
-    Tr(alpha^j x) is GF(2)-linear in x: it is the parity of x & c_j, where
-    bit i of c_j is Tr(alpha^(i + j)).  So H_j is the complement of the
-    XOR, over the set bits i of c_j, of the mask of the x with bit i set.
+    Tr(alpha^j x) is the parity of x & c_j, c_j the trace window l_j.  So
+    H_j is the complement of the XOR, over the set bits i of c_j, of the
+    mask of the x with bit i set.
     """
     size = 1 << ctx.n
     odd = [sum(1 << x for x in range(size) if x >> i & 1) for i in range(ctx.n)]
-    tp = ctx.trace_of_power
     full = (1 << size) - 1
     planes = []
     for j in range(ctx.k):
-        members = full
+        members, c = full, ctx.trace_window(j)
         for i in range(ctx.n):
-            if tp[(i + j) % ctx.k]:
+            if c >> i & 1:
                 members ^= odd[i]
         planes.append(members)
     return planes

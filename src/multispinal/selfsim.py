@@ -77,11 +77,6 @@ NUCLEUS_RULE = (
 )
 
 
-def directed_state(x: int):
-    """The state b(x); b(0) collapses to the identity."""
-    return STATE_E if x == 0 else ("b", x)
-
-
 def _reduce(states) -> tuple:
     """Normal form of a word: drop e, cancel a a, merge b(x) b(y) into
     b(x + y).  One left-to-right pass with a stack suffices, because each
@@ -247,7 +242,7 @@ class MultispinalGroup:
         for s in g:
             if s[0] == "b":
                 acc ^= s[1]
-        guess = directed_state(acc)
+        guess = ("b", acc) if acc else STATE_E  # b(0) is e
         if self.equal(g, self.element(guess)):
             return guess
         for s in self.nucleus_states:

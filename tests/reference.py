@@ -122,6 +122,13 @@ def ref_trace_zero_mask(ctx) -> int:
     return sum(1 << t for t, v in enumerate(ctx.trace_of_power) if v == 0)
 
 
+def ref_trace_window(field: RefField, r: int) -> int:
+    """The n-bit mask with bit i = Tr(alpha^(r + i)), each trace the
+    reference field's sum of squares of its own power of alpha."""
+    a = field.alpha()
+    return sum(field.trace(field.pow(a, r + i)) << i for i in range(field.n))
+
+
 def ref_hyperplane_membership(field: RefField, x_int: int, j: int) -> bool:
     """x in ker(Tr o phi^j), computed entirely with the reference field."""
     x = field.from_int(x_int)

@@ -163,9 +163,10 @@ def test_matrix_reads_W_T_from_the_R_conditions(monkeypatch, capsys):
     assert doc["all_R_pass"] is True and doc["right_inverse_identity"] is True
 
 
-@pytest.mark.parametrize("command", ["matrix", "design"])
+@pytest.mark.parametrize("command", ["matrix", "design", "groupoid", "certify"])
 def test_matrix_and_design_build_no_discrete_log(command, monkeypatch, capsys):
-    # W's row 1 is the zero-trace mask rotated by one place
+    # W's row 1 is the zero-trace mask rotated by one place, and each germ
+    # walk of the groupoid section ends on a trace window
     from multispinal import cli
     from multispinal.gf2n import FieldContext
 
@@ -175,7 +176,8 @@ def test_matrix_and_design_build_no_discrete_log(command, monkeypatch, capsys):
     monkeypatch.setattr(FieldContext, "discrete_log", property(no_log))
     assert cli.main([command, "--n", "6"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["all_R_pass"] if command == "matrix" else doc["pass"]
+    passed = {"matrix": "all_R_pass", "certify": "verdict"}.get(command, "pass")
+    assert doc[passed] in (True, "PASS")
 
 
 def test_design_search_q_odd_exits_2():

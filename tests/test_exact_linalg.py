@@ -132,6 +132,17 @@ def test_first_row_shape(f8):
         assert W.rows[i].bit_count() == W.k  # every row sums to k
 
 
+@pytest.mark.parametrize("i, j", [(4, 0), (1, -1), (-1, 0), (0, 6), (3, 6), (0, -7)])
+def test_entry_raises_outside_the_shape(f4, i, j):
+    # the 4 x 6 W of GF(4): an index outside the shape is an error, not
+    # a bit read from a wrapped rotation
+    W = build_W(f4)
+    assert W.shape == (4, 6)
+    with pytest.raises(IndexError, match=r"outside W's shape \(4, 6\)"):
+        W.entry(i, j)
+    assert [[W.entry(r, c) for c in range(6)] for r in range(4)] == W.to_lists()
+
+
 def test_right_inverse(f4, f8):
     for ctx in (f4, f8):
         W = build_W(ctx)

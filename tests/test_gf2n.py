@@ -18,6 +18,7 @@ from reference import (
     RefField,
     ref_is_primitive,
     ref_joint_kernel_is_trivial,
+    ref_trace_window,
     ref_trace_zero_mask,
 )
 
@@ -221,8 +222,38 @@ def test_trace_table_is_the_parity_of_the_trace_mask(n):
     ref = RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(n + 1)))
     tau = sum(ref.trace(ref.from_int(1 << i)) << i for i in range(n))
     table = ctx.trace_table
-    assert type(table) is tuple and all(type(t) is int for t in table)
-    assert table == tuple((x & tau).bit_count() & 1 for x in range(ctx.size))
+    assert type(table) is bytes and type(ctx.trace_of_power) is bytes
+    assert table == bytes((x & tau).bit_count() & 1 for x in range(ctx.size))
+    assert ctx.trace_of_power == bytes(table[v] for v in ctx.power_table)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_trace_window_matches_the_reference_traces(n):
+    # every window against the reference traces of alpha^(r + i), then
+    # memoized per r mod k: the same int comes back for r + k
+    ctx = field_context(n)
+    field = RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(n + 1)))
+    assert "trace_of_power" not in vars(ctx) and not ctx._windows  # built on first use
+    for r in range(ctx.k):
+        assert ctx.trace_window(r) == ref_trace_window(field, r), r
+        assert ctx.trace_window(r + ctx.k) is ctx.trace_window(r)
+    assert sorted(ctx._windows) == list(range(ctx.k))
+    # the k windows are the k nonzero functionals, each once
+    assert sorted(ctx._windows.values()) == list(range(1, ctx.size))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_trace_window_parity_is_the_trace_of_the_rotated_element(n):
+    # Tr(alpha^r x) = parity(x & l_r) for every x and every r < k, the
+    # left side in the reference field alone
+    ctx = field_context(n)
+    field = RefField(tuple((ctx.poly.mask >> i) & 1 for i in range(n + 1)))
+    a = field.alpha()
+    for r in range(ctx.k):
+        ar = field.pow(a, r)
+        for x in ctx.elements():
+            want = field.trace(field.mul(ar, field.from_int(x)))
+            assert (x & ctx.trace_window(r)).bit_count() & 1 == want, (r, x)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -312,7 +343,7 @@ def test_joint_kernel_identity_and_loop_agree_on_damaged_trace_tables(one):
     # a table that vanishes on GF(16)^* leaves every x in the joint kernel;
     # a single 1 at any nonzero y already makes the kernel trivial
     ctx = field_context(4)
-    ctx.__dict__["trace_table"] = tuple(int(x == one) for x in range(16))
+    ctx.__dict__["trace_table"] = bytes(int(x == one) for x in range(16))
     assert ctx.joint_kernel_is_trivial() is (one is not None)
     assert ref_joint_kernel_is_trivial(ctx) is (one is not None)
 

@@ -27,10 +27,9 @@ from multispinal.groupoid import (
     bound_check,
     check_germ_rows,
     germ_equal,
-    germ_rows,
+    germ_row,
     intersect_witness,
     is_idempotent,
-    meet_set,
     membership_matrix,
     point_in_bisection,
     region_pattern,
@@ -474,7 +473,8 @@ def test_meet_set_matches_reference_walks(n):
     ctx = field_context(n)
     auto = RefAutomaton(ref_field(ctx))
     want = {w for w in ctx.elements() if ref_germ_equal(auto, (("b", w),), (), "0", "1")}
-    assert meet_set(MultispinalGroup(ctx)) == want
+    row1 = sum(1 << j for j in range(ctx.k) if ctx.power_table[(j + 1) % ctx.k] in want)
+    assert germ_row(MultispinalGroup(ctx)) == (0 in want, row1)
     assert len(want) == ctx.q
 
 
@@ -536,18 +536,51 @@ def test_region_pattern_matches_reference_scan(n):
                 assert (p.witness, p.membership_row) == ref_region_witness(field, m, kind, j, depth)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_certify_builds_no_discrete_log(n, monkeypatch):
+    # the germ walks end on trace windows: with the discrete log raising,
+    # certify's document is byte-identical
+    from multispinal.cli import _dumps
+    from multispinal.gf2n import FieldContext
+
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    want = _dumps(certify.certify(n))
+
+    def no_log(_):
+        raise AssertionError("discrete log built")
+
+    monkeypatch.setattr(FieldContext, "discrete_log", property(no_log))
+    assert _dumps(certify.certify(n)) == want
+
+
 @pytest.mark.parametrize("n", range(2, 13))
-def test_germ_rows_parse_row_1_as_the_bit_sum(n):
+def test_germ_rows_parse_row_1_as_the_bit_sum(n, monkeypatch):
     # the parsed row of alpha against the sum of single bits, for the
-    # meet set of the walks and for random sets with and without 0
+    # walks of the field (G = H_0) and for a germ_equal patched to seeded
+    # random verdicts, with and without 0; the walk asks b(w) against e
+    # along 0 1^inf, w in canonical order
     ctx = field_context(n)
+    group = MultispinalGroup(ctx)
     k = ctx.k
+
+    def bit_sum(meet):
+        return 0 in meet, sum(1 << j for j in range(k) if ctx.power_table[(j + 1) % k] in meet)
+
+    assert germ_row(group) == bit_sum({x for x in ctx.elements() if ctx.trace(x) == 0})
     rng = random.Random(n)
-    meets = [meet_set(MultispinalGroup(ctx))]
-    meets += [frozenset(x for x in ctx.elements() if rng.random() < 0.5) for _ in range(4)]
-    for meet in meets:
-        row1 = sum(1 << j for j in range(k) if ctx.power_table[(j + 1) % k] in meet)
-        assert germ_rows(ctx, meet) == row1
+    for _ in range(4):
+        meet = frozenset(x for x in ctx.elements() if rng.random() < 0.5)
+        asked = []
+
+        def verdict(group, g1, g2, tail):
+            assert g2 == group.identity and tail == Tail("0", "1")
+            asked.append(g1[0][1] if g1 else 0)
+            return asked[-1] in meet
+
+        with monkeypatch.context() as m:
+            m.setattr(groupoid, "germ_equal", verdict)
+            assert germ_row(group) == bit_sum(meet)
+        assert asked == list(ctx.canonical_elements())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -559,8 +592,7 @@ def test_germ_rows_and_witnesses_match_the_oracles(n):
     field = ref_field(ctx)
     W = build_W(ctx)
     k = ctx.k
-    meet = meet_set(group)
-    assert 0 in meet and germ_rows(ctx, meet) == W.row1
+    assert germ_row(group) == (True, W.row1)
     rows = tuple(exact_linalg.circulant_rows(W.row1, k))
     assert rows == W.rows
     section = groupoid_section(group, W, matrix_section(ctx, W, build_T(W)))

@@ -10,8 +10,8 @@ from multispinal.groupoid import (
     SemigroupTriple,
     Tail,
     germ_equal,
+    germ_row,
     intersect_witness,
-    meet_set,
     sg_equal,
     sg_multiply,
     sg_star,
@@ -370,15 +370,15 @@ def test_verify_nucleus_matches_the_full_pair_search(n):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_verify_nucleus_and_meet_set_walk_no_word(n, monkeypatch):
     # the nucleus reads the classes; each of the 2^n germ walks of
-    # meet_set starts on two single states and finishes in closed form
+    # germ_row starts on two single states and finishes in closed form
     group = MultispinalGroup(field_context(n))
     with monkeypatch.context() as m:
         for name in ("_step", "equal", "_trivial"):
             m.setattr(group, name, lambda *_: pytest.fail("verify_nucleus walked a word"))
         assert group.verify_nucleus()["pass"]
     with monkeypatch.context() as m:
-        m.setattr(group, "_step", lambda *_: pytest.fail("meet_set walked a word"))
-        meet_set(group)
+        m.setattr(group, "_step", lambda *_: pytest.fail("germ_row walked a word"))
+        assert germ_row(group)[0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
