@@ -314,7 +314,8 @@ class FieldContext:
 
     @cached_property
     def discrete_log(self) -> dict[int, int]:
-        """The exponent t of each nonzero x = alpha^t."""
+        """The exponent t of each nonzero x = alpha^t, for the query path
+        (MultispinalGroup._walk and intersect_witness) alone."""
         return dict(zip(self.power_table, range(self.k)))
 
     def trace_window(self, r: int) -> int:
